@@ -14,7 +14,6 @@ numbering of the axioms, documented in the README.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import jsonio
@@ -36,22 +35,14 @@ from .skeletal import (SkeletalTriple, skeletal_to_triple, triple_to_skeletal,
                        validate_skeletal_matched_pair, validate_two_term)
 
 
-def _threads_cap() -> int:
-    """Upper bound on internal parallelism taken from MPLA_THREADS.
-
-    The computations are pure and independent, so any cap is honored;
-    the current implementation evaluates them sequentially (cap 1 is
-    always respected).
-    """
-    raw = os.environ.get("MPLA_THREADS")
-    if raw is None:
-        return 1
+def _degree(text: str) -> int:
+    """argparse type of --max-degree: a nonnegative integer."""
     try:
-        value = int(raw)
+        value = int(text)
     except ValueError:
-        raise InputError("MPLA_THREADS must be a positive integer")
-    if value < 1:
-        raise InputError("MPLA_THREADS must be a positive integer")
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
 
 
@@ -324,8 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "validation, combined products, representations, cohomology "
                     "dimensions, deformations, abelian extensions, and two-term "
                     "homotopy structures.",
-        epilog="Input paths accept '-' for standard input.  MPLA_THREADS caps "
-               "internal parallelism.",
+        epilog="Input paths accept '-' for standard input.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -366,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cohomology", help="cohomology dimension table")
     p.add_argument("input")
     p.add_argument("--coefficients", default=None, metavar="REP_FILE")
-    p.add_argument("--max-degree", type=int, default=4)
+    p.add_argument("--max-degree", type=_degree, default=4)
     common(p)
     p.set_defaults(func=cmd_cohomology)
 
@@ -433,7 +423,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads_cap()
         return args.func(args)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")

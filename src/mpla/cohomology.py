@@ -43,7 +43,7 @@ from math import comb
 from .bigraded import BidegreeMap, StructureElement, decompose, embed
 from .errors import (CoefficientMismatch, DimensionMismatch, ShapeMismatch)
 from .lie import ce_coboundary, wedge_basis, wedge_rep
-from .linalg import Matrix, cohomology_dim, kernel_dim
+from .linalg import Matrix, cohomology_dims, operator_matrix
 from .matched import LieBialgebra, MatchedPair, bialgebra_to_matched_pair
 from .multimap import SkewMultiMap, nr_bracket
 from .report import ValidationReport
@@ -177,18 +177,23 @@ def cochain_basis(mp_dims, rep_dims, degree: int):
     return keys
 
 
-def cochain_to_coords(F: MPCochain):
+def _coords(F: MPCochain):
+    """The coordinates in the monomial basis, as the stored scalars (0 if absent)."""
     keys = cochain_basis((F.dim_g, F.dim_h), (F.dim_v, F.dim_w), F.degree)
     out = []
     for key in keys:
         if key[0] == "vec":
-            out.append(Fraction(F.vec[key[1]]))
+            out.append(F.vec[key[1]])
         else:
             r, part, gi, hj, idx = key
             table = F.component(r).part_v if part == "V" else F.component(r).part_w
             vec = table.get((gi, hj))
-            out.append(Fraction(vec[idx]) if vec is not None else Fraction(0))
+            out.append(vec[idx] if vec is not None else 0)
     return out
+
+
+def cochain_to_coords(F: MPCochain):
+    return [Fraction(x) for x in _coords(F)]
 
 
 def cochain_from_coords(mp_dims, rep_dims, degree, coords) -> MPCochain:
@@ -429,27 +434,31 @@ def delta_matrix(mp: MatchedPair, rep: MPRepresentation, degree: int,
     """Matrix of the degree-d differential of the complex.
 
     Degree 0 is the augmentation zero map (module docstring); higher
-    degrees apply the requested route to every monomial basis cochain.
+    degrees apply the requested route once, to a probe cochain of linear
+    forms (``linalg.operator_matrix``).  The adjoint route needs ``rep``
+    to be the adjoint representation of ``mp``.
     """
+    if route == "adjoint":
+        if not rep.tensors_equal(adjoint_representation(mp)):
+            raise CoefficientMismatch(
+                "the adjoint route needs the adjoint representation of the pair"
+            )
+    elif route != "coeff":
+        raise ValueError(f"unknown route {route!r}")
     mp_dims = (mp.dim_g, mp.dim_h)
     rep_dims = rep.dims
     n_rows = cochain_space_dim(mp_dims, rep_dims, degree + 1)
     n_cols = cochain_space_dim(mp_dims, rep_dims, degree)
     if degree == 0:
         return Matrix.zero(n_rows, n_cols)
-    columns = []
-    for key in cochain_basis(mp_dims, rep_dims, degree):
-        F = basis_cochain(mp_dims, rep_dims, degree, key)
-        if route == "coeff":
-            image = delta_mpl_coeff(mp, rep, F)
-        elif route == "adjoint":
-            image = delta_mpl_adjoint(mp, F)
-        else:
-            raise ValueError(f"unknown route {route!r}")
-        columns.append(cochain_to_coords(image))
-    if not columns:
-        return Matrix.zero(n_rows, 0)
-    return Matrix.from_columns(columns)
+
+    def image(coords):
+        F = cochain_from_coords(mp_dims, rep_dims, degree, coords)
+        if route == "adjoint":
+            return _coords(delta_mpl_adjoint(mp, F))
+        return _coords(delta_mpl_coeff(mp, rep, F))
+
+    return operator_matrix(image, n_rows, n_cols)
 
 
 def mpl_cohomology_dims(mp: MatchedPair, rep: MPRepresentation,
@@ -457,11 +466,7 @@ def mpl_cohomology_dims(mp: MatchedPair, rep: MPRepresentation,
     """Dimensions of H^0 .. H^max_degree with coefficients in rep."""
     mp.require_valid()
     rep.require_valid()
-    mats = [delta_matrix(mp, rep, d) for d in range(max_degree + 1)]
-    dims = [kernel_dim(mats[0])]
-    for d in range(1, max_degree + 1):
-        dims.append(cohomology_dim(mats[d], mats[d - 1]))
-    return dims
+    return cohomology_dims(lambda d: delta_matrix(mp, rep, d), max_degree)
 
 
 def mpl_dimension_report(mp, rep, max_degree) -> list[dict]:
@@ -587,12 +592,16 @@ def liebi_basis(dim: int, degree: int):
     return keys
 
 
-def liebi_to_coords(xi: LieBiCochain):
+def _liebi_coords(xi: LieBiCochain):
     out = []
     for r, gi, t in liebi_basis(xi.dim, xi.degree):
         vec = xi.components[r - 1].coeffs.get(gi)
-        out.append(Fraction(vec[t]) if vec is not None else Fraction(0))
+        out.append(vec[t] if vec is not None else 0)
     return out
+
+
+def liebi_to_coords(xi: LieBiCochain):
+    return [Fraction(x) for x in _liebi_coords(xi)]
 
 
 def liebi_from_coords(dim, degree, coords) -> LieBiCochain:
@@ -658,17 +667,10 @@ def liebi_coboundary(b: LieBialgebra, xi: LieBiCochain) -> LieBiCochain:
 
 def liebi_matrix(b: LieBialgebra, degree: int) -> Matrix:
     dim = b.g.dim
-    n_rows = liebi_space_dim(dim, degree + 1)
-    keys = liebi_basis(dim, degree)
-    columns = []
-    for key in keys:
-        coords = [Fraction(0)] * len(keys)
-        coords[keys.index(key)] = Fraction(1)
-        xi = liebi_from_coords(dim, degree, coords)
-        columns.append(liebi_to_coords(liebi_coboundary(b, xi)))
-    if not columns:
-        return Matrix.zero(n_rows, 0)
-    return Matrix.from_columns(columns)
+    return operator_matrix(
+        lambda coords: _liebi_coords(liebi_coboundary(b, liebi_from_coords(dim, degree, coords))),
+        liebi_space_dim(dim, degree + 1), liebi_space_dim(dim, degree),
+    )
 
 
 def _contract_last(dim: int, q: int, vec, fixed) -> list:

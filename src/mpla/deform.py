@@ -26,13 +26,7 @@ from .linalg import Matrix
 from .matched import MatchedPair, MPMorphism, check_morphism, validate_matched_pair
 from .report import ValidationReport
 from .reps import MPRepresentation, adjoint_representation, assemble_semidirect
-from .scalars import DualNumber, vaccum, vis_zero, vneg, vzero
-
-
-def _basis(n, i):
-    v = vzero(n)
-    v[i] = 1
-    return v
+from .scalars import DualNumber, vaccum, vbasis, vis_zero, vneg, vzero
 
 
 class DeformationCandidate:
@@ -213,9 +207,9 @@ def deformation_equiv_check(mp: MatchedPair, d: DeformationCandidate,
     for i in range(m):
         for j in range(i + 1, m):
             lhs = [a - b for a, b in zip(d.mu1[i][j], d2.mu1[i][j])]
-            rhs = mp.g.bracket_vec(_basis(m, i), f.column(j))
+            rhs = mp.g.bracket_vec(vbasis(m, i), f.column(j))
             vaccum(rhs, -1, f.mul_vec(mp.g.c[i][j]))
-            vaccum(rhs, 1, mp.g.bracket_vec(f.column(i), _basis(m, j)))
+            vaccum(rhs, 1, mp.g.bracket_vec(f.column(i), vbasis(m, j)))
             res = [x - y for x, y in zip(lhs, rhs)]
             if not vis_zero(res):
                 check.add((i, j), res)
@@ -224,9 +218,9 @@ def deformation_equiv_check(mp: MatchedPair, d: DeformationCandidate,
     for a in range(n):
         for b in range(a + 1, n):
             lhs = [x - y for x, y in zip(d.nu1[a][b], d2.nu1[a][b])]
-            rhs = mp.h.bracket_vec(_basis(n, a), g_map.column(b))
+            rhs = mp.h.bracket_vec(vbasis(n, a), g_map.column(b))
             vaccum(rhs, -1, g_map.mul_vec(mp.h.c[a][b]))
-            vaccum(rhs, 1, mp.h.bracket_vec(g_map.column(a), _basis(n, b)))
+            vaccum(rhs, 1, mp.h.bracket_vec(g_map.column(a), vbasis(n, b)))
             res = [x - y for x, y in zip(lhs, rhs)]
             if not vis_zero(res):
                 check.add((a, b), res)
@@ -238,7 +232,7 @@ def deformation_equiv_check(mp: MatchedPair, d: DeformationCandidate,
             lhs = [x - y for x, y in zip(d.rho1[i][a], d2.rho1[i][a])]
             rhs = mp.rho_act(i, g_map.column(a))
             vaccum(rhs, -1, g_map.mul_vec(mp.rho[i][a]))
-            vaccum(rhs, 1, mp.rho_vec(f.column(i), _basis(n, a)))
+            vaccum(rhs, 1, mp.rho_vec(f.column(i), vbasis(n, a)))
             res = [x - y for x, y in zip(lhs, rhs)]
             if not vis_zero(res):
                 check.add((i, a), res)
@@ -249,7 +243,7 @@ def deformation_equiv_check(mp: MatchedPair, d: DeformationCandidate,
             lhs = [x - y for x, y in zip(d.psi1[a][i], d2.psi1[a][i])]
             rhs = mp.psi_act(a, f.column(i))
             vaccum(rhs, -1, f.mul_vec(mp.psi[a][i]))
-            vaccum(rhs, 1, mp.psi_vec(g_map.column(a), _basis(m, i)))
+            vaccum(rhs, 1, mp.psi_vec(g_map.column(a), vbasis(m, i)))
             res = [x - y for x, y in zip(lhs, rhs)]
             if not vis_zero(res):
                 check.add((a, i), res)
@@ -372,11 +366,11 @@ def _check_section(e: AbelianExtension, section):
         raise NotASection("section matrices have the wrong shape")
     for i in range(m):
         col = s1.column(i)
-        if col[:m] != _basis(m, i):
+        if col[:m] != vbasis(m, i):
             raise NotASection(f"first section does not split the projection at {i}")
     for a in range(n):
         col = s2.column(a)
-        if col[:n] != _basis(n, a):
+        if col[:n] != vbasis(n, a):
             raise NotASection(f"second section does not split the projection at {a}")
     return s1, s2
 

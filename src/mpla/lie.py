@@ -16,16 +16,15 @@ All arithmetic is ring-generic: entries may be Fractions or DualNumbers.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 from .errors import ArityMismatch, MalformedTensor
-from .linalg import Matrix, cohomology_dim, kernel_dim
+from .linalg import Matrix, cohomology_dims, operator_matrix
 from .multimap import SkewMultiMap, nr_bracket, sort_sign
 from .report import ValidationReport
-from .scalars import vaccum, vis_zero, vzero
+from .scalars import vaccum, vbasis, vis_zero, vzero
 
 
 def _dense_tensor(dim, codim, pairs, skew: bool, what: str):
@@ -182,9 +181,9 @@ def validate_lie_algebra(g: LieAlgebra) -> ValidationReport:
                 skew.add((i, j), residual)
     jacobi = report.new_check("jacobi")
     for i, j, k in combinations(range(g.dim), 3):
-        residual = g.bracket_vec(g.c[i][j], _basis(g.dim, k))
-        vaccum(residual, 1, g.bracket_vec(g.c[j][k], _basis(g.dim, i)))
-        vaccum(residual, 1, g.bracket_vec(g.c[k][i], _basis(g.dim, j)))
+        residual = g.bracket_vec(g.c[i][j], vbasis(g.dim, k))
+        vaccum(residual, 1, g.bracket_vec(g.c[j][k], vbasis(g.dim, i)))
+        vaccum(residual, 1, g.bracket_vec(g.c[k][i], vbasis(g.dim, j)))
         if not vis_zero(residual):
             jacobi.add((i, j, k), residual)
     g._valid = report.ok
@@ -200,7 +199,7 @@ def validate_representation(r: LieRep) -> ValidationReport:
         for j in range(i + 1, g.dim):
             bracket = g.c[i][j]
             for p in range(r.space_dim):
-                basis_p = _basis(r.space_dim, p)
+                basis_p = vbasis(r.space_dim, p)
                 lhs = r.act_vec(bracket, basis_p)
                 rhs = r.act(i, r.act(j, basis_p))
                 vaccum(rhs, -1, r.act(j, r.act(i, basis_p)))
@@ -209,12 +208,6 @@ def validate_representation(r: LieRep) -> ValidationReport:
                     law.add((i, j, p), residual)
     r._valid = report.ok
     return report
-
-
-def _basis(n, i):
-    v = vzero(n)
-    v[i] = 1
-    return v
 
 
 def ce_coboundary(r: LieRep, f: SkewMultiMap, n: int | None = None) -> SkewMultiMap:
@@ -258,32 +251,23 @@ def ce_basis(dim: int, space_dim: int, n: int):
 def ce_matrix(r: LieRep, n: int) -> Matrix:
     """Matrix of the degree-n coboundary in the monomial basis."""
     g = r.algebra
-    domain = ce_basis(g.dim, r.space_dim, n)
-    target = ce_basis(g.dim, r.space_dim, n + 1)
-    index = {kp: row for row, kp in enumerate(target)}
-    columns = []
-    for key, p in domain:
-        vec = vzero(r.space_dim)
-        vec[p] = Fraction(1)
-        image = ce_coboundary(r, SkewMultiMap(n, g.dim, r.space_dim, {key: vec}), n)
-        col = [Fraction(0)] * len(target)
-        for tkey, tvec in image.coeffs.items():
-            for q, x in enumerate(tvec):
-                if x:
-                    col[index[(tkey, q)]] = x
-        columns.append(col)
-    if not domain:
-        return Matrix.zero(len(target), 0)
-    return Matrix.from_columns(columns)
+    s = r.space_dim
+    domain = list(combinations(range(g.dim), n))
+    target = list(combinations(range(g.dim), n + 1))
+    zero = vzero(s)
+
+    def image(coords):
+        f = SkewMultiMap(n, g.dim, s, {key: coords[t * s:(t + 1) * s]
+                                       for t, key in enumerate(domain)})
+        out = ce_coboundary(r, f, n).coeffs
+        return [x for key in target for x in out.get(key, zero)]
+
+    return operator_matrix(image, len(target) * s, len(domain) * s)
 
 
 def ce_cohomology_dims(r: LieRep, max_degree: int) -> list[int]:
     """Dimensions of H^0 .. H^max_degree for the representation r."""
-    mats = [ce_matrix(r, n) for n in range(max_degree + 1)]
-    dims = [kernel_dim(mats[0])]
-    for n in range(1, max_degree + 1):
-        dims.append(cohomology_dim(mats[n], mats[n - 1]))
-    return dims
+    return cohomology_dims(lambda n: ce_matrix(r, n), max_degree)
 
 
 @lru_cache(maxsize=None)

@@ -1,18 +1,37 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Ranks are computed by fraction-free Bareiss elimination on a
-denominator-cleared integer copy; intermediate entries stay bounded by
-minors of the input, which keeps the combinatorially large coboundary
-matrices cheap.  Kernel bases, solving, and inversion use ordinary
-fraction Gauss-Jordan (they need actual vectors, not just counts).
+``Matrix`` is the dense container every public function takes and
+returns.  ``operator_matrix`` turns a ring-generic linear map into its
+matrix by running it once on a probe vector of linear forms.
+
+One sparse elimination kernel serves ``rank``, ``kernel_basis``,
+``solve`` and ``invert``.  Each nonzero row becomes a sparse integer
+row: denominators are cleared and the row is divided by its content.
+Elimination is fraction-free.  Pivot columns are taken in column
+order; among the rows that lead in a column, the shortest row with a
+unit pivot is preferred, which keeps entries and fill-in small on the
+sparse, small-entry coboundary matrices.  When vectors are needed,
+back-substitution yields the reduced row echelon form.  That form is
+unique, so kernel bases, solutions and inverses do not depend on the
+pivot rows chosen.
+
+``cohomology_dims`` ranks each differential of a complex once and checks
+every composite of two consecutive differentials as a sparse product.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from heapq import heapify, heappop, heappush
+from math import gcd, lcm
 
-from .errors import DimensionMismatch, NotAComplex
+from .errors import DimensionMismatch, InputError, NotAComplex
+from .scalars import LinearForm
+
+# The zero entry of the matrices built here.  Sparse scans test entries
+# against it by identity before calling Fraction.__bool__, which is slow
+# Python code and would otherwise run once per entry of a mostly zero matrix.
+_ZERO = Fraction(0)
 
 
 class Matrix:
@@ -24,13 +43,14 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         if entries is None:
-            self.entries = [[Fraction(0)] * cols for _ in range(rows)]
+            self.entries = [[_ZERO] * cols for _ in range(rows)]
         else:
             if len(entries) != rows or any(len(r) != cols for r in entries):
                 raise DimensionMismatch(
                     f"entries do not fill a {rows}x{cols} matrix"
                 )
-            self.entries = [[Fraction(x) for x in r] for r in entries]
+            self.entries = [[x if type(x) is Fraction else Fraction(x) for x in r]
+                            for r in entries]
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
@@ -109,46 +129,180 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
+def operator_matrix(image, n_rows: int, n_cols: int) -> Matrix:
+    """Matrix of a linear map given as a ring-generic function on coordinates.
+
+    ``image(coords)`` returns the n_rows coordinates of the image of the
+    vector with the n_cols coordinates ``coords``, using only +, -, scalar
+    * and truthiness on them.  It runs once, on the variables x_0 ... as
+    ``LinearForm``s; coordinate i of the result is row i of the matrix.
+    """
+    out = image([LinearForm.variable(j) for j in range(n_cols)])
+    if len(out) != n_rows:
+        raise DimensionMismatch(f"image has {len(out)} coordinates, expected {n_rows}")
+    entries = []
+    for form in out:
+        row = [_ZERO] * n_cols
+        if form:
+            if not isinstance(form, LinearForm):
+                raise TypeError(f"image coordinate {form!r} is not a linear form")
+            for j, c in form.terms.items():
+                row[j] = Fraction(c)
+        entries.append(row)
+    return Matrix(n_rows, n_cols, entries)
+
+
+# -- the elimination kernel --------------------------------------------------
+
+
+def _nonzeros(row) -> list:
+    """(column, entry) pairs of the nonzero entries of a dense row."""
+    return [(j, x) for j, x in enumerate(row) if x is not _ZERO and x]
+
+
+def _integer_row(row) -> dict:
+    """{column: int} proportional to a rational row, with content 1."""
+    pairs = _nonzeros(row)
+    if not pairs:
+        return {}
+    scale = lcm(*(x.denominator for _, x in pairs))
+    out = {j: x.numerator * (scale // x.denominator) for j, x in pairs}
+    content = gcd(*out.values())
+    if content > 1:
+        out = {j: v // content for j, v in out.items()}
+    return out
+
+
+def _eliminate(row: dict, pivot_row: dict, c: int) -> dict:
+    """The primitive integer row a*row - b*pivot_row, with a, b chosen so
+    that column c cancels."""
+    a, b = pivot_row[c], row[c]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
+    for j, v in pivot_row.items():
+        total = out.get(j, 0) - b * v
+        if total:
+            out[j] = total
+        else:
+            del out[j]
+    content = gcd(*out.values()) if out else 1
+    if content > 1:
+        out = {j: v // content for j, v in out.items()}
+    return out
+
+
+def _echelon(rows, reduce: bool = False) -> list[tuple[int, dict]]:
+    """(pivot column, integer row) pairs of a row echelon form, in column order.
+
+    ``rows`` are rational rows (dense lists).  With ``reduce`` the rows
+    are back-substituted: each then holds its pivot and free columns only,
+    and dividing it by its pivot entry gives the reduced row echelon form.
+    """
+    by_lead = {}
+    for row in rows:
+        row = _integer_row(row)
+        if row:
+            by_lead.setdefault(min(row), []).append(row)
+    heap = list(by_lead)
+    heapify(heap)
+    pivots = []
+    while heap:
+        c = heappop(heap)
+        bucket = by_lead.pop(c)
+        pivot_row = min(bucket, key=lambda r: (abs(r[c]) != 1, len(r)))
+        pivots.append((c, pivot_row))
+        for row in bucket:
+            if row is pivot_row:
+                continue
+            row = _eliminate(row, pivot_row, c)
+            if row:
+                lead = min(row)
+                if lead in by_lead:
+                    by_lead[lead].append(row)
+                else:
+                    by_lead[lead] = [row]
+                    heappush(heap, lead)
+    if reduce:
+        reduced = {}
+        for c, row in reversed(pivots):
+            for cj in [j for j in row if j in reduced]:
+                row = _eliminate(row, reduced[cj], cj)
+            reduced[c] = row
+        pivots = [(c, reduced[c]) for c, _ in pivots]
+    return pivots
+
+
+def _rref(rows) -> list[tuple[int, dict]]:
+    """(pivot column, {column: Fraction}) rows of the reduced row echelon form."""
+    out = []
+    for c, row in _echelon(rows, reduce=True):
+        lead = row[c]
+        out.append((c, {j: Fraction(v, lead) for j, v in row.items()}))
+    return out
+
+
 def rank(m: Matrix) -> int:
-    """Rank over the rationals, by fraction-free Bareiss elimination."""
-    rows, cols = m.rows, m.cols
-    if rows == 0 or cols == 0:
-        return 0
-    a = []
-    for row in m.entries:
-        scale = lcm(*(x.denominator for x in row)) if row else 1
-        a.append([int(x * scale) for x in row])
-    prev = 1
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if a[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            a[r], a[piv] = a[piv], a[r]
-        for i in range(r + 1, rows):
-            # rows with a zero leading entry still get rescaled by pivot/prev;
-            # that keeps every later Bareiss division exact
-            for j in range(c + 1, cols):
-                num = a[r][c] * a[i][j] - a[i][c] * a[r][j]
-                q, rem = divmod(num, prev)
-                if rem:
-                    raise ArithmeticError("Bareiss division was not exact")
-                a[i][j] = q
-            a[i][c] = 0
-        prev = a[r][c]
-        r += 1
-        if r == rows:
-            break
-    return r
+    """Rank over the rationals.
+
+    Eliminates the rows of m or of its transpose, whichever are fewer:
+    fewer rows means fewer rows to reduce to zero, and on dense,
+    tall matrices less fill-in.
+    """
+    return len(_echelon(m.entries if m.rows <= m.cols else zip(*m.entries)))
 
 
 def kernel_dim(m: Matrix) -> int:
     return m.cols - rank(m)
+
+
+def _scaled_rows(m: Matrix) -> list:
+    """The nonzero entries of each row of c*m, for the least integer c > 0
+    that clears every denominator of m."""
+    rows = [_nonzeros(row) for row in m.entries]
+    scale = lcm(*(x.denominator for row in rows for _, x in row))
+    return [[(j, x.numerator * (scale // x.denominator)) for j, x in row] for row in rows]
+
+
+def _product_is_zero(a_rows, b_rows) -> bool:
+    """a * b == 0, for a and b given as their rows' nonzero entries."""
+    for row in a_rows:
+        acc = {}
+        for k, x in row:
+            for j, y in b_rows[k]:
+                acc[j] = acc.get(j, 0) + x * y
+        if any(acc.values()):
+            return False
+    return True
+
+
+def cohomology_dims(delta, max_degree: int) -> list[int]:
+    """dim H^0 .. dim H^max_degree of the complex with differentials delta(d).
+
+    ``delta(d)`` is the matrix C^d -> C^{d+1}; H^d = dim ker delta(d) -
+    rank delta(d - 1).  Each differential is ranked once.  Raises
+    InputError on a negative degree, DimensionMismatch if the shapes do
+    not chain and NotAComplex if some delta(d) * delta(d - 1) != 0.
+    """
+    if max_degree < 0:
+        raise InputError(f"max_degree must be nonnegative, got {max_degree}",
+                         field="max_degree")
+    dims = []
+    prev, prev_rows, prev_rank = None, None, 0
+    for d in range(max_degree + 1):
+        m = delta(d)
+        rows = _scaled_rows(m)
+        if prev is not None:
+            if m.cols != prev.rows:
+                raise DimensionMismatch(
+                    f"d_out has {m.cols} columns but d_in has {prev.rows} rows"
+                )
+            if not _product_is_zero(rows, prev_rows):
+                raise NotAComplex("d_out * d_in != 0")
+        r = rank(m)
+        dims.append(m.cols - r - prev_rank)
+        prev, prev_rows, prev_rank = m, rows, r
+    return dims
 
 
 def cohomology_dim(d_out: Matrix, d_in: Matrix) -> int:
@@ -157,55 +311,28 @@ def cohomology_dim(d_out: Matrix, d_in: Matrix) -> int:
     Raises DimensionMismatch if the shapes do not chain and NotAComplex
     if d_out * d_in != 0.
     """
-    if d_out.cols != d_in.rows:
-        raise DimensionMismatch(
-            f"d_out has {d_out.cols} columns but d_in has {d_in.rows} rows"
-        )
-    if not d_out.mul(d_in).is_zero():
-        raise NotAComplex("d_out * d_in != 0")
-    return kernel_dim(d_out) - rank(d_in)
-
-
-def _rref(entries, rows, cols):
-    """In-place reduced row echelon form; returns the pivot column list."""
-    pivots = []
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if entries[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        entries[r], entries[piv] = entries[piv], entries[r]
-        inv = 1 / entries[r][c]
-        entries[r] = [x * inv for x in entries[r]]
-        for i in range(rows):
-            if i != r and entries[i][c]:
-                f = entries[i][c]
-                entries[i] = [x - f * y for x, y in zip(entries[i], entries[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return pivots
+    return cohomology_dims((d_in, d_out).__getitem__, 1)[1]
 
 
 def kernel_basis(m: Matrix) -> list[list[Fraction]]:
-    """A basis of the null space, one vector per free column."""
-    entries = [list(row) for row in m.entries]
-    pivots = _rref(entries, m.rows, m.cols)
-    pivot_set = set(pivots)
+    """A basis of the null space, one vector per free column.
+
+    The vector of free column f has 1 at f, minus the reduced row echelon
+    entries of column f at the pivot columns, and 0 elsewhere.
+    """
+    pivots = _rref(m.entries)
+    pivot_cols = {c for c, _ in pivots}
+    free = [j for j in range(m.cols) if j not in pivot_cols]
+    slot = {j: t for t, j in enumerate(free)}
     basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
+    for j in free:
         v = [Fraction(0)] * m.cols
-        v[free] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -entries[r][free]
+        v[j] = Fraction(1)
         basis.append(v)
+    for c, row in pivots:
+        for j, x in row.items():
+            if j != c:
+                basis[slot[j]][c] = -x
     return basis
 
 
@@ -213,13 +340,13 @@ def solve(m: Matrix, b) -> list[Fraction] | None:
     """Some exact solution of m x = b, or None if the system is inconsistent."""
     if len(b) != m.rows:
         raise DimensionMismatch("right-hand side length does not match row count")
-    aug = [list(row) + [Fraction(b[i])] for i, row in enumerate(m.entries)]
-    pivots = _rref(aug, m.rows, m.cols + 1)
-    if m.cols in pivots:
-        return None
-    x = [Fraction(0)] * m.cols
-    for r, c in enumerate(pivots):
-        x[c] = aug[r][m.cols]
+    n = m.cols
+    pivots = _rref([list(row) + [Fraction(b[i])] for i, row in enumerate(m.entries)])
+    x = [Fraction(0)] * n
+    for c, row in pivots:
+        if c == n:
+            return None
+        x[c] = row.get(n, _ZERO)
     return x
 
 
@@ -228,9 +355,8 @@ def invert(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise DimensionMismatch("only square matrices can be inverted")
     n = m.rows
-    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(m.entries)]
-    pivots = _rref(aug, n, 2 * n)
-    if pivots[:n] != list(range(n)):
+    pivots = _rref([list(row) + [int(i == j) for j in range(n)]
+                    for i, row in enumerate(m.entries)])
+    if [c for c, _ in pivots[:n]] != list(range(n)):
         raise DimensionMismatch("matrix is singular")
-    return Matrix(n, n, [row[n:] for row in aug])
+    return Matrix(n, n, [[row.get(n + j, _ZERO) for j in range(n)] for _, row in pivots])

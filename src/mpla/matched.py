@@ -25,13 +25,7 @@ from .lie import (LieAlgebra, LieRep, ce_coboundary, validate_lie_algebra,
 from .linalg import Matrix, invert, rank
 from .multimap import SkewMultiMap
 from .report import ValidationReport
-from .scalars import vaccum, vis_zero, vneg, vzero
-
-
-def _basis(n, i):
-    v = vzero(n)
-    v[i] = 1
-    return v
+from .scalars import vaccum, vbasis, vis_zero, vneg, vzero
 
 
 def _action_tensor(dim_act, dim_space, data, what):
@@ -162,10 +156,10 @@ def validate_matched_pair(mp: MatchedPair) -> ValidationReport:
     for i in range(m):
         for a, b in combinations(range(n), 2):
             lhs = mp.rho_act(i, mp.h.c[a][b])
-            rhs = mp.h.bracket_vec(mp.rho[i][a], _basis(n, b))
-            vaccum(rhs, 1, mp.h.bracket_vec(_basis(n, a), mp.rho[i][b]))
-            vaccum(rhs, 1, mp.rho_vec(mp.psi[b][i], _basis(n, a)))
-            vaccum(rhs, -1, mp.rho_vec(mp.psi[a][i], _basis(n, b)))
+            rhs = mp.h.bracket_vec(mp.rho[i][a], vbasis(n, b))
+            vaccum(rhs, 1, mp.h.bracket_vec(vbasis(n, a), mp.rho[i][b]))
+            vaccum(rhs, 1, mp.rho_vec(mp.psi[b][i], vbasis(n, a)))
+            vaccum(rhs, -1, mp.rho_vec(mp.psi[a][i], vbasis(n, b)))
             residual = [x - y for x, y in zip(lhs, rhs)]
             if not vis_zero(residual):
                 compat_11.add((i, a, b), residual)
@@ -174,10 +168,10 @@ def validate_matched_pair(mp: MatchedPair) -> ValidationReport:
     for a in range(n):
         for i, j in combinations(range(m), 2):
             lhs = mp.psi_act(a, mp.g.c[i][j])
-            rhs = mp.g.bracket_vec(mp.psi[a][i], _basis(m, j))
-            vaccum(rhs, 1, mp.g.bracket_vec(_basis(m, i), mp.psi[a][j]))
-            vaccum(rhs, 1, mp.psi_vec(mp.rho[j][a], _basis(m, i)))
-            vaccum(rhs, -1, mp.psi_vec(mp.rho[i][a], _basis(m, j)))
+            rhs = mp.g.bracket_vec(mp.psi[a][i], vbasis(m, j))
+            vaccum(rhs, 1, mp.g.bracket_vec(vbasis(m, i), mp.psi[a][j]))
+            vaccum(rhs, 1, mp.psi_vec(mp.rho[j][a], vbasis(m, i)))
+            vaccum(rhs, -1, mp.psi_vec(mp.rho[i][a], vbasis(m, j)))
             residual = [x - y for x, y in zip(lhs, rhs)]
             if not vis_zero(residual):
                 compat_22.add((a, i, j), residual)
@@ -305,8 +299,8 @@ def rota_baxter_matched_pair(g: LieAlgebra, r_matrix: Matrix) -> MatchedPair:
             ri = r_matrix.column(i)
             rj = r_matrix.column(j)
             lhs = g.bracket_vec(ri, rj)
-            inner = g.bracket_vec(ri, _basis(m, j))
-            vaccum(inner, 1, g.bracket_vec(_basis(m, i), rj))
+            inner = g.bracket_vec(ri, vbasis(m, j))
+            vaccum(inner, 1, g.bracket_vec(vbasis(m, i), rj))
             vaccum(inner, 1, g.c[i][j])
             rhs = r_matrix.mul_vec(inner)
             residual = [x - y for x, y in zip(lhs, rhs)]
@@ -319,10 +313,10 @@ def rota_baxter_matched_pair(g: LieAlgebra, r_matrix: Matrix) -> MatchedPair:
     # columns: diagonal copy (e_i, e_i), then graph copy (R e_a, e_a + R e_a)
     columns = []
     for i in range(m):
-        columns.append(_basis(m, i) + _basis(m, i))
+        columns.append(vbasis(m, i) + vbasis(m, i))
     for a in range(m):
         ra = r_matrix.column(a)
-        columns.append(list(ra) + [x + y for x, y in zip(_basis(m, a), ra)])
+        columns.append(list(ra) + [x + y for x, y in zip(vbasis(m, a), ra)])
     change = Matrix.from_columns(columns)
     back = invert(change)
 
@@ -367,10 +361,10 @@ def rota_baxter_matched_pair(g: LieAlgebra, r_matrix: Matrix) -> MatchedPair:
 def rota_baxter_splitting_rank(g: LieAlgebra, r_matrix: Matrix) -> int:
     """Rank of the joint (diagonal | graph) basis matrix inside g + g."""
     m = g.dim
-    columns = [_basis(m, i) + _basis(m, i) for i in range(m)]
+    columns = [vbasis(m, i) + vbasis(m, i) for i in range(m)]
     for a in range(m):
         ra = r_matrix.column(a)
-        columns.append(list(ra) + [x + y for x, y in zip(_basis(m, a), ra)])
+        columns.append(list(ra) + [x + y for x, y in zip(vbasis(m, a), ra)])
     return rank(Matrix.from_columns(columns))
 
 

@@ -19,13 +19,7 @@ from .errors import (DimensionMismatch, InvalidInput, MalformedTensor,
 from .lie import LieAlgebra, LieRep, validate_representation
 from .matched import MatchedPair, bicrossed_product
 from .report import ValidationReport
-from .scalars import vaccum, vis_zero, vneg, vzero
-
-
-def _basis(n, i):
-    v = vzero(n)
-    v[i] = 1
-    return v
+from .scalars import vaccum, vbasis, vis_zero, vneg, vzero
 
 
 def _tensor(rows, cols, veclen, data, what):
@@ -211,7 +205,7 @@ def validate_mp_representation(r: MPRepresentation) -> ValidationReport:
             for a in range(n):
                 lhs = r.pair_alpha(r.rho_v[i][u], a)
                 rhs = r.act_rho_w(i, r.alpha[u][a])
-                vaccum(rhs, -1, r.pair_alpha_vec(_basis(p, u), mp.rho[i][a]))
+                vaccum(rhs, -1, r.pair_alpha_vec(vbasis(p, u), mp.rho[i][a]))
                 res = [x - y for x, y in zip(lhs, rhs)]
                 if not vis_zero(res):
                     check.add((i, u, a), res)
@@ -223,7 +217,7 @@ def validate_mp_representation(r: MPRepresentation) -> ValidationReport:
             for i in range(m):
                 lhs = r.pair_beta(r.psi_w[a][w], i)
                 rhs = r.act_psi_v(a, r.beta[w][i])
-                vaccum(rhs, -1, r.pair_beta_vec(_basis(q, w), mp.psi[a][i]))
+                vaccum(rhs, -1, r.pair_beta_vec(vbasis(q, w), mp.psi[a][i]))
                 res = [x - y for x, y in zip(lhs, rhs)]
                 if not vis_zero(res):
                     check.add((a, w, i), res)
@@ -236,10 +230,10 @@ def validate_mp_representation(r: MPRepresentation) -> ValidationReport:
             for w in range(q):
                 lhs = r.act_rho_w(i, r.psi_w[a][w])
                 rhs = vzero(q)
-                vaccum(rhs, 1, r.psi_w_rep().act_vec(mp.rho[i][a], _basis(q, w)))
+                vaccum(rhs, 1, r.psi_w_rep().act_vec(mp.rho[i][a], vbasis(q, w)))
                 vaccum(rhs, 1, r.act_psi_w(a, r.rho_w[i][w]))
                 vaccum(rhs, 1, r.pair_alpha(r.beta[w][i], a))
-                vaccum(rhs, -1, r.rho_w_rep().act_vec(mp.psi[a][i], _basis(q, w)))
+                vaccum(rhs, -1, r.rho_w_rep().act_vec(mp.psi[a][i], vbasis(q, w)))
                 res = [x - y for x, y in zip(lhs, rhs)]
                 if not vis_zero(res):
                     check.add((i, a, w), res)
@@ -250,7 +244,7 @@ def validate_mp_representation(r: MPRepresentation) -> ValidationReport:
     for u in range(p):
         for a in range(n):
             for b in range(a + 1, n):
-                lhs = r.pair_alpha_vec(_basis(p, u), mp.h.c[a][b])
+                lhs = r.pair_alpha_vec(vbasis(p, u), mp.h.c[a][b])
                 rhs = vzero(q)
                 vaccum(rhs, -1, r.act_psi_w(b, r.alpha[u][a]))
                 vaccum(rhs, 1, r.act_psi_w(a, r.alpha[u][b]))
@@ -268,10 +262,10 @@ def validate_mp_representation(r: MPRepresentation) -> ValidationReport:
             for u in range(p):
                 lhs = r.act_psi_v(a, r.rho_v[i][u])
                 rhs = vzero(p)
-                vaccum(rhs, 1, r.rho_v_rep().act_vec(mp.psi[a][i], _basis(p, u)))
+                vaccum(rhs, 1, r.rho_v_rep().act_vec(mp.psi[a][i], vbasis(p, u)))
                 vaccum(rhs, 1, r.act_rho_v(i, r.psi_v[a][u]))
                 vaccum(rhs, 1, r.pair_beta(r.alpha[u][a], i))
-                vaccum(rhs, -1, r.psi_v_rep().act_vec(mp.rho[i][a], _basis(p, u)))
+                vaccum(rhs, -1, r.psi_v_rep().act_vec(mp.rho[i][a], vbasis(p, u)))
                 res = [x - y for x, y in zip(lhs, rhs)]
                 if not vis_zero(res):
                     check.add((a, i, u), res)
@@ -282,7 +276,7 @@ def validate_mp_representation(r: MPRepresentation) -> ValidationReport:
     for w in range(q):
         for i in range(m):
             for j in range(i + 1, m):
-                lhs = r.pair_beta_vec(_basis(q, w), mp.g.c[i][j])
+                lhs = r.pair_beta_vec(vbasis(q, w), mp.g.c[i][j])
                 rhs = vzero(p)
                 vaccum(rhs, -1, r.act_rho_v(j, r.beta[w][i]))
                 vaccum(rhs, 1, r.act_rho_v(i, r.beta[w][j]))

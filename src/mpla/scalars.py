@@ -8,6 +8,12 @@ The ground field is the rationals, represented by ``fractions.Fraction``
 (a, b) standing for a + b*t with (a + b*t)(c + d*t) = ac + (ad + bc)t.
 All axiom checkers in this package use only ring operations (+, -, *),
 so they run unchanged over either scalar type.
+
+``LinearForm`` is a sparse linear form sum_j c_j x_j.  The coboundary
+formulas are linear and use only +, -, scalar * and truthiness, so one run
+on a cochain whose coordinates are the variables x_0, ..., x_{N-1} gives
+every coordinate of the image as a form: the rows of the matrix
+(``linalg.operator_matrix``).
 """
 
 from __future__ import annotations
@@ -109,11 +115,90 @@ class DualNumber:
         return f"DualNumber({self.a}, {self.b})"
 
 
+class LinearForm:
+    """Sparse linear form {index: nonzero coefficient}, immutable by convention.
+
+    Only what keeps a map linear is defined: sums and differences of forms,
+    scalar multiples, and truthiness (a form is false when every coefficient
+    cancelled).  A product of two forms, or a nonzero constant added to a
+    form, raises TypeError, so a nonlinear formula fails loudly.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {} if terms is None else terms
+
+    @classmethod
+    def variable(cls, index: int) -> "LinearForm":
+        return cls({index: 1})
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        if isinstance(other, LinearForm):
+            big, small = self.terms, other.terms
+            if len(big) < len(small):
+                big, small = small, big
+            out = dict(big)
+            for j, c in small.items():
+                total = out.get(j, 0) + c
+                if total:
+                    out[j] = total
+                else:
+                    del out[j]
+            return LinearForm(out)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if other:
+            raise TypeError("a nonzero constant plus a linear form is not linear")
+        return self
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return LinearForm({j: -c for j, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if isinstance(other, (LinearForm, int, Fraction)):
+            return self + -other
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, LinearForm):
+            raise TypeError("the product of two linear forms is not linear")
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if type(other) is Fraction and other.denominator == 1:
+            other = other.numerator  # int coefficients keep the sums in fast int arithmetic
+        if other == 1:
+            return self
+        if not other:
+            return LinearForm()
+        return LinearForm({j: c * other for j, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __repr__(self):
+        return f"LinearForm({self.terms})"
+
+
 # -- ring-generic vector helpers (plain lists of scalars) --
 
 
 def vzero(n):
     return [0] * n
+
+
+def vbasis(n, i):
+    """The i-th standard basis vector of length n."""
+    v = vzero(n)
+    v[i] = 1
+    return v
 
 
 def vadd(u, v):

@@ -28,13 +28,7 @@ from .lie import LieAlgebra
 from .matched import MatchedPair
 from .report import ValidationReport
 from .reps import MPRepresentation
-from .scalars import vaccum, vis_zero, vneg, vzero
-
-
-def _basis(n, i):
-    v = vzero(n)
-    v[i] = 1
-    return v
+from .scalars import vaccum, vbasis, vis_zero, vneg, vzero
 
 
 class TwoTermLInfinity:
@@ -210,7 +204,7 @@ def validate_two_term(t: TwoTermLInfinity) -> ValidationReport:
     for i in range(d0):
         for p in range(d1):
             lhs = t.mu1_vec(t.bracket01[i][p])
-            rhs = t.b00(_basis(d0, i), t.mu1[p])
+            rhs = t.b00(vbasis(d0, i), t.mu1[p])
             res = [a - b for a, b in zip(lhs, rhs)]
             if not vis_zero(res):
                 cond.add((i, p), res)
@@ -218,8 +212,8 @@ def validate_two_term(t: TwoTermLInfinity) -> ValidationReport:
     cond = report.new_check("condition(ii)")
     for p in range(d1):
         for s in range(d1):
-            lhs = t.b01_vec(t.mu1[p], _basis(d1, s))
-            rhs = vneg(t.b01_vec(t.mu1[s], _basis(d1, p)))
+            lhs = t.b01_vec(t.mu1[p], vbasis(d1, s))
+            rhs = vneg(t.b01_vec(t.mu1[s], vbasis(d1, p)))
             res = [a - b for a, b in zip(lhs, rhs)]
             if not vis_zero(res):
                 cond.add((p, s), res)
@@ -227,7 +221,7 @@ def validate_two_term(t: TwoTermLInfinity) -> ValidationReport:
     cond = report.new_check("condition(iii)")
     for i, j, k in combinations(range(d0), 3):
         lhs = t.mu1_vec(t.mu3[i][j][k])
-        ei, ej, ek = (_basis(d0, x) for x in (i, j, k))
+        ei, ej, ek = (vbasis(d0, x) for x in (i, j, k))
         rhs = t.b00(ei, t.b00(ej, ek))
         vaccum(rhs, 1, t.b00(ej, t.b00(ek, ei)))
         vaccum(rhs, 1, t.b00(ek, t.b00(ei, ej)))
@@ -239,19 +233,19 @@ def validate_two_term(t: TwoTermLInfinity) -> ValidationReport:
     for i in range(d0):
         for j in range(d0):
             for p in range(d1):
-                lhs = t.mu3_vec(_basis(d0, i), _basis(d0, j), t.mu1[p])
-                rhs = t.b01(i, t.b01(j, _basis(d1, p)))
+                lhs = t.mu3_vec(vbasis(d0, i), vbasis(d0, j), t.mu1[p])
+                rhs = t.b01(i, t.b01(j, vbasis(d1, p)))
                 # [y, [v, x]] = -[y, [x, v]]
-                vaccum(rhs, -1, t.b01(j, t.b01(i, _basis(d1, p))))
+                vaccum(rhs, -1, t.b01(j, t.b01(i, vbasis(d1, p))))
                 # [v, [x, y]] = -[[x,y], v]
-                vaccum(rhs, -1, t.b01_vec(t.bracket00[i][j], _basis(d1, p)))
+                vaccum(rhs, -1, t.b01_vec(t.bracket00[i][j], vbasis(d1, p)))
                 res = [a - b for a, b in zip(lhs, rhs)]
                 if not vis_zero(res):
                     cond.add((i, j, p), res)
 
     cond = report.new_check("condition(v)")
     for i, j, k, l in combinations(range(d0), 4):
-        basis_v = [_basis(d0, x) for x in (i, j, k, l)]
+        basis_v = [vbasis(d0, x) for x in (i, j, k, l)]
         x, y, z, zp = basis_v
         lhs = t.b01(i, t.mu3[j][k][l])
         vaccum(lhs, -1, t.b01(j, t.mu3[i][k][l]))
@@ -368,7 +362,7 @@ def validate_skeletal_rep(t: TwoTermLInfinity, r: SkeletalRep) -> ValidationRepo
             for u in range(r.dim_v0):
                 lhs = r.act00(i, r.r00[j][u])
                 vaccum(lhs, -1, r.act00(j, r.r00[i][u]))
-                vaccum(lhs, -1, r.act00_vec(t.bracket00[i][j], _basis(r.dim_v0, u)))
+                vaccum(lhs, -1, r.act00_vec(t.bracket00[i][j], vbasis(r.dim_v0, u)))
                 if not vis_zero(lhs):
                     check.add((i, j, u), lhs)
 
@@ -389,9 +383,9 @@ def validate_skeletal_rep(t: TwoTermLInfinity, r: SkeletalRep) -> ValidationRepo
 
     check = report.new_check("rep(4): trilinear coherence")
     for i, j, k in combinations(range(d0), 3):
-        x, y, z = (_basis(d0, s) for s in (i, j, k))
+        x, y, z = (vbasis(d0, s) for s in (i, j, k))
         for u in range(r.dim_v0):
-            v = _basis(r.dim_v0, u)
+            v = vbasis(r.dim_v0, u)
             lhs = r.act01(i, r.r3[j][k][u])
             vaccum(lhs, -1, r.act01(j, r.r3[i][k][u]))
             vaccum(lhs, 1, r.act01(k, r.r3[i][j][u]))
@@ -657,7 +651,7 @@ def validate_skeletal_matched_pair(s: SkeletalMatchedPair) -> ValidationReport:
                 for ww, c in enumerate(bracket):
                     if c:
                         vaccum(lhs, c, s.rho2_01[i][ww])
-                rhs = H.b01_vec(s.rho2_00[i][a], _basis(q, w))
+                rhs = H.b01_vec(s.rho2_00[i][a], vbasis(q, w))
                 vaccum(rhs, 1, H.b01(a, s.rho2_01[i][w]))
                 inner = s.psi2_10[w][i]  # psi2(w, x) in g1
                 sub = vzero(q)
@@ -715,7 +709,7 @@ def validate_skeletal_matched_pair(s: SkeletalMatchedPair) -> ValidationReport:
                 for uu, c in enumerate(bracket):
                     if c:
                         vaccum(lhs, c, s.psi2_01[a][uu])
-                rhs = G.b01_vec(s.psi2_00[a][i], _basis(p, u))
+                rhs = G.b01_vec(s.psi2_00[a][i], vbasis(p, u))
                 vaccum(rhs, 1, G.b01(i, s.psi2_01[a][u]))
                 inner = s.rho2_10[u][a]  # rho2(v, h) in h1
                 sub = vzero(p)
@@ -778,10 +772,10 @@ def validate_skeletal_matched_pair(s: SkeletalMatchedPair) -> ValidationReport:
                         if c:
                             vaccum(sub, c, s.psi3[a][b][k])
                     vaccum(res, -1, sub)
-                    vaccum(res, -1, psi.r3_vec(s.rho2_00[i][a], _basis(n, b), _basis(m, j)))
-                    vaccum(res, 1, psi.r3_vec(s.rho2_00[i][b], _basis(n, a), _basis(m, j)))
-                    vaccum(res, 1, psi.r3_vec(s.rho2_00[j][a], _basis(n, b), _basis(m, i)))
-                    vaccum(res, -1, psi.r3_vec(s.rho2_00[j][b], _basis(n, a), _basis(m, i)))
+                    vaccum(res, -1, psi.r3_vec(s.rho2_00[i][a], vbasis(n, b), vbasis(m, j)))
+                    vaccum(res, 1, psi.r3_vec(s.rho2_00[i][b], vbasis(n, a), vbasis(m, j)))
+                    vaccum(res, 1, psi.r3_vec(s.rho2_00[j][a], vbasis(n, b), vbasis(m, i)))
+                    vaccum(res, -1, psi.r3_vec(s.rho2_00[j][b], vbasis(n, a), vbasis(m, i)))
                     if not vis_zero(res):
                         check.add((i, j, a, b), res)
 
@@ -804,7 +798,7 @@ def validate_skeletal_matched_pair(s: SkeletalMatchedPair) -> ValidationReport:
                         vaccum(sub, c, s.rho2_10[u][other])
                 sign = 1 if pair == (b, c3) or pair == (a, b) else -1
                 vaccum(res, sign, sub)
-            ha, hb, hc = (_basis(n, s3) for s3 in (a, b, c3))
+            ha, hb, hc = (vbasis(n, s3) for s3 in (a, b, c3))
             vaccum(res, -1, H.mu3_vec(s.rho2_00[i][a], hb, hc))
             vaccum(res, 1, H.mu3_vec(s.rho2_00[i][b], ha, hc))
             vaccum(res, -1, H.mu3_vec(s.rho2_00[i][c3], ha, hb))
@@ -825,10 +819,10 @@ def validate_skeletal_matched_pair(s: SkeletalMatchedPair) -> ValidationReport:
                         if c:
                             vaccum(sub, c, s.rho3[i][j][k])
                     vaccum(res, -1, sub)
-                    vaccum(res, -1, rho.r3_vec(s.psi2_00[a][i], _basis(m, j), _basis(n, b)))
-                    vaccum(res, 1, rho.r3_vec(s.psi2_00[a][j], _basis(m, i), _basis(n, b)))
-                    vaccum(res, 1, rho.r3_vec(s.psi2_00[b][i], _basis(m, j), _basis(n, a)))
-                    vaccum(res, -1, rho.r3_vec(s.psi2_00[b][j], _basis(m, i), _basis(n, a)))
+                    vaccum(res, -1, rho.r3_vec(s.psi2_00[a][i], vbasis(m, j), vbasis(n, b)))
+                    vaccum(res, 1, rho.r3_vec(s.psi2_00[a][j], vbasis(m, i), vbasis(n, b)))
+                    vaccum(res, 1, rho.r3_vec(s.psi2_00[b][i], vbasis(m, j), vbasis(n, a)))
+                    vaccum(res, -1, rho.r3_vec(s.psi2_00[b][j], vbasis(m, i), vbasis(n, a)))
                     if not vis_zero(res):
                         check.add((a, b, i, j), res)
 
@@ -849,7 +843,7 @@ def validate_skeletal_matched_pair(s: SkeletalMatchedPair) -> ValidationReport:
                         vaccum(sub, c, s.psi2_10[w][other])
                 sign = 1 if pair == (j, k) or pair == (i, j) else -1
                 vaccum(res, sign, sub)
-            xi, xj, xk = (_basis(m, s3) for s3 in (i, j, k))
+            xi, xj, xk = (vbasis(m, s3) for s3 in (i, j, k))
             vaccum(res, -1, G.mu3_vec(s.psi2_00[a][i], xj, xk))
             vaccum(res, 1, G.mu3_vec(s.psi2_00[a][j], xi, xk))
             vaccum(res, -1, G.mu3_vec(s.psi2_00[a][k], xi, xj))

@@ -94,3 +94,171 @@ def rand_invertible(rng, n, lo=-2, hi=2):
                               for _ in range(n)])
         if rank(m) == n:
             return m
+
+
+# -- oracles: per-column builders and dense eliminators, independent of the
+# -- library's one-pass builders and sparse kernel ----------------------------
+
+
+def bareiss_rank(m) -> int:
+    """Rank by dense fraction-free Bareiss elimination."""
+    from math import lcm
+
+    rows, cols = m.rows, m.cols
+    if rows == 0 or cols == 0:
+        return 0
+    a = []
+    for row in m.entries:
+        scale = lcm(*(x.denominator for x in row)) if row else 1
+        a.append([int(x * scale) for x in row])
+    prev = 1
+    r = 0
+    for c in range(cols):
+        piv = None
+        for i in range(r, rows):
+            if a[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                num = a[r][c] * a[i][j] - a[i][c] * a[r][j]
+                q, rem = divmod(num, prev)
+                assert not rem, "Bareiss division was not exact"
+                a[i][j] = q
+            a[i][c] = 0
+        prev = a[r][c]
+        r += 1
+        if r == rows:
+            break
+    return r
+
+
+def dense_rref(entries, rows, cols):
+    """In-place fraction Gauss-Jordan reduced row echelon form; pivot columns."""
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = None
+        for i in range(r, rows):
+            if entries[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        entries[r], entries[piv] = entries[piv], entries[r]
+        inv = 1 / entries[r][c]
+        entries[r] = [x * inv for x in entries[r]]
+        for i in range(rows):
+            if i != r and entries[i][c]:
+                f = entries[i][c]
+                entries[i] = [x - f * y for x, y in zip(entries[i], entries[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return pivots
+
+
+def dense_kernel_basis(m):
+    entries = [[Fraction(x) for x in row] for row in m.entries]
+    pivots = dense_rref(entries, m.rows, m.cols)
+    basis = []
+    for free in range(m.cols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * m.cols
+        v[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -entries[r][free]
+        basis.append(v)
+    return basis
+
+
+def dense_solve(m, b):
+    aug = [list(row) + [Fraction(b[i])] for i, row in enumerate(m.entries)]
+    pivots = dense_rref(aug, m.rows, m.cols + 1)
+    if m.cols in pivots:
+        return None
+    x = [Fraction(0)] * m.cols
+    for r, c in enumerate(pivots):
+        x[c] = aug[r][m.cols]
+    return x
+
+
+def dense_invert(m):
+    """The inverse as a list of rows, or None if m is singular."""
+    n = m.rows
+    aug = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(m.entries)]
+    pivots = dense_rref(aug, n, 2 * n)
+    if pivots[:n] != list(range(n)):
+        return None
+    return [row[n:] for row in aug]
+
+
+def percolumn_delta_matrix(mp, rep, degree, route="coeff"):
+    """δ_d built by applying the route to every basis cochain."""
+    from mpla import (Matrix, basis_cochain, cochain_basis, cochain_to_coords,
+                      delta_mpl_adjoint, delta_mpl_coeff)
+
+    mp_dims = (mp.dim_g, mp.dim_h)
+    n_rows = cochain_space_dim(mp_dims, rep.dims, degree + 1)
+    n_cols = cochain_space_dim(mp_dims, rep.dims, degree)
+    if degree == 0:
+        return Matrix.zero(n_rows, n_cols)
+    columns = []
+    for key in cochain_basis(mp_dims, rep.dims, degree):
+        F = basis_cochain(mp_dims, rep.dims, degree, key)
+        image = (delta_mpl_coeff(mp, rep, F) if route == "coeff"
+                 else delta_mpl_adjoint(mp, F))
+        columns.append(cochain_to_coords(image))
+    if not columns:
+        return Matrix.zero(n_rows, 0)
+    return Matrix.from_columns(columns)
+
+
+def percolumn_ce_matrix(r, n):
+    """The CE coboundary matrix, one basis cochain at a time."""
+    from mpla import Matrix, ce_basis, ce_coboundary
+    from mpla.scalars import vzero
+
+    g = r.algebra
+    domain = ce_basis(g.dim, r.space_dim, n)
+    target = ce_basis(g.dim, r.space_dim, n + 1)
+    index = {kp: row for row, kp in enumerate(target)}
+    columns = []
+    for key, p in domain:
+        vec = vzero(r.space_dim)
+        vec[p] = Fraction(1)
+        image = ce_coboundary(r, SkewMultiMap(n, g.dim, r.space_dim, {key: vec}), n)
+        col = [Fraction(0)] * len(target)
+        for tkey, tvec in image.coeffs.items():
+            for q, x in enumerate(tvec):
+                if x:
+                    col[index[(tkey, q)]] = x
+        columns.append(col)
+    if not domain:
+        return Matrix.zero(len(target), 0)
+    return Matrix.from_columns(columns)
+
+
+def percolumn_liebi_matrix(b, degree):
+    """The bialgebra coboundary matrix, one basis cochain at a time."""
+    from mpla import (Matrix, liebi_coboundary, liebi_from_coords,
+                      liebi_space_dim, liebi_to_coords)
+
+    dim = b.g.dim
+    n_rows = liebi_space_dim(dim, degree + 1)
+    n_cols = liebi_space_dim(dim, degree)
+    columns = []
+    for index in range(n_cols):
+        coords = [Fraction(int(i == index)) for i in range(n_cols)]
+        xi = liebi_from_coords(dim, degree, coords)
+        columns.append(liebi_to_coords(liebi_coboundary(b, xi)))
+    if not columns:
+        return Matrix.zero(n_rows, 0)
+    return Matrix.from_columns(columns)

@@ -12,14 +12,17 @@ from mpla import (CoefficientMismatch, LieBialgebra, MPCochain,
                   liebi_matrix, liebi_space_dim, liebi_coboundary,
                   mpl_cohomology_dims, phi_chain_check, phi_embed, psi_compare,
                   validate_matched_pair)
-from mpla import LieAlgebra, MatchedPair, MPRepresentation
+from mpla import (InputError, LieAlgebra, LieRep, MatchedPair, MPRepresentation,
+                  ce_cohomology_dims)
 from mpla.bigraded import decompose
 from mpla.catalog import (aff1, mp_a, mp_direct, mp_double, small_fixtures,
                           standard_fixtures)
 from mpla.lie import ce_matrix
 from mpla.linalg import Matrix
 
-from helpers import rand_cochain, rand_fraction, rand_invertible
+from helpers import (dense_rref, percolumn_ce_matrix, percolumn_delta_matrix,
+                     percolumn_liebi_matrix, rand_cochain, rand_fraction,
+                     rand_invertible)
 
 
 def test_cochain_space_dims():
@@ -133,11 +136,9 @@ def test_trivial_pair_cohomology():
 
 def test_cohomology_against_independent_enumeration():
     """Row-reduce matrices assembled through the bracket route and compare."""
-    from mpla.linalg import _rref
-
     def naive_rank(mat):
         entries = [list(r) for r in mat.entries]
-        return len(_rref(entries, mat.rows, mat.cols))
+        return len(dense_rref(entries, mat.rows, mat.cols))
 
     for name, mp in (("mp-a", mp_a()), ("double", mp_double())):
         adj = adjoint_representation(mp)
@@ -307,3 +308,67 @@ def test_mpl_dims_with_nonadjoint_coefficients():
     assert len(dims) == 4
     assert all(d >= 0 for d in dims)
     assert dims[0] == 4  # the augmented complex starts with the zero map
+
+
+# -- the one-pass builders against the per-column oracles -------------------
+
+
+def test_delta_matrix_matches_percolumn_oracle_on_every_fixture():
+    from mpla.catalog import mp_semidirect_double, sl2
+
+    rng = random.Random(60)
+    s33 = mp_direct(sl2(), sl2())
+    cases = [(mp, mp.dim_g + mp.dim_h) for _, mp in standard_fixtures()]
+    cases += [(s33, 3), (mp_semidirect_double(), 2)]
+    cases += [(conjugate_pair(s33, rand_invertible(rng, 3), rand_invertible(rng, 3)), 2),
+              (conjugate_pair(mp_double(), rand_invertible(rng, 2),
+                              rand_invertible(rng, 2)), 4)]
+    for mp, top in cases:
+        adj = adjoint_representation(mp)
+        for degree in range(top + 1):
+            expected = percolumn_delta_matrix(mp, adj, degree)
+            assert delta_matrix(mp, adj, degree) == expected
+            assert delta_matrix(mp, adj, degree, "adjoint") == expected
+            assert percolumn_delta_matrix(mp, adj, degree, "adjoint") == expected
+            if top == mp.dim_g + mp.dim_h:
+                co = coadjoint_representation(mp)
+                assert delta_matrix(mp, co, degree) == \
+                    percolumn_delta_matrix(mp, co, degree)
+
+
+def test_ce_and_liebi_matrices_match_percolumn_oracles():
+    from mpla import bicrossed_product
+    from mpla.catalog import heisenberg3, sl2
+
+    for _, mp in small_fixtures():
+        big = bicrossed_product(mp)
+        for r in (big.adjoint(), LieRep.trivial(big)):
+            for n in range(big.dim + 2):
+                assert ce_matrix(r, n) == percolumn_ce_matrix(r, n)
+    for b, top in ((bialgebra_aff1(), 4), (LieBialgebra(aff1(), [{}, {}]), 4),
+                   (LieBialgebra(LieAlgebra.abelian(2), [{}, {(0, 1): Fraction(1)}]), 4),
+                   (LieBialgebra(heisenberg3(), [{}, {}, {}]), 3),
+                   (LieBialgebra(sl2(), [{}, {}, {}]), 3)):
+        for degree in range(top + 1):
+            assert liebi_matrix(b, degree) == percolumn_liebi_matrix(b, degree)
+
+
+def test_adjoint_route_rejects_other_coefficients_and_routes_at_every_degree():
+    from mpla.catalog import mp_semidirect_double
+
+    mp = mp_semidirect_double()
+    co = coadjoint_representation(mp)
+    assert co.dims == (mp.dim_g, mp.dim_h)
+    for degree in range(3):
+        with pytest.raises(CoefficientMismatch):
+            delta_matrix(mp, co, degree, "adjoint")
+        with pytest.raises(ValueError):
+            delta_matrix(mp, adjoint_representation(mp), degree, "bracket")
+
+
+def test_negative_max_degree_is_a_typed_error():
+    mp = mp_a()
+    with pytest.raises(InputError):
+        mpl_cohomology_dims(mp, adjoint_representation(mp), -1)
+    with pytest.raises(InputError):
+        ce_cohomology_dims(aff1().adjoint(), -1)

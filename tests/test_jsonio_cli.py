@@ -120,6 +120,16 @@ def test_cli_cohomology_table(tmp_path, capsys):
     assert len(table) == 4
 
 
+def test_cli_cohomology_rejects_negative_max_degree(tmp_path, capsys):
+    path = write(tmp_path, "mpa.json", jsonio.matched_pair_to_json(mp_a()))
+    for bad in ("-1", "two"):
+        with pytest.raises(SystemExit) as exc:
+            main(["cohomology", path, "--max-degree", bad])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "--max-degree" in captured.err and not captured.out
+
+
 def test_cli_bicross_then_validate(tmp_path, capsys):
     path = write(tmp_path, "mpa.json", jsonio.matched_pair_to_json(mp_a()))
     out_path = str(tmp_path / "combined.json")
@@ -185,14 +195,6 @@ def test_cli_stdin_input(tmp_path, capsys, monkeypatch):
     payload = json.dumps(jsonio.matched_pair_to_json(mp_a()))
     monkeypatch.setattr("sys.stdin", io.StringIO(payload))
     assert main(["validate", "-"]) == 0
-
-
-def test_cli_threads_env(tmp_path, capsys, monkeypatch):
-    path = write(tmp_path, "mpa.json", jsonio.matched_pair_to_json(mp_a()))
-    monkeypatch.setenv("MPLA_THREADS", "4")
-    assert main(["validate", path]) == 0
-    monkeypatch.setenv("MPLA_THREADS", "zero")
-    assert main(["validate", path]) == 2
 
 
 def test_cli_skeletal_correspond_round_trip(tmp_path, capsys):

@@ -2,18 +2,23 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mpla import (DimensionMismatch, Matrix, NotAComplex, cohomology_dim,
-                  invert, kernel_basis, kernel_dim, rank, solve)
-from mpla.linalg import _rref
+from mpla import (DimensionMismatch, InputError, Matrix, NotAComplex,
+                  cohomology_dim, invert, kernel_basis, kernel_dim, rank, solve)
+from mpla.linalg import cohomology_dims, operator_matrix
+from mpla.scalars import LinearForm
 
-from helpers import rand_fraction
+from helpers import (bareiss_rank, dense_invert, dense_kernel_basis,
+                     dense_rref, dense_solve, rand_fraction)
 
 
 def naive_rank(m: Matrix) -> int:
     """Plain fraction Gaussian elimination, the cross-check oracle."""
     entries = [list(row) for row in m.entries]
-    return len(_rref(entries, m.rows, m.cols))
+    return len(dense_rref(entries, m.rows, m.cols))
 
 
 def test_rank_identity_and_zero():
@@ -116,3 +121,108 @@ def test_bareiss_stress_fractions_and_structure():
         m = Matrix.from_rows(entries)
         assert rank(m) == naive_rank(m)
         assert rank(m) == rank(m.transpose())
+
+
+# -- the sparse kernel against the dense oracles and sympy --------------------
+
+ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, -3, Fraction(1, 2),
+                           Fraction(-2, 3), Fraction(5, 7)])
+
+
+@st.composite
+def matrices(draw, max_side=6, square=False):
+    """Small rational matrices with the patterns that stress pivoting:
+    zero rows and columns, duplicate and proportional rows, and a zero in
+    the top-left corner so the first pivot needs a row swap."""
+    rows = draw(st.integers(0, max_side))
+    cols = rows if square else draw(st.integers(0, max_side))
+    entries = [[draw(ENTRIES) for _ in range(cols)] for _ in range(rows)]
+    if rows >= 2 and draw(st.booleans()):
+        src, dst = draw(st.integers(0, rows - 1)), draw(st.integers(0, rows - 1))
+        entries[dst] = [draw(st.sampled_from([1, -2, Fraction(3, 2)])) * x
+                        for x in entries[src]]
+    if rows and draw(st.booleans()):
+        entries[draw(st.integers(0, rows - 1))] = [0] * cols
+    if cols and not square and draw(st.booleans()):
+        dead = draw(st.integers(0, cols - 1))
+        for row in entries:
+            row[dead] = 0
+    if rows >= 2 and cols and draw(st.booleans()):
+        entries[0][0] = 0
+        entries[1][0] = draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]))
+    return Matrix(rows, cols, entries)
+
+
+def sympy_rank(m: Matrix) -> int:
+    if m.rows == 0 or m.cols == 0:
+        return 0
+    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
+                                         for row in m.entries for x in row]).rank()
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_rank_matches_bareiss_and_sympy(m):
+    assert rank(m) == bareiss_rank(m) == sympy_rank(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices())
+def test_kernel_basis_matches_gauss_jordan_vector_for_vector(m):
+    assert kernel_basis(m) == dense_kernel_basis(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_solve_matches_gauss_jordan(m, data):
+    b = [data.draw(ENTRIES) for _ in range(m.rows)]
+    if m.cols and data.draw(st.booleans()):
+        # a consistent right-hand side: m times some vector
+        b = m.mul_vec([data.draw(ENTRIES) for _ in range(m.cols)])
+    assert solve(m, b) == dense_solve(m, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(max_side=5, square=True))
+def test_invert_matches_gauss_jordan(m):
+    expected = dense_invert(m)
+    if expected is None:
+        with pytest.raises(DimensionMismatch):
+            invert(m)
+    else:
+        assert invert(m).entries == expected
+
+
+def test_linear_form_refuses_nonlinear_use():
+    x, y = LinearForm.variable(0), LinearForm.variable(1)
+    with pytest.raises(TypeError):
+        x * y
+    with pytest.raises(TypeError):
+        x + 1
+    with pytest.raises(TypeError):
+        Fraction(1, 2) - y
+    # adding zero, scaling and cancelling are linear
+    assert (0 + x).terms == {0: 1}
+    assert (Fraction(1, 2) * x - y * 3).terms == {0: Fraction(1, 2), 1: -3}
+    assert not (x - x) and not 0 * x
+    with pytest.raises(TypeError):
+        operator_matrix(lambda v: [v[0] * v[1]], 1, 2)
+    with pytest.raises(TypeError):
+        operator_matrix(lambda v: [v[0] + 1], 1, 1)
+    assert operator_matrix(lambda v: [v[1] - v[0], 2 * v[0]], 2, 2) == \
+        Matrix.from_rows([[-1, 1], [2, 0]])
+
+
+def test_cohomology_dims_ranks_each_delta_once_and_checks_squares(monkeypatch):
+    import mpla.linalg as linalg
+
+    mats = [Matrix.zero(1, 1), Matrix.from_rows([[1]]), Matrix.zero(1, 1)]
+    ranked = []
+    real_rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda m: ranked.append(m) or real_rank(m))
+    assert cohomology_dims(mats.__getitem__, 2) == [1, 0, 0]
+    assert [id(m) for m in ranked] == [id(m) for m in mats]
+    with pytest.raises(NotAComplex):
+        cohomology_dims([Matrix.identity(1), Matrix.identity(1)].__getitem__, 1)
+    with pytest.raises(InputError):
+        cohomology_dims(mats.__getitem__, -1)
