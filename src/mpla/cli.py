@@ -9,6 +9,9 @@ structure valid), 1 = structure invalid or construction impossible
 The axiom-group tags printed in reports -- jacobi(g), compat(11),
 pairing(3), condition(v), compat(skel2), ... -- are this tool's own
 numbering of the axioms, documented in the README.
+
+Each command imports the modules its work needs when it runs, so an
+invocation loads no more of the package than its verb uses.
 """
 
 from __future__ import annotations
@@ -17,22 +20,7 @@ import argparse
 import sys
 
 from . import jsonio
-from .cohomology import mpl_dimension_report
-from .bigraded import StructureElement, mc_check
-from .deform import (cocycle_to_extension, deformation_check,
-                     deformation_equiv_check, extension_to_cocycle,
-                     validate_extension)
 from .errors import InputError, InvalidInput, MplaError
-from .lie import validate_lie_algebra, validate_representation
-from .linalg import Matrix
-from .matched import (bialgebra_to_matched_pair, bicrossed_product,
-                      rota_baxter_matched_pair, validate_bialgebra,
-                      validate_matched_pair)
-from .reps import (dual_representation, semidirect_product,
-                   validate_mp_representation)
-from .scalars import parse_rational
-from .skeletal import (SkeletalTriple, skeletal_to_triple, triple_to_skeletal,
-                       validate_skeletal_matched_pair, validate_two_term)
 
 
 def _degree(text: str) -> int:
@@ -44,15 +32,6 @@ def _degree(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be nonnegative, got {value}")
     return value
-
-
-def _matrix_from_json(rows, what, path) -> Matrix:
-    if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-        raise InputError(f"{what} must be a list of rows", path=path, field=what)
-    try:
-        return Matrix.from_rows([[parse_rational(x) for x in r] for r in rows])
-    except MplaError as exc:
-        raise InputError(f"bad {what}: {exc}", path=path, field=what)
 
 
 def _emit_report(report, args, extra_json=None):
@@ -85,9 +64,8 @@ def _emit_payload(payload, args, text_lines=None):
     return 0
 
 
-def _detect_kind(data) -> str:
-    if not isinstance(data, dict):
-        raise InputError("top-level JSON must be an object")
+def _detect_kind(data, path) -> str:
+    jsonio.require_object(data, path)
     if "total" in data and "split" in data:
         return "extension"
     if "G" in data and "H" in data:
@@ -109,21 +87,35 @@ def _detect_kind(data) -> str:
 
 def cmd_validate(args) -> int:
     data = jsonio.load_json(args.input)
-    kind = args.kind or _detect_kind(data)
+    kind = args.kind or _detect_kind(data, args.input)
     if kind == "matched-pair":
+        from .matched import validate_matched_pair
+
         report = validate_matched_pair(jsonio.matched_pair_from_json(data, args.input))
     elif kind == "lie":
+        from .lie import validate_lie_algebra
+
         report = validate_lie_algebra(jsonio.lie_algebra_from_json(data, args.input))
     elif kind == "bialgebra":
+        from .matched import validate_bialgebra
+
         report = validate_bialgebra(jsonio.bialgebra_from_json(data, args.input))
     elif kind == "two-term":
+        from .skeletal import validate_two_term
+
         report = validate_two_term(jsonio.two_term_from_json(data, args.input))
     elif kind == "skeletal-mp":
+        from .skeletal import validate_skeletal_matched_pair
+
         report = validate_skeletal_matched_pair(
             jsonio.skeletal_pair_from_json(data, args.input))
     elif kind == "extension":
+        from .deform import validate_extension
+
         report = validate_extension(jsonio.extension_from_json(data, args.input))
     elif kind == "mp-rep":
+        from .reps import validate_mp_representation
+
         if not args.base:
             raise InputError("--base MATCHED_PAIR_FILE is required for mp-rep")
         base = jsonio.matched_pair_from_json(jsonio.load_json(args.base), args.base)
@@ -131,6 +123,8 @@ def cmd_validate(args) -> int:
         report = validate_mp_representation(
             jsonio.mp_representation_from_json(data, base, args.input))
     elif kind == "rep":
+        from .lie import validate_representation
+
         if not args.algebra:
             raise InputError("--algebra LIE_FILE is required for rep")
         algebra = jsonio.lie_algebra_from_json(jsonio.load_json(args.algebra), args.algebra)
@@ -143,6 +137,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_bicross(args) -> int:
+    from .matched import bicrossed_product
+
     mp = jsonio.matched_pair_from_json(jsonio.load_json(args.input), args.input)
     algebra = bicrossed_product(mp)
     return _emit_payload(
@@ -167,12 +163,16 @@ def _load_pair_and_rep(args):
 
 
 def cmd_semidirect(args) -> int:
+    from .reps import semidirect_product
+
     mp, rep = _load_pair_and_rep(args)
     out = semidirect_product(rep)
     return _emit_payload(jsonio.matched_pair_to_json(out), args)
 
 
 def cmd_dual(args) -> int:
+    from .reps import dual_representation
+
     mp, rep = _load_pair_and_rep(args)
     rep.require_valid()
     out = dual_representation(rep)
@@ -180,6 +180,8 @@ def cmd_dual(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
+    from .cohomology import mpl_dimension_report
+
     mp, rep = _load_pair_and_rep(args)
     rep.require_valid()
     table = mpl_dimension_report(mp, rep, args.max_degree)
@@ -190,6 +192,8 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_mc_check(args) -> int:
+    from .bigraded import StructureElement, mc_check
+
     mp = jsonio.matched_pair_from_json(jsonio.load_json(args.input), args.input)
     report = mc_check(StructureElement.from_matched_pair(mp))
     if args.format == "json":
@@ -208,6 +212,8 @@ def cmd_mc_check(args) -> int:
 
 
 def cmd_deform_check(args) -> int:
+    from .deform import deformation_check
+
     mp = jsonio.matched_pair_from_json(jsonio.load_json(args.input), args.input)
     mp.require_valid()
     cand = jsonio.deformation_from_json(jsonio.load_json(args.candidate),
@@ -227,18 +233,22 @@ def cmd_deform_check(args) -> int:
 
 
 def cmd_deform_equiv(args) -> int:
+    from .deform import deformation_equiv_check
+
     mp = jsonio.matched_pair_from_json(jsonio.load_json(args.input), args.input)
     mp.require_valid()
     d1 = jsonio.deformation_from_json(jsonio.load_json(args.first), mp, args.first)
     d2 = jsonio.deformation_from_json(jsonio.load_json(args.second), mp, args.second)
     maps = jsonio.load_json(args.maps)
-    f = _matrix_from_json(maps.get("f"), "f", args.maps)
-    g_map = _matrix_from_json(maps.get("g"), "g", args.maps)
+    f = jsonio.matrix_from_json(maps, "f", args.maps)
+    g_map = jsonio.matrix_from_json(maps, "g", args.maps)
     report = deformation_equiv_check(mp, d1, d2, f, g_map)
     return _emit_report(report, args)
 
 
 def cmd_extend(args) -> int:
+    from .deform import cocycle_to_extension
+
     mp, rep = _load_pair_and_rep(args)
     rep.require_valid()
     F = jsonio.cochain_from_json(jsonio.load_json(args.cocycle),
@@ -248,11 +258,13 @@ def cmd_extend(args) -> int:
 
 
 def cmd_extract_cocycle(args) -> int:
+    from .deform import extension_to_cocycle
+
     ext = jsonio.extension_from_json(jsonio.load_json(args.input), args.input)
     if args.section:
         data = jsonio.load_json(args.section)
-        section = (_matrix_from_json(data.get("s1"), "s1", args.section),
-                   _matrix_from_json(data.get("s2"), "s2", args.section))
+        section = (jsonio.matrix_from_json(data, "s1", args.section),
+                   jsonio.matrix_from_json(data, "s2", args.section))
     else:
         section = "canonical"
     F = extension_to_cocycle(ext, section)
@@ -260,7 +272,9 @@ def cmd_extract_cocycle(args) -> int:
 
 
 def cmd_skeletal_validate(args) -> int:
-    data = jsonio.load_json(args.input)
+    from .skeletal import validate_skeletal_matched_pair, validate_two_term
+
+    data = jsonio.require_object(jsonio.load_json(args.input), args.input)
     if "G" in data:
         report = validate_skeletal_matched_pair(
             jsonio.skeletal_pair_from_json(data, args.input))
@@ -270,7 +284,9 @@ def cmd_skeletal_validate(args) -> int:
 
 
 def cmd_skeletal_correspond(args) -> int:
-    data = jsonio.load_json(args.input)
+    from .skeletal import SkeletalTriple, skeletal_to_triple, triple_to_skeletal
+
+    data = jsonio.require_object(jsonio.load_json(args.input), args.input)
     if "G" in data:
         s = jsonio.skeletal_pair_from_json(data, args.input)
         triple = skeletal_to_triple(s)
@@ -292,14 +308,18 @@ def cmd_skeletal_correspond(args) -> int:
 
 
 def cmd_rota_baxter(args) -> int:
+    from .matched import rota_baxter_matched_pair
+
     algebra = jsonio.lie_algebra_from_json(jsonio.load_json(args.input), args.input)
     data = jsonio.load_json(args.operator)
-    r_matrix = _matrix_from_json(data.get("R"), "R", args.operator)
+    r_matrix = jsonio.matrix_from_json(data, "R", args.operator)
     mp = rota_baxter_matched_pair(algebra, r_matrix)
     return _emit_payload(jsonio.matched_pair_to_json(mp), args)
 
 
 def cmd_bialgebra(args) -> int:
+    from .matched import bialgebra_to_matched_pair, validate_bialgebra
+
     b = jsonio.bialgebra_from_json(jsonio.load_json(args.input), args.input)
     report = validate_bialgebra(b)
     if not report.ok:

@@ -27,22 +27,41 @@ sparse rows [indices..., coefficient]:
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
-from .deform import AbelianExtension, DeformationCandidate
 from .errors import InputError, MplaError
 from .lie import LieAlgebra, LieRep
+from .linalg import Matrix
 from .matched import LieBialgebra, MatchedPair
-from .reps import MPRepresentation
-from .cohomology import MPCochain
 from .scalars import format_rational, parse_rational, vzero
-from .skeletal import SkeletalMatchedPair, TwoTermLInfinity
+
+# The readers of representations, cochains, deformations, extensions and
+# skeletal structures import their class when called, so that a command
+# loads only the modules of the structures it reads.
+if TYPE_CHECKING:
+    from .cohomology import MPCochain
+    from .deform import AbelianExtension, DeformationCandidate
+    from .reps import MPRepresentation
+    from .skeletal import SkeletalMatchedPair, TwoTermLInfinity
 
 
 def _fail(message, path=None, field=None):
     raise InputError(message, path=path, field=field)
 
 
+def require_object(data, path=None, field=None):
+    """Return ``data`` if it is a JSON object; raise InputError otherwise.
+
+    ``field`` names the field the caller wants to read from it.
+    """
+    if not isinstance(data, dict):
+        wanted = f" with field {field!r}" if field else ""
+        _fail(f"expected a JSON object{wanted}", path, field)
+    return data
+
+
 def _expect(data, field, kind, path):
+    require_object(data, path, field)
     if field not in data:
         _fail(f"missing field {field!r}", path, field)
     value = data[field]
@@ -162,6 +181,8 @@ def matched_pair_to_json(mp: MatchedPair) -> dict:
 
 
 def mp_representation_from_json(data, base: MatchedPair, path=None) -> MPRepresentation:
+    from .reps import MPRepresentation
+
     dims = _expect(data, "dims", list, path)
     if len(dims) != 2 or not all(isinstance(x, int) for x in dims):
         _fail("dims must be [p, q]", path, "dims")
@@ -215,6 +236,9 @@ def mp_representation_to_json(r: MPRepresentation) -> dict:
 
 
 def cochain_from_json(data, mp_dims, rep_dims, path=None) -> MPCochain:
+    from .bigraded import BidegreeMap
+    from .cohomology import MPCochain
+
     degree = _expect(data, "degree", int, path)
     m, n = mp_dims
     p, q = rep_dims
@@ -234,7 +258,7 @@ def cochain_from_json(data, mp_dims, rep_dims, path=None) -> MPCochain:
             _fail(f"component index {r} out of range", path, "components")
         part = F.component(r)
         for field, table, codim in (("part_V", part.part_v, p), ("part_W", part.part_w, q)):
-            for row in comp.get(field, []):
+            for row in _expect(comp, field, list, path) if field in comp else []:
                 if not isinstance(row, list) or len(row) != 4:
                     _fail(f"entry {row!r} must be [gtuple, htuple, idx, coeff]",
                           path, field)
@@ -251,8 +275,6 @@ def cochain_from_json(data, mp_dims, rep_dims, path=None) -> MPCochain:
                 vec = table.setdefault((gi, hj), vzero(codim))
                 vec[idx] = vec[idx] + coeff
     # renormalize: the constructor validates key shapes and drops zero vectors
-    from .bigraded import BidegreeMap
-
     components = [
         BidegreeMap(degree - r, r - 1, m, n, p, q,
                     part_v=F.components[r - 1].part_v,
@@ -281,10 +303,27 @@ def cochain_to_json(F: MPCochain) -> dict:
     return {"degree": F.degree, "components": components}
 
 
+# -- matrices ------------------------------------------------------------------
+
+
+def matrix_from_json(data, field, path=None) -> Matrix:
+    """The matrix stored in ``data[field]`` as a list of rows."""
+    rows = _expect(data, field, list, path)
+    if not all(isinstance(r, list) for r in rows):
+        _fail(f"{field} must be a list of rows", path, field)
+    try:
+        return Matrix.from_rows([[parse_rational(x) for x in r] for r in rows])
+    except MplaError as exc:
+        _fail(f"bad {field}: {exc}", path, field)
+
+
 # -- deformation candidates ---------------------------------------------------
 
 
 def deformation_from_json(data, mp: MatchedPair, path=None) -> DeformationCandidate:
+    from .deform import DeformationCandidate
+
+    require_object(data, path)
     m, n = mp.dim_g, mp.dim_h
 
     def fetch(field, rows, cols, veclen, skew):
@@ -358,6 +397,8 @@ def bialgebra_to_json(b: LieBialgebra) -> dict:
 
 
 def two_term_from_json(data, path=None) -> TwoTermLInfinity:
+    from .skeletal import TwoTermLInfinity
+
     dim0 = _expect(data, "dim0", int, path)
     dim1 = _expect(data, "dim1", int, path)
     mu1 = {}
@@ -423,15 +464,15 @@ def two_term_to_json(t: TwoTermLInfinity) -> dict:
 
 
 def skeletal_pair_from_json(data, path=None) -> SkeletalMatchedPair:
+    from .skeletal import SkeletalMatchedPair
+
     G = two_term_from_json(_expect(data, "G", dict, path), path)
     H = two_term_from_json(_expect(data, "H", dict, path), path)
     m, n = G.dim0, H.dim0
     p, q = G.dim1, H.dim1
 
     def blocks(field, shapes):
-        group = data.get(field, {})
-        if not isinstance(group, dict):
-            _fail(f"field {field!r} must be an object of blocks", path, field)
+        group = _expect(data, field, dict, path) if field in data else {}
         out = []
         for block, (rows, cols, veclen) in shapes.items():
             tensor = [[vzero(veclen) for _ in range(cols)] for _ in range(rows)]
@@ -511,6 +552,8 @@ def skeletal_pair_to_json(s: SkeletalMatchedPair) -> dict:
 
 
 def extension_from_json(data, path=None) -> AbelianExtension:
+    from .deform import AbelianExtension
+
     total = matched_pair_from_json(_expect(data, "total", dict, path), path)
     base = matched_pair_from_json(_expect(data, "base", dict, path), path)
     split = _expect(data, "split", list, path)

@@ -108,10 +108,16 @@ class Matrix:
     def mul_vec(self, v):
         if len(v) != self.cols:
             raise DimensionMismatch("vector length does not match column count")
-        return [
-            sum((self.entries[i][j] * v[j] for j in range(self.cols)), Fraction(0))
-            for i in range(self.rows)
-        ]
+        support = [(j, x) for j, x in enumerate(v) if x]
+        out = []
+        for row in self.entries:
+            total = _ZERO
+            for j, x in support:
+                a = row[j]
+                if a is not _ZERO and a:
+                    total += a * x
+            out.append(total)
+        return out
 
     def is_zero(self) -> bool:
         return all(not x for row in self.entries for x in row)

@@ -189,6 +189,12 @@ def dense_solve(m, b):
     return x
 
 
+def dense_mul_vec(m, v):
+    """m times v by the dense formula: a sum over every entry, zeros included."""
+    return [sum((m.entries[i][j] * v[j] for j in range(m.cols)), Fraction(0))
+            for i in range(m.rows)]
+
+
 def dense_invert(m):
     """The inverse as a list of rows, or None if m is singular."""
     n = m.rows

@@ -78,6 +78,12 @@ def test_json_rejects_malformed():
         jsonio.lie_algebra_from_json({"dim": 2, "bracket": [[0, 1, 0, "1/0"]]})
     with pytest.raises(InputError):
         jsonio.matched_pair_from_json({"g": {"dim": 1, "bracket": []}})
+    # a component, or a part of one, that is not a JSON object
+    for components in ([5], [{"r": 1, "part_V": 5}]):
+        with pytest.raises(InputError) as exc:
+            jsonio.cochain_from_json({"degree": 2, "components": components},
+                                     (2, 2), (2, 2), "cocycle.json")
+        assert exc.value.path == "cocycle.json"
 
 
 def write(tmp_path, name, payload):
@@ -273,3 +279,76 @@ def test_cli_deform_equiv(tmp_path, capsys):
     zero_maps = write(tmp_path, "zero.json", {
         "f": [["0", "0"], ["0", "0"]], "g": [["0", "0"], ["0", "0"]]})
     assert main(["deform-equiv", mp_path, d1_path, d2_path, zero_maps]) == 1
+
+
+# Every verb with each file it reads; "BAD" marks the file replaced by a
+# JSON value that is not an object, the other *.json names the files of
+# ``cli_files``.
+FILE_ARGUMENTS = [
+    ["validate", "BAD"],
+    *[["validate", "BAD", "--as", kind]
+      for kind in ("matched-pair", "lie", "bialgebra", "two-term", "skeletal-mp",
+                   "extension")],
+    ["validate", "BAD", "--as", "mp-rep", "--base", "mp.json"],
+    ["validate", "rep.json", "--base", "BAD"],
+    ["validate", "BAD", "--as", "rep", "--algebra", "aff1.json"],
+    ["validate", "action.json", "--as", "rep", "--algebra", "BAD"],
+    ["bicross", "BAD"],
+    ["semidirect", "BAD"],
+    ["semidirect", "mp.json", "--coefficients", "BAD"],
+    ["dual", "BAD"],
+    ["dual", "mp.json", "--coefficients", "BAD"],
+    ["cohomology", "BAD"],
+    ["cohomology", "mp.json", "--coefficients", "BAD"],
+    ["mc-check", "BAD"],
+    ["deform-check", "BAD", "zero.json"],
+    ["deform-check", "mp.json", "BAD"],
+    ["deform-equiv", "BAD", "zero.json", "zero.json", "maps.json"],
+    ["deform-equiv", "mp.json", "BAD", "zero.json", "maps.json"],
+    ["deform-equiv", "mp.json", "zero.json", "BAD", "maps.json"],
+    ["deform-equiv", "mp.json", "zero.json", "zero.json", "BAD"],
+    ["extend", "BAD", "cocycle.json"],
+    ["extend", "mp.json", "BAD"],
+    ["extend", "mp.json", "cocycle.json", "--coefficients", "BAD"],
+    ["extract-cocycle", "BAD"],
+    ["extract-cocycle", "extension.json", "--section", "BAD"],
+    ["skeletal-validate", "BAD"],
+    ["skeletal-correspond", "BAD"],
+    ["rota-baxter", "BAD", "r.json"],
+    ["rota-baxter", "aff1.json", "BAD"],
+    ["bialgebra", "BAD"],
+]
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    from mpla import cocycle_to_extension
+
+    mp = mp_double()
+    rep = adjoint_representation(mp)
+    F = cochain_from_coords(
+        (2, 2), (2, 2), 2, kernel_basis(delta_matrix(mp, rep, 2))[0])
+    payloads = {
+        "mp.json": jsonio.matched_pair_to_json(mp),
+        "rep.json": jsonio.mp_representation_to_json(rep),
+        "aff1.json": jsonio.lie_algebra_to_json(aff1()),
+        "action.json": {"space_dim": 1, "action": [[0, 0, 0, "1"]]},
+        "zero.json": {"mu1": [], "nu1": [], "rho1": [], "psi1": []},
+        "maps.json": {"f": [["1", "0"], ["0", "1"]], "g": [["1", "0"], ["0", "1"]]},
+        "cocycle.json": jsonio.cochain_to_json(F),
+        "extension.json": jsonio.extension_to_json(cocycle_to_extension(mp, rep, F)),
+        "r.json": {"R": [["-1", "0"], ["0", "0"]]},
+    }
+    tmp_path = tmp_path_factory.mktemp("files")
+    return {name: write(tmp_path, name, payload) for name, payload in payloads.items()}
+
+
+@pytest.mark.parametrize("bad", [5, [1]], ids=["number", "list"])
+@pytest.mark.parametrize("argv", FILE_ARGUMENTS, ids=" ".join)
+def test_cli_non_object_file_exits_2_naming_the_path(tmp_path, capsys, cli_files,
+                                                      argv, bad):
+    bad_path = write(tmp_path, "bad.json", bad)
+    assert main([bad_path if arg == "BAD" else cli_files.get(arg, arg)
+                 for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert bad_path in captured.err and not captured.out

@@ -12,7 +12,7 @@ from mpla.linalg import cohomology_dims, operator_matrix
 from mpla.scalars import LinearForm
 
 from helpers import (bareiss_rank, dense_invert, dense_kernel_basis,
-                     dense_rref, dense_solve, rand_fraction)
+                     dense_mul_vec, dense_rref, dense_solve, rand_fraction)
 
 
 def naive_rank(m: Matrix) -> int:
@@ -180,6 +180,17 @@ def test_solve_matches_gauss_jordan(m, data):
         # a consistent right-hand side: m times some vector
         b = m.mul_vec([data.draw(ENTRIES) for _ in range(m.cols)])
     assert solve(m, b) == dense_solve(m, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_mul_vec_matches_dense_formula(m, data):
+    v = [data.draw(ENTRIES) for _ in range(m.cols)]
+    got, expected = m.mul_vec(v), dense_mul_vec(m, v)
+    assert got == expected
+    assert all(type(x) is Fraction for x in got)
+    with pytest.raises(DimensionMismatch):
+        m.mul_vec(v + [1])
 
 
 @settings(max_examples=150, deadline=None)
