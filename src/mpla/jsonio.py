@@ -70,14 +70,27 @@ def _expect(data, field, kind, path):
     return value
 
 
-def _sparse_entries(data, field, n_indices, path):
-    rows = _expect(data, field, list, path)
+def _sparse_entries(data, field, bounds, path):
+    """The list ``data[field]`` read by ``_entries``."""
+    return _entries(_expect(data, field, None, path), field, bounds, path)
+
+
+def _entries(rows, field, bounds, path):
+    """(indices, coefficient) pairs of a list of [i_1, ..., i_k, coefficient]
+    entries, where each i_t is a JSON integer with 0 <= i_t < bounds[t]."""
+    if not isinstance(rows, list):
+        _fail(f"field {field!r} must be a list of entries", path, field)
+    n_indices = len(bounds)
     out = []
     for row in rows:
         if not isinstance(row, list) or len(row) != n_indices + 1:
             _fail(f"entry {row!r} must be [indices..., coefficient]", path, field)
+        idx = tuple(row[:n_indices])
+        for x, bound in zip(idx, bounds):
+            if type(x) is not int or not 0 <= x < bound:
+                _fail(f"bad entry {row!r}: index {x!r} is not an integer "
+                      f"in 0..{bound - 1}", path, field)
         try:
-            idx = tuple(int(x) for x in row[:n_indices])
             coeff = parse_rational(row[n_indices])
         except (MplaError, TypeError, ValueError) as exc:
             _fail(f"bad entry {row!r}: {exc}", path, field)
@@ -90,13 +103,11 @@ def _sparse_entries(data, field, n_indices, path):
 
 def lie_algebra_from_json(data, path=None) -> LieAlgebra:
     dim = _expect(data, "dim", int, path)
-    entries = _sparse_entries(data, "bracket", 3, path)
+    entries = _sparse_entries(data, "bracket", (dim, dim, dim), path)
     table = {}
     for (i, j, k), coeff in entries:
         if not i < j:
             _fail(f"bracket entry ({i}, {j}) needs i < j", path, "bracket")
-        if not (0 <= k < dim):
-            _fail(f"bracket target {k} out of range", path, "bracket")
         vec = table.setdefault((i, j), vzero(dim))
         vec[k] = vec[k] + coeff
     try:
@@ -117,11 +128,9 @@ def lie_algebra_to_json(g: LieAlgebra) -> dict:
 
 def lie_rep_from_json(data, algebra: LieAlgebra, path=None) -> LieRep:
     space_dim = _expect(data, "space_dim", int, path)
-    entries = _sparse_entries(data, "action", 3, path)
+    entries = _sparse_entries(data, "action", (algebra.dim, space_dim, space_dim), path)
     a = [[vzero(space_dim) for _ in range(space_dim)] for _ in range(algebra.dim)]
     for (i, p, q), coeff in entries:
-        if not (0 <= i < algebra.dim and 0 <= p < space_dim and 0 <= q < space_dim):
-            _fail(f"action entry ({i}, {p}, {q}) out of range", path, "action")
         a[i][p][q] = a[i][p][q] + coeff
     return LieRep(algebra, space_dim, a)
 
@@ -143,11 +152,13 @@ def matched_pair_from_json(data, path=None) -> MatchedPair:
     g = lie_algebra_from_json(_expect(data, "g", dict, path), path)
     h = lie_algebra_from_json(_expect(data, "h", dict, path), path)
     rho = {}
-    for (i, a, b), coeff in _sparse_entries(data, "rho", 3, path) if "rho" in data else []:
+    for (i, a, b), coeff in (_sparse_entries(data, "rho", (g.dim, h.dim, h.dim), path)
+                             if "rho" in data else []):
         vec = rho.setdefault((i, a), vzero(h.dim))
         vec[b] = vec[b] + coeff
     psi = {}
-    for (a, i, j), coeff in _sparse_entries(data, "psi", 3, path) if "psi" in data else []:
+    for (a, i, j), coeff in (_sparse_entries(data, "psi", (h.dim, g.dim, g.dim), path)
+                             if "psi" in data else []):
         vec = psi.setdefault((a, i), vzero(g.dim))
         vec[j] = vec[j] + coeff
     try:
@@ -191,10 +202,7 @@ def mp_representation_from_json(data, base: MatchedPair, path=None) -> MPReprese
     def fetch(field, rows, cols, veclen):
         table = {}
         if field in data:
-            for idx, coeff in _sparse_entries(data, field, 3, path):
-                i, j, k = idx
-                if not (0 <= i < rows and 0 <= j < cols and 0 <= k < veclen):
-                    _fail(f"{field} entry {idx} out of range", path, field)
+            for (i, j, k), coeff in _sparse_entries(data, field, (rows, cols, veclen), path):
                 vec = table.setdefault((i, j), vzero(veclen))
                 vec[k] = vec[k] + coeff
         return table
@@ -329,11 +337,9 @@ def deformation_from_json(data, mp: MatchedPair, path=None) -> DeformationCandid
     def fetch(field, rows, cols, veclen, skew):
         table = {}
         if field in data:
-            for (i, j, k), coeff in _sparse_entries(data, field, 3, path):
+            for (i, j, k), coeff in _sparse_entries(data, field, (rows, cols, veclen), path):
                 if skew and not i < j:
                     _fail(f"{field} entry ({i}, {j}) needs i < j", path, field)
-                if not (0 <= i < rows and 0 <= j < cols and 0 <= k < veclen):
-                    _fail(f"{field} entry out of range", path, field)
                 vec = table.setdefault((i, j), vzero(veclen))
                 vec[k] = vec[k] + coeff
         return table
@@ -373,10 +379,8 @@ def deformation_to_json(d: DeformationCandidate) -> dict:
 def bialgebra_from_json(data, path=None) -> LieBialgebra:
     g = lie_algebra_from_json(_expect(data, "g", dict, path), path)
     cobracket = [dict() for _ in range(g.dim)]
-    for (k, i, j), coeff in _sparse_entries(data, "cobracket", 3, path):
-        if not (0 <= k < g.dim):
-            _fail(f"cobracket source {k} out of range", path, "cobracket")
-        if not 0 <= i < j < g.dim:
+    for (k, i, j), coeff in _sparse_entries(data, "cobracket", (g.dim,) * 3, path):
+        if not i < j:
             _fail(f"cobracket entry ({i}, {j}) needs i < j", path, "cobracket")
         cobracket[k][(i, j)] = cobracket[k].get((i, j), 0) + coeff
     try:
@@ -403,24 +407,24 @@ def two_term_from_json(data, path=None) -> TwoTermLInfinity:
     dim1 = _expect(data, "dim1", int, path)
     mu1 = {}
     if "mu1" in data:
-        for (p, i), coeff in _sparse_entries(data, "mu1", 2, path):
+        for (p, i), coeff in _sparse_entries(data, "mu1", (dim1, dim0), path):
             vec = mu1.setdefault(p, vzero(dim0))
             vec[i] = vec[i] + coeff
     b00 = {}
     if "bracket00" in data:
-        for (i, j, k), coeff in _sparse_entries(data, "bracket00", 3, path):
+        for (i, j, k), coeff in _sparse_entries(data, "bracket00", (dim0,) * 3, path):
             if not i < j:
                 _fail(f"bracket00 entry ({i}, {j}) needs i < j", path, "bracket00")
             vec = b00.setdefault((i, j), vzero(dim0))
             vec[k] = vec[k] + coeff
     b01 = {}
     if "bracket01" in data:
-        for (i, p, q), coeff in _sparse_entries(data, "bracket01", 3, path):
+        for (i, p, q), coeff in _sparse_entries(data, "bracket01", (dim0, dim1, dim1), path):
             vec = b01.setdefault((i, p), vzero(dim1))
             vec[q] = vec[q] + coeff
     mu3 = {}
     if "mu3" in data:
-        for (i, j, k, idx), coeff in _sparse_entries(data, "mu3", 4, path):
+        for (i, j, k, idx), coeff in _sparse_entries(data, "mu3", (dim0,) * 3 + (dim1,), path):
             if not i < j < k:
                 _fail(f"mu3 entry ({i}, {j}, {k}) needs i < j < k", path, "mu3")
             vec = mu3.setdefault((i, j, k), vzero(dim1))
@@ -474,18 +478,12 @@ def skeletal_pair_from_json(data, path=None) -> SkeletalMatchedPair:
     def blocks(field, shapes):
         group = _expect(data, field, dict, path) if field in data else {}
         out = []
-        for block, (rows, cols, veclen) in shapes.items():
+        for block, shape in shapes.items():
+            rows, cols, veclen = shape
             tensor = [[vzero(veclen) for _ in range(cols)] for _ in range(rows)]
             if block in group:
-                for row in group[block]:
-                    if not isinstance(row, list) or len(row) != 4:
-                        _fail(f"entry {row!r} must have three indices and a value",
-                              path, f"{field}.{block}")
-                    i, j, k, coeff = row
-                    try:
-                        coeff = parse_rational(coeff)
-                    except MplaError as exc:
-                        _fail(str(exc), path, f"{field}.{block}")
+                for (i, j, k), coeff in _entries(group[block], f"{field}.{block}",
+                                                 shape, path):
                     tensor[i][j][k] = tensor[i][j][k] + coeff
             out.append(tensor)
         return out
@@ -499,7 +497,8 @@ def skeletal_pair_from_json(data, path=None) -> SkeletalMatchedPair:
             for _ in range(d1)
         ]
         if field in data:
-            for (i, j, a, idx), coeff in _sparse_entries(data, field, 4, path):
+            for (i, j, a, idx), coeff in _sparse_entries(data, field,
+                                                         (d1, d2, cols, veclen), path):
                 if not i < j:
                     _fail(f"{field} entry ({i}, {j}) needs i < j", path, field)
                 tensor[i][j][a][idx] = tensor[i][j][a][idx] + coeff

@@ -9,14 +9,23 @@ One sparse elimination kernel serves ``rank``, ``kernel_basis``,
 row: denominators are cleared and the row is divided by its content.
 Elimination is fraction-free.  Pivot columns are taken in column
 order; among the rows that lead in a column, the shortest row with a
-unit pivot is preferred, which keeps entries and fill-in small on the
-sparse, small-entry coboundary matrices.  When vectors are needed,
-back-substitution yields the reduced row echelon form.  That form is
-unique, so kernel bases, solutions and inverses do not depend on the
-pivot rows chosen.
+unit pivot is preferred, which keeps entries and fill-in small.  When
+vectors are needed, back-substitution yields the reduced row echelon
+form.  That form is unique, so kernel bases, solutions and inverses do
+not depend on the pivot rows chosen.
 
-``cohomology_dims`` ranks each differential of a complex once and checks
-every composite of two consecutive differentials as a sparse product.
+``cohomology_dims`` checks every composite of two consecutive
+differentials as a sparse product and ranks each differential once,
+with clearing.  The columns of delta_{d-1} are eliminated as rows; the
+pivot coordinates J_{d-1} they lead in form a set onto which
+im delta_{d-1} projects isomorphically.  So every x in C^d is an element
+of im delta_{d-1} plus a vector that vanishes on J_{d-1}, and since
+delta_d * delta_{d-1} = 0, delta_d kills the first part: rank delta_d is
+the rank of its columns outside J_{d-1}.  Of those columns exactly
+dim H^d reduce to zero.  The coboundary matrices are sparse in the
+catalog bases, but not in a generic one: delta_2 of a random conjugate
+of the 4+4 pair has about 9300 of its 73216 entries nonzero; clearing
+keeps 147 of its 176 columns, and 7 of them reduce to zero instead of 36.
 """
 
 from __future__ import annotations
@@ -248,14 +257,25 @@ def _rref(rows) -> list[tuple[int, dict]]:
     return out
 
 
-def rank(m: Matrix) -> int:
+def rank(m: Matrix, clear=None, pivots=None) -> int:
     """Rank over the rationals.
 
-    Eliminates the rows of m or of its transpose, whichever are fewer:
-    fewer rows means fewer rows to reduce to zero, and on dense,
-    tall matrices less fill-in.
+    Called with m alone, eliminates the rows of m or of its transpose,
+    whichever are fewer: fewer rows means fewer rows to reduce to zero,
+    and on dense, tall matrices less fill-in.
+
+    With ``clear``, a set of column indices, returns the rank of the
+    columns of m not in ``clear``, found by eliminating those columns as
+    rows.  ``pivots``, a set, then receives the pivot coordinates (row
+    indices of m) of that elimination.
     """
-    return len(_echelon(m.entries if m.rows <= m.cols else zip(*m.entries)))
+    if clear is None:
+        return len(_echelon(m.entries if m.rows <= m.cols else zip(*m.entries)))
+    kept = (col for j, col in enumerate(zip(*m.entries)) if j not in clear)
+    echelon = _echelon(kept)
+    if pivots is not None:
+        pivots.update(c for c, _ in echelon)
+    return len(echelon)
 
 
 def kernel_dim(m: Matrix) -> int:
@@ -286,15 +306,18 @@ def cohomology_dims(delta, max_degree: int) -> list[int]:
     """dim H^0 .. dim H^max_degree of the complex with differentials delta(d).
 
     ``delta(d)`` is the matrix C^d -> C^{d+1}; H^d = dim ker delta(d) -
-    rank delta(d - 1).  Each differential is ranked once.  Raises
-    InputError on a negative degree, DimensionMismatch if the shapes do
-    not chain and NotAComplex if some delta(d) * delta(d - 1) != 0.
+    rank delta(d - 1).  Each differential is ranked once, after
+    delta(d) * delta(d - 1) = 0 has been checked, and its rank is taken
+    with the pivot coordinates of delta(d - 1) cleared (see the module
+    docstring).  Raises InputError on a negative degree,
+    DimensionMismatch if the shapes do not chain and NotAComplex if
+    some delta(d) * delta(d - 1) != 0.
     """
     if max_degree < 0:
         raise InputError(f"max_degree must be nonnegative, got {max_degree}",
                          field="max_degree")
     dims = []
-    prev, prev_rows, prev_rank = None, None, 0
+    prev, prev_rows, prev_rank, prev_pivots = None, None, 0, set()
     for d in range(max_degree + 1):
         m = delta(d)
         rows = _scaled_rows(m)
@@ -305,9 +328,10 @@ def cohomology_dims(delta, max_degree: int) -> list[int]:
                 )
             if not _product_is_zero(rows, prev_rows):
                 raise NotAComplex("d_out * d_in != 0")
-        r = rank(m)
+        pivots = set()
+        r = rank(m, prev_pivots, pivots)
         dims.append(m.cols - r - prev_rank)
-        prev, prev_rows, prev_rank = m, rows, r
+        prev, prev_rows, prev_rank, prev_pivots = m, rows, r, pivots
     return dims
 
 

@@ -372,3 +372,33 @@ def test_negative_max_degree_is_a_typed_error():
         mpl_cohomology_dims(mp, adjoint_representation(mp), -1)
     with pytest.raises(InputError):
         ce_cohomology_dims(aff1().adjoint(), -1)
+
+
+# -- clearing on whole complexes in a generic basis -------------------------
+
+
+def test_cleared_ranks_on_conjugated_complexes_to_the_top_degree():
+    """Conjugates make every δ dense, so clearing the previous pivots
+    leaves out a large share of the columns; the dims must not move."""
+    from mpla import bicrossed_product
+    from mpla.catalog import sl2
+
+    from helpers import bareiss_rank
+
+    rng = random.Random(61)
+    for mp in (mp_direct(sl2(), sl2()), mp_double()):
+        top = mp.dim_g + mp.dim_h
+        conj = conjugate_pair(mp, rand_invertible(rng, mp.dim_g),
+                              rand_invertible(rng, mp.dim_h))
+        big, conj_big = bicrossed_product(mp).adjoint(), bicrossed_product(conj).adjoint()
+        adj = adjoint_representation(conj)
+        for expected, got, matrices in (
+                (mpl_cohomology_dims(mp, adjoint_representation(mp), top),
+                 mpl_cohomology_dims(conj, adj, top),
+                 [delta_matrix(conj, adj, d) for d in range(top + 1)]),
+                (ce_cohomology_dims(big, top), ce_cohomology_dims(conj_big, top),
+                 [ce_matrix(conj_big, n) for n in range(top + 1)])):
+            ranks = [bareiss_rank(m) for m in matrices]
+            oracle = [m.cols - r - (ranks[d - 1] if d else 0)
+                      for d, (m, r) in enumerate(zip(matrices, ranks))]
+            assert got == expected == oracle

@@ -352,3 +352,44 @@ def test_cli_non_object_file_exits_2_naming_the_path(tmp_path, capsys, cli_files
                  for arg in argv]) == 2
     captured = capsys.readouterr()
     assert bad_path in captured.err and not captured.out
+
+
+def _skeletal_with(change):
+    from test_skeletal import zero_cross_pair
+
+    data = json.loads(json.dumps(jsonio.skeletal_pair_to_json(
+        zero_cross_pair(mp_double(), 1, 1))))
+    change(data)
+    return data
+
+
+# (verb, payload, field named in the error): indices must be JSON integers
+# in range for their block, and every block a list.
+BAD_INDICES = [
+    ("skeletal-validate", _skeletal_with(lambda d: d["rho2"].update(g0h0=5)), "rho2.g0h0"),
+    ("skeletal-validate", _skeletal_with(lambda d: d["rho2"].update(g0h0=[[-1, 0, 0, "1"]])),
+     "rho2.g0h0"),
+    ("skeletal-validate", _skeletal_with(lambda d: d["psi2"].update(h1g0=[[0, 0, 1, "1"]])),
+     "psi2.h1g0"),
+    ("skeletal-validate", _skeletal_with(lambda d: d.update(rho3=[[0, 1, 9, 0, "1"]])), "rho3"),
+    ("skeletal-validate", _skeletal_with(lambda d: d.update(psi3=[[0, 1, 0, -1, 1]])), "psi3"),
+    ("skeletal-validate", _skeletal_with(lambda d: d.update(psi3=5)), "psi3"),
+    ("skeletal-validate", _skeletal_with(lambda d: d["G"].update(bracket01=[[0, 9, 1, 1]])),
+     "bracket01"),
+    ("skeletal-correspond", _skeletal_with(lambda d: d["H"].update(mu1=[[1, 0, 1]])), "mu1"),
+    ("validate", {"dim": 2, "bracket": [[0, 1.9, 1, 1]]}, "bracket"),
+    ("validate", {"dim": 2, "bracket": [[0, True, 1, 1]]}, "bracket"),
+    ("validate", {"dim": 2, "bracket": [[0, "1", 1, 1]]}, "bracket"),
+    ("validate", {"dim": 2, "bracket": [[0, 1, 2, 1]]}, "bracket"),
+    ("validate", {"dim0": 2, "dim1": 1, "mu3": [[0, 1, 1, 0, 1]]}, "mu3"),
+]
+
+
+@pytest.mark.parametrize("verb,payload,field", BAD_INDICES,
+                         ids=[f"{verb}-{i}" for i, (verb, _, _) in enumerate(BAD_INDICES)])
+def test_cli_bad_index_exits_2_naming_path_and_field(tmp_path, capsys, verb, payload, field):
+    path = write(tmp_path, "bad.json", payload)
+    assert main([verb, path]) == 2
+    captured = capsys.readouterr()
+    assert path in captured.err and f"field={field})" in captured.err
+    assert not captured.out

@@ -12,7 +12,8 @@ from mpla.linalg import cohomology_dims, operator_matrix
 from mpla.scalars import LinearForm
 
 from helpers import (bareiss_rank, dense_invert, dense_kernel_basis,
-                     dense_mul_vec, dense_rref, dense_solve, rand_fraction)
+                     dense_mul_vec, dense_rref, dense_solve, rand_fraction,
+                     rand_invertible)
 
 
 def naive_rank(m: Matrix) -> int:
@@ -230,10 +231,74 @@ def test_cohomology_dims_ranks_each_delta_once_and_checks_squares(monkeypatch):
     mats = [Matrix.zero(1, 1), Matrix.from_rows([[1]]), Matrix.zero(1, 1)]
     ranked = []
     real_rank = linalg.rank
-    monkeypatch.setattr(linalg, "rank", lambda m: ranked.append(m) or real_rank(m))
+    monkeypatch.setattr(linalg, "rank",
+                        lambda m, *args: ranked.append(m) or real_rank(m, *args))
     assert cohomology_dims(mats.__getitem__, 2) == [1, 0, 0]
     assert [id(m) for m in ranked] == [id(m) for m in mats]
+    # δ_1 δ_0 != 0: δ_1 must not be ranked, since clearing δ_0's pivots
+    # is exact only on a complex
+    ranked.clear()
+    bad = [Matrix.identity(1), Matrix.identity(1)]
     with pytest.raises(NotAComplex):
-        cohomology_dims([Matrix.identity(1), Matrix.identity(1)].__getitem__, 1)
+        cohomology_dims(bad.__getitem__, 1)
+    assert [id(m) for m in ranked] == [id(bad[0])]
     with pytest.raises(InputError):
         cohomology_dims(mats.__getitem__, -1)
+
+
+# -- clearing: rank with the previous differential's pivots left out ---------
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_rank_of_kept_columns_and_their_pivots(m, data):
+    clear = set(data.draw(st.lists(st.integers(0, max(m.cols - 1, 0)), max_size=m.cols)))
+    kept = Matrix.from_columns([m.column(j) for j in range(m.cols) if j not in clear])
+    pivots = set()
+    r = rank(m, clear, pivots)
+    assert r == bareiss_rank(kept)
+    assert rank(m, set()) == rank(m) == bareiss_rank(m)
+    # the span of the kept columns projects isomorphically onto the pivots
+    assert len(pivots) == r and all(0 <= i < m.rows for i in pivots)
+    if r:
+        on_pivots = Matrix.from_rows([kept.entries[i] for i in sorted(pivots)])
+        assert bareiss_rank(on_pivots) == r
+
+
+def _known_complex(rng, lone, pieces):
+    """Differentials of a complex with H^d of dimension lone[d].
+
+    C^d is the direct sum of lone[d] copies of Q with zero differential
+    and of the pieces 0 -> Q -> Q -> 0 that start in degree d (pieces[d])
+    or end there (pieces[d - 1]); each piece maps by a random nonzero
+    scalar.  Every C^d is then conjugated by a random invertible matrix.
+    """
+    top = len(lone) - 1
+    dims = [lone[d] + pieces[d] + (pieces[d - 1] if d else 0) for d in range(top + 1)]
+    dims.append(0)
+    change = [rand_invertible(rng, n) for n in dims]
+    deltas = []
+    for d in range(top + 1):
+        m = Matrix.zero(dims[d + 1], dims[d])
+        for i in range(pieces[d]):
+            m.entries[lone[d + 1] + pieces[d + 1] + i][lone[d] + i] = \
+                rand_fraction(rng, 1, 4) * rng.choice((1, -1))
+        deltas.append(change[d + 1].mul(m).mul(invert(change[d])))
+    return deltas
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda top: st.tuples(
+    st.lists(st.integers(0, 3), min_size=top + 1, max_size=top + 1),
+    st.lists(st.integers(0, 3), min_size=top + 1, max_size=top + 1))),
+    st.integers(0, 2**32))
+def test_cohomology_dims_of_complexes_with_known_cohomology(shape, seed):
+    lone, pieces = shape
+    pieces = pieces[:-1] + [0]        # nothing leaves the top degree
+    deltas = _known_complex(random.Random(seed), lone, pieces)
+    top = len(lone) - 1
+    assert cohomology_dims(deltas.__getitem__, top) == lone
+    ranks = [bareiss_rank(m) for m in deltas]
+    assert ranks == pieces
+    assert lone == [deltas[d].cols - ranks[d] - (ranks[d - 1] if d else 0)
+                    for d in range(top + 1)]
