@@ -25,7 +25,7 @@ from .lie import LieAlgebra
 from .linalg import Matrix
 from .matched import MatchedPair, MPMorphism, check_morphism, validate_matched_pair
 from .report import ValidationReport
-from .reps import MPRepresentation, adjoint_representation, assemble_semidirect
+from .reps import MPRepresentation, adjoint_representation, semidirect_tensors
 from .scalars import DualNumber, vaccum, vbasis, vis_zero, vneg, vzero
 
 
@@ -327,32 +327,32 @@ def cocycle_to_extension(mp: MatchedPair, rep: MPRepresentation,
     p, q = rep.dims
     f1, f2 = F.component(1), F.component(2)
 
-    total = assemble_semidirect(rep)
+    big_g, big_h, big_rho, big_psi = semidirect_tensors(rep)
     # graft the cocycle blocks onto the semidirect skeleton
     for i in range(m):
         for j in range(i + 1, m):
             vec = f1.part_v.get(((i, j), ()))
             if vec is not None:
                 for u, c in enumerate(vec):
-                    total.g.c[i][j][m + u] += c
-                    total.g.c[j][i][m + u] -= c
+                    big_g[i][j][m + u] += c
+                    big_g[j][i][m + u] -= c
         for a in range(n):
             vec = f1.part_w.get(((i,), (a,)))
             if vec is not None:
                 for w, c in enumerate(vec):
-                    total.rho[i][a][n + w] += c
+                    big_rho[i][a][n + w] += c
             vec = f2.part_v.get(((i,), (a,)))
             if vec is not None:
                 for u, c in enumerate(vec):
-                    total.psi[a][i][m + u] -= c
+                    big_psi[a][i][m + u] -= c
     for a in range(n):
         for b in range(a + 1, n):
             vec = f2.part_w.get(((), (a, b)))
             if vec is not None:
                 for w, c in enumerate(vec):
-                    total.h.c[a][b][n + w] += c
-                    total.h.c[b][a][n + w] -= c
-    total._valid = None
+                    big_h[a][b][n + w] += c
+                    big_h[b][a][n + w] -= c
+    total = MatchedPair(LieAlgebra(m + p, big_g), LieAlgebra(n + q, big_h), big_rho, big_psi)
     total.require_valid()
     return AbelianExtension(total, mp, rep, (m, p, n, q))
 

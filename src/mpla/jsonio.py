@@ -65,7 +65,9 @@ def _expect(data, field, kind, path):
     if field not in data:
         _fail(f"missing field {field!r}", path, field)
     value = data[field]
-    if kind is not None and not isinstance(value, kind):
+    # a JSON true or false is a Python bool, which is also an int
+    if kind is not None and (not isinstance(value, kind)
+                             or kind is int and isinstance(value, bool)):
         _fail(f"field {field!r} has the wrong type", path, field)
     return value
 
@@ -73,6 +75,20 @@ def _expect(data, field, kind, path):
 def _sparse_entries(data, field, bounds, path):
     """The list ``data[field]`` read by ``_entries``."""
     return _entries(_expect(data, field, None, path), field, bounds, path)
+
+
+def _check_index(x, bound, row, field, path):
+    """Fail unless the index x of the entry row is a JSON integer in 0..bound-1."""
+    if type(x) is not int or not 0 <= x < bound:
+        _fail(f"bad entry {row!r}: index {x!r} is not an integer "
+              f"in 0..{bound - 1}", path, field)
+
+
+def _coefficient(value, row, field, path):
+    try:
+        return parse_rational(value)
+    except (MplaError, TypeError, ValueError) as exc:
+        _fail(f"bad entry {row!r}: {exc}", path, field)
 
 
 def _entries(rows, field, bounds, path):
@@ -87,14 +103,8 @@ def _entries(rows, field, bounds, path):
             _fail(f"entry {row!r} must be [indices..., coefficient]", path, field)
         idx = tuple(row[:n_indices])
         for x, bound in zip(idx, bounds):
-            if type(x) is not int or not 0 <= x < bound:
-                _fail(f"bad entry {row!r}: index {x!r} is not an integer "
-                      f"in 0..{bound - 1}", path, field)
-        try:
-            coeff = parse_rational(row[n_indices])
-        except (MplaError, TypeError, ValueError) as exc:
-            _fail(f"bad entry {row!r}: {exc}", path, field)
-        out.append((idx, coeff))
+            _check_index(x, bound, row, field, path)
+        out.append((idx, _coefficient(row[n_indices], row, field, path)))
     return out
 
 
@@ -195,7 +205,7 @@ def mp_representation_from_json(data, base: MatchedPair, path=None) -> MPReprese
     from .reps import MPRepresentation
 
     dims = _expect(data, "dims", list, path)
-    if len(dims) != 2 or not all(isinstance(x, int) for x in dims):
+    if len(dims) != 2 or not all(type(x) is int for x in dims):
         _fail("dims must be [p, q]", path, "dims")
     p, q = dims
 
@@ -265,24 +275,30 @@ def cochain_from_json(data, mp_dims, rep_dims, path=None) -> MPCochain:
         if not 1 <= r <= degree:
             _fail(f"component index {r} out of range", path, "components")
         part = F.component(r)
-        for field, table, codim in (("part_V", part.part_v, p), ("part_W", part.part_w, q)):
+        # part_V keys have degree - r + 1 g-indices and r - 1 h-indices,
+        # part_W keys one g-index fewer and one h-index more
+        k = degree - r
+        for field, table, codim, sizes in (("part_V", part.part_v, p, (k + 1, r - 1)),
+                                           ("part_W", part.part_w, q, (k, r))):
             for row in _expect(comp, field, list, path) if field in comp else []:
                 if not isinstance(row, list) or len(row) != 4:
                     _fail(f"entry {row!r} must be [gtuple, htuple, idx, coeff]",
                           path, field)
                 gi, hj, idx, coeff = row
-                try:
-                    gi = tuple(int(x) for x in gi)
-                    hj = tuple(int(x) for x in hj)
-                    idx = int(idx)
-                    coeff = parse_rational(coeff)
-                except (MplaError, TypeError, ValueError) as exc:
-                    _fail(f"bad entry {row!r}: {exc}", path, field)
-                if not 0 <= idx < codim:
-                    _fail(f"coefficient index {idx} out of range", path, field)
-                vec = table.setdefault((gi, hj), vzero(codim))
+                for tup, bound, size in ((gi, m, sizes[0]), (hj, n, sizes[1])):
+                    if not isinstance(tup, list) or len(tup) != size:
+                        _fail(f"bad entry {row!r}: {tup!r} is not a list of "
+                              f"{size} indices", path, field)
+                    for x in tup:
+                        _check_index(x, bound, row, field, path)
+                    if any(a >= b for a, b in zip(tup, tup[1:])):
+                        _fail(f"bad entry {row!r}: indices {tup!r} are not "
+                              f"strictly increasing", path, field)
+                _check_index(idx, codim, row, field, path)
+                coeff = _coefficient(coeff, row, field, path)
+                vec = table.setdefault((tuple(gi), tuple(hj)), vzero(codim))
                 vec[idx] = vec[idx] + coeff
-    # renormalize: the constructor validates key shapes and drops zero vectors
+    # renormalize: the constructor drops the vectors whose entries cancelled
     components = [
         BidegreeMap(degree - r, r - 1, m, n, p, q,
                     part_v=F.components[r - 1].part_v,
@@ -556,7 +572,7 @@ def extension_from_json(data, path=None) -> AbelianExtension:
     total = matched_pair_from_json(_expect(data, "total", dict, path), path)
     base = matched_pair_from_json(_expect(data, "base", dict, path), path)
     split = _expect(data, "split", list, path)
-    if len(split) != 4 or not all(isinstance(x, int) for x in split):
+    if len(split) != 4 or not all(type(x) is int for x in split):
         _fail("split must be [m, p, n, q]", path, "split")
     rep = mp_representation_from_json(_expect(data, "rep", dict, path), base, path)
     return AbelianExtension(total, base, rep, tuple(split))

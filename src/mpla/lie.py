@@ -3,7 +3,8 @@
 Conventions:
   * a LieAlgebra of dimension m stores c[i][j] = coefficient vector of
     [e_i, e_j]; skewness and the Jacobi identity are checked by
-    ``validate_lie_algebra`` and cached on the object;
+    ``validate_lie_algebra``, whose report is kept on the object (values
+    are immutable after construction, so each object is checked once);
   * a LieRep stores a[i][p] = coefficient vector of the action of e_i on
     the p-th basis vector of the module;
   * the coboundary on Hom(Lambda^n g, V) is
@@ -47,7 +48,7 @@ def _dense_tensor(dim, codim, pairs, skew: bool, what: str):
 class LieAlgebra:
     """Finite-dimensional Lie algebra given by structure constants."""
 
-    __slots__ = ("dim", "c", "_valid")
+    __slots__ = ("dim", "c", "_report")
 
     def __init__(self, dim: int, c):
         self.dim = dim
@@ -58,7 +59,7 @@ class LieAlgebra:
             for v in row:
                 if len(v) != dim:
                     raise MalformedTensor("bracket value has wrong length")
-        self._valid = None
+        self._report = None
 
     @classmethod
     def from_brackets(cls, dim: int, brackets=None) -> "LieAlgebra":
@@ -96,12 +97,10 @@ class LieAlgebra:
 
     @property
     def is_validated(self):
-        return self._valid
+        return None if self._report is None else self._report.ok
 
     def require_valid(self):
-        if self._valid is None:
-            self._valid = validate_lie_algebra(self).ok
-        if not self._valid:
+        if not validate_lie_algebra(self).ok:
             from .errors import InvalidInput
 
             raise InvalidInput("Lie algebra fails validation")
@@ -115,7 +114,7 @@ class LieAlgebra:
 class LieRep:
     """Representation of a LieAlgebra on a coefficient space."""
 
-    __slots__ = ("algebra", "space_dim", "a", "_valid")
+    __slots__ = ("algebra", "space_dim", "a", "_report")
 
     def __init__(self, algebra: LieAlgebra, space_dim: int, a):
         self.algebra = algebra
@@ -127,7 +126,7 @@ class LieRep:
             for v in row:
                 if len(v) != space_dim:
                     raise MalformedTensor("action value has wrong length")
-        self._valid = None
+        self._report = None
 
     @classmethod
     def zero(cls, algebra: LieAlgebra, space_dim: int) -> "LieRep":
@@ -162,16 +161,19 @@ class LieRep:
         return Matrix.from_columns([self.a[i][p] for p in range(self.space_dim)])
 
     def require_valid(self):
-        if self._valid is None:
-            self._valid = validate_representation(self).ok
-        if not self._valid:
+        if not validate_representation(self).ok:
             from .errors import InvalidInput
 
             raise InvalidInput("representation fails validation")
 
 
 def validate_lie_algebra(g: LieAlgebra) -> ValidationReport:
-    """Check skewness and the Jacobi identity, with basis-triple witnesses."""
+    """Check skewness and the Jacobi identity, with basis-triple witnesses.
+
+    The report is computed once per algebra and kept on it.
+    """
+    if g._report is not None:
+        return g._report
     report = ValidationReport("lie algebra")
     skew = report.new_check("skew-symmetry")
     for i in range(g.dim):
@@ -186,12 +188,17 @@ def validate_lie_algebra(g: LieAlgebra) -> ValidationReport:
         vaccum(residual, 1, g.bracket_vec(g.c[k][i], vbasis(g.dim, j)))
         if not vis_zero(residual):
             jacobi.add((i, j, k), residual)
-    g._valid = report.ok
+    g._report = report
     return report
 
 
 def validate_representation(r: LieRep) -> ValidationReport:
-    """Check the action law rho_{[x,y]} = rho_x rho_y - rho_y rho_x."""
+    """Check the action law rho_{[x,y]} = rho_x rho_y - rho_y rho_x.
+
+    The report is computed once per representation and kept on it.
+    """
+    if r._report is not None:
+        return r._report
     report = ValidationReport("representation")
     law = report.new_check("action law")
     g = r.algebra
@@ -206,7 +213,7 @@ def validate_representation(r: LieRep) -> ValidationReport:
                 residual = [a - b for a, b in zip(lhs, rhs)]
                 if not vis_zero(residual):
                     law.add((i, j, p), residual)
-    r._valid = report.ok
+    r._report = report
     return report
 
 

@@ -101,17 +101,11 @@ class Matrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         out = Matrix(self.rows, other.cols)
-        for i in range(self.rows):
-            row = self.entries[i]
-            for k in range(self.cols):
-                a = row[k]
-                if not a:
-                    continue
-                other_row = other.entries[k]
-                out_row = out.entries[i]
-                for j in range(other.cols):
-                    if other_row[j]:
-                        out_row[j] += a * other_row[j]
+        other_rows = [_nonzeros(row) for row in other.entries]
+        for row, out_row in zip(self.entries, out.entries):
+            for k, a in _nonzeros(row):
+                for j, b in other_rows[k]:
+                    out_row[j] += a * b
         return out
 
     def mul_vec(self, v):
@@ -129,7 +123,7 @@ class Matrix:
         return out
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.entries for x in row)
+        return all(x is _ZERO or not x for row in self.entries for x in row)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

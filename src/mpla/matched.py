@@ -43,7 +43,7 @@ def _action_tensor(dim_act, dim_space, data, what):
 class MatchedPair:
     """Two Lie algebras with mutual actions; constructible unvalidated."""
 
-    __slots__ = ("g", "h", "rho", "psi", "_valid")
+    __slots__ = ("g", "h", "rho", "psi", "_report", "_bicrossed")
 
     def __init__(self, g: LieAlgebra, h: LieAlgebra, rho, psi):
         self.g = g
@@ -62,7 +62,8 @@ class MatchedPair:
             for v in row:
                 if len(v) != g.dim:
                     raise MalformedTensor("psi value has wrong length")
-        self._valid = None
+        self._report = None
+        self._bicrossed = None
 
     @classmethod
     def from_sparse(cls, g: LieAlgebra, h: LieAlgebra, rho=None, psi=None):
@@ -116,12 +117,10 @@ class MatchedPair:
 
     @property
     def is_validated(self):
-        return self._valid
+        return None if self._report is None else self._report.ok
 
     def require_valid(self):
-        if self._valid is None:
-            self._valid = validate_matched_pair(self).ok
-        if not self._valid:
+        if not validate_matched_pair(self).ok:
             raise InvalidInput("matched pair fails validation")
 
     def __eq__(self, other):
@@ -134,7 +133,13 @@ class MatchedPair:
 
 
 def validate_matched_pair(mp: MatchedPair) -> ValidationReport:
-    """Full axiom check with witnesses, grouped as in the module docstring."""
+    """Full axiom check with witnesses, grouped as in the module docstring.
+
+    The report is computed once per pair and kept on it; the Jacobi groups
+    reuse the reports kept on g and h.
+    """
+    if mp._report is not None:
+        return mp._report
     report = ValidationReport("matched pair")
     m, n = mp.dim_g, mp.dim_h
 
@@ -176,7 +181,7 @@ def validate_matched_pair(mp: MatchedPair) -> ValidationReport:
             if not vis_zero(residual):
                 compat_22.add((a, i, j), residual)
 
-    mp._valid = report.ok
+    mp._report = report
     return report
 
 
@@ -185,8 +190,11 @@ def bicrossed_product(mp: MatchedPair) -> LieAlgebra:
 
     [(x,h),(y,k)] = ([x,y] + psi_h y - psi_k x, [h,k] + rho_x k - rho_y h),
 
-    in the ordered basis g first, then h.
+    in the ordered basis g first, then h.  Built and validated once per
+    pair; later calls return the same algebra.
     """
+    if mp._bicrossed is not None:
+        return mp._bicrossed
     mp.require_valid()
     m, n = mp.dim_g, mp.dim_h
     dim = m + n
@@ -207,6 +215,7 @@ def bicrossed_product(mp: MatchedPair) -> LieAlgebra:
             put(m + a, m + b, vzero(m), mp.h.c[a][b])
     out = LieAlgebra(dim, c)
     out.require_valid()
+    mp._bicrossed = out
     return out
 
 

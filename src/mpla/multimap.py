@@ -158,7 +158,13 @@ class SkewMultiMap:
 
 
 def insertion(f: SkewMultiMap, g: SkewMultiMap) -> SkewMultiMap:
-    """i_f g: plug f into the first slot of g, summed over shuffles."""
+    """i_f g: plug f into the first slot of g, summed over shuffles.
+
+    Runs over the support of f.  A key ``sub`` of f and a ``tail`` of
+    g.arity - 1 other indices meet in the output key sorted(sub + tail),
+    and the shuffle that splits that key into sub and tail has the sign
+    of sorting sub + tail.  Output keys are stored in increasing order.
+    """
     if f.dim != g.dim:
         raise SpaceMismatch("insertion requires maps on the same space")
     if f.codim != g.dim:
@@ -166,21 +172,18 @@ def insertion(f: SkewMultiMap, g: SkewMultiMap) -> SkewMultiMap:
     out_arity = f.arity + g.arity - 1
     if g.arity == 0 or out_arity < 0:
         return SkewMultiMap.zero(max(out_arity, 0), f.dim, g.codim)
-    coeffs = {}
-    for key in combinations(range(f.dim), out_arity):
-        acc = vzero(g.codim)
-        for first, rest, sgn in shuffles(f.arity, g.arity - 1):
-            sub = tuple(key[i] for i in first)
-            vec = f.coeffs.get(sub)
-            if vec is None:
-                continue
-            tail = tuple(key[i] for i in rest)
+    acc = {}
+    for sub, vec in f.coeffs.items():
+        others = [i for i in range(f.dim) if i not in sub]
+        for tail in combinations(others, g.arity - 1):
+            sgn, key = sort_sign(sub + tail)
+            out = acc.get(key)
+            if out is None:
+                out = acc[key] = vzero(g.codim)
             for k, ck in enumerate(vec):
                 if ck:
-                    vaccum(acc, sgn * ck, g.evaluate((k,) + tail))
-        if not vis_zero(acc):
-            coeffs[key] = acc
-    return SkewMultiMap(out_arity, f.dim, g.codim, coeffs)
+                    vaccum(out, sgn * ck, g.evaluate((k,) + tail))
+    return SkewMultiMap(out_arity, f.dim, g.codim, {key: acc[key] for key in sorted(acc)})
 
 
 def nr_bracket(f: SkewMultiMap, g: SkewMultiMap) -> SkewMultiMap:

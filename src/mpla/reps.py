@@ -38,7 +38,7 @@ class MPRepresentation:
     """Representation data of a matched pair on a pair of spaces (V, W)."""
 
     __slots__ = ("base", "dim_v", "dim_w", "rho_v", "psi_v", "rho_w", "psi_w",
-                 "alpha", "beta", "_valid")
+                 "alpha", "beta", "_report")
 
     def __init__(self, base: MatchedPair, dim_v: int, dim_w: int,
                  rho_v, psi_v, rho_w, psi_w, alpha, beta):
@@ -63,7 +63,7 @@ class MPRepresentation:
         self.psi_w = dense(psi_w, n, dim_w, dim_w, "psi_W")
         self.alpha = dense(alpha, dim_v, n, dim_w, "alpha")
         self.beta = dense(beta, dim_w, m, dim_v, "beta")
-        self._valid = None
+        self._report = None
 
     @classmethod
     def from_sparse(cls, base, dims, rho_v=None, psi_v=None, rho_w=None,
@@ -160,9 +160,7 @@ class MPRepresentation:
         return LieRep(self.base.h, self.dim_w, self.psi_w)
 
     def require_valid(self):
-        if self._valid is None:
-            self._valid = validate_mp_representation(self).ok
-        if not self._valid:
+        if not validate_mp_representation(self).ok:
             raise InvalidInput("matched-pair representation fails validation")
 
     def tensors_equal(self, other: "MPRepresentation") -> bool:
@@ -184,7 +182,12 @@ def adjoint_representation(mp: MatchedPair) -> MPRepresentation:
 
 
 def validate_mp_representation(r: MPRepresentation) -> ValidationReport:
-    """Four action laws plus the six pairing identities, with witnesses."""
+    """Four action laws plus the six pairing identities, with witnesses.
+
+    The report is computed once per representation and kept on it.
+    """
+    if r._report is not None:
+        return r._report
     mp = r.base
     m, n = mp.dim_g, mp.dim_h
     p, q = r.dims
@@ -286,12 +289,13 @@ def validate_mp_representation(r: MPRepresentation) -> ValidationReport:
                 if not vis_zero(res):
                     check.add((w, i, j), res)
 
-    r._valid = report.ok
+    r._report = report
     return report
 
 
-def assemble_semidirect(r: MPRepresentation) -> MatchedPair:
-    """The semidirect quadruple on (g + V, h + W); no validity assumed.
+def semidirect_tensors(r: MPRepresentation):
+    """(bracket of g + V, bracket of h + W, action rho, action psi) of the
+    semidirect quadruple, as fresh dense tensors.
 
     Brackets: [(x,u),(y,v)] = ([x,y], rho_V(x)v - rho_V(y)u) and its h + W
     mirror; actions:
@@ -336,9 +340,14 @@ def assemble_semidirect(r: MPRepresentation) -> MatchedPair:
     for w in range(q):
         for i in range(m):
             big_psi[n + w][i] = vzero(m) + list(r.beta[w][i])
+    return big_g, big_h, big_rho, big_psi
 
+
+def assemble_semidirect(r: MPRepresentation) -> MatchedPair:
+    """The semidirect quadruple on (g + V, h + W); no validity assumed."""
+    big_g, big_h, big_rho, big_psi = semidirect_tensors(r)
     return MatchedPair(
-        LieAlgebra(m + p, big_g), LieAlgebra(n + q, big_h), big_rho, big_psi
+        LieAlgebra(len(big_g), big_g), LieAlgebra(len(big_h), big_h), big_rho, big_psi
     )
 
 

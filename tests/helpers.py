@@ -195,6 +195,12 @@ def dense_mul_vec(m, v):
             for i in range(m.rows)]
 
 
+def dense_mul(a, b):
+    """a times b as a list of rows, by the triple loop over every entry."""
+    return [[sum((a.entries[i][k] * b.entries[k][j] for k in range(a.cols)), Fraction(0))
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
 def dense_invert(m):
     """The inverse as a list of rows, or None if m is singular."""
     n = m.rows
@@ -268,3 +274,27 @@ def percolumn_liebi_matrix(b, degree):
     if not columns:
         return Matrix.zero(n_rows, 0)
     return Matrix.from_columns(columns)
+
+
+def shuffle_insertion(f, g):
+    """i_f g by its defining sum: every increasing output key, split by every
+    (f.arity, g.arity - 1)-shuffle into a key of f and a tail for g."""
+    from mpla.multimap import shuffles
+    from mpla.scalars import vaccum, vzero
+
+    out_arity = f.arity + g.arity - 1
+    if g.arity == 0 or out_arity < 0:
+        return SkewMultiMap.zero(max(out_arity, 0), f.dim, g.codim)
+    coeffs = {}
+    for key in combinations(range(f.dim), out_arity):
+        acc = vzero(g.codim)
+        for first, rest, sgn in shuffles(f.arity, g.arity - 1):
+            vec = f.coeffs.get(tuple(key[i] for i in first))
+            if vec is None:
+                continue
+            tail = tuple(key[i] for i in rest)
+            for k, ck in enumerate(vec):
+                if ck:
+                    vaccum(acc, sgn * ck, g.evaluate((k,) + tail))
+        coeffs[key] = acc
+    return SkewMultiMap(out_arity, f.dim, g.codim, coeffs)

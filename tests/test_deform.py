@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from mpla import (DeformationCandidate, Matrix, NotACocycle, NotASection,
+from mpla import (DeformationCandidate, LieAlgebra, MatchedPair, Matrix,
+                  NotACocycle, NotASection,
                   adjoint_representation, candidate_to_cochain,
                   canonical_sections, coadjoint_representation,
                   cochain_from_coords, cochain_to_candidate,
@@ -138,6 +139,26 @@ def test_extension_round_trip_on_kernel_basis():
             ext = cocycle_to_extension(mp, rep, F)
             assert validate_extension(ext).ok, name
             assert extension_to_cocycle(ext, "canonical") == F, name
+
+
+def test_extensions_leave_the_validated_base_unchanged():
+    for name, mp, rep in extension_cases():
+        mp.require_valid()
+        rep.require_valid()
+        reports = (mp._report, mp.g._report, mp.h._report, rep._report)
+        base = MatchedPair(LieAlgebra(mp.dim_g, mp.g.c), LieAlgebra(mp.dim_h, mp.h.c),
+                           mp.rho, mp.psi)
+        coefficients = MPRepresentation(base, *rep.dims, rep.rho_v, rep.psi_v, rep.rho_w,
+                                        rep.psi_w, rep.alpha, rep.beta)
+        dims = (mp.dim_g, mp.dim_h)
+        for vec in kernel_basis(delta_matrix(mp, rep, 2)):
+            F = cochain_from_coords(dims, rep.dims, 2, vec)
+            ext = cocycle_to_extension(mp, rep, F)
+            assert validate_extension(ext).ok, name
+            assert extension_to_cocycle(ext) == F, name
+            assert mp == base and rep.tensors_equal(coefficients), name
+            kept = (mp._report, mp.g._report, mp.h._report, rep._report)
+            assert all(now is before for now, before in zip(kept, reports)), name
 
 
 def test_split_extension_is_semidirect():

@@ -393,3 +393,49 @@ def test_cli_bad_index_exits_2_naming_path_and_field(tmp_path, capsys, verb, pay
     captured = capsys.readouterr()
     assert path in captured.err and f"field={field})" in captured.err
     assert not captured.out
+
+
+# (argv, payload, field): a JSON true is a bool, not a count
+BOOL_COUNTS = [
+    (["validate", "BAD", "--as", "lie"], {"dim": True, "bracket": []}, "dim"),
+    (["validate", "BAD"], {"dim0": True, "dim1": 1}, "dim0"),
+    (["skeletal-validate", "BAD"], {"dim0": 1, "dim1": True}, "dim1"),
+    (["validate", "BAD", "--as", "rep", "--algebra", "aff1.json"],
+     {"space_dim": True, "action": []}, "space_dim"),
+    (["extend", "mp.json", "BAD"], {"degree": True, "components": []}, "degree"),
+    (["extend", "mp.json", "BAD"],
+     {"degree": 2, "components": [{"r": True, "part_V": [], "part_W": []}]}, "r"),
+]
+
+
+@pytest.mark.parametrize("argv,payload,field", BOOL_COUNTS,
+                         ids=[field for _, _, field in BOOL_COUNTS])
+def test_cli_json_true_is_not_a_count(tmp_path, capsys, cli_files, argv, payload, field):
+    path = write(tmp_path, "bad.json", payload)
+    assert main([path if arg == "BAD" else cli_files.get(arg, arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert path in captured.err and f"field={field})" in captured.err
+    assert not captured.out
+
+
+# Changes to the entry [[0, 1], [], 1, -1] of the closed cochain in cli_files:
+# indices must be JSON integers in range, and each index tuple increasing.
+BAD_COCHAIN_ENTRIES = {
+    "float-and-true": lambda part: part.__setitem__(0, [[0.9, 1.9], [], True, -1]),
+    "decreasing": lambda part: part.append([[1, 0], [], 0, 5]),
+    "out-of-range": lambda part: part.__setitem__(0, [[0, 9], [], 1, -1]),
+}
+
+
+@pytest.mark.parametrize("change", BAD_COCHAIN_ENTRIES.values(), ids=BAD_COCHAIN_ENTRIES)
+def test_cli_extend_rejects_misread_cochain_indices(tmp_path, capsys, cli_files, change):
+    with open(cli_files["cocycle.json"], encoding="utf-8") as handle:
+        data = json.load(handle)
+    part = data["components"][0]["part_V"]
+    assert part[0] == [[0, 1], [], 1, -1]
+    change(part)
+    path = write(tmp_path, "bad.json", data)
+    assert main(["extend", cli_files["mp.json"], path]) == 2
+    captured = capsys.readouterr()
+    assert path in captured.err and "field=part_V)" in captured.err
+    assert not captured.out

@@ -11,7 +11,7 @@ from mpla import (DimensionMismatch, InputError, Matrix, NotAComplex,
 from mpla.linalg import cohomology_dims, operator_matrix
 from mpla.scalars import LinearForm
 
-from helpers import (bareiss_rank, dense_invert, dense_kernel_basis,
+from helpers import (bareiss_rank, dense_invert, dense_kernel_basis, dense_mul,
                      dense_mul_vec, dense_rref, dense_solve, rand_fraction,
                      rand_invertible)
 
@@ -192,6 +192,21 @@ def test_mul_vec_matches_dense_formula(m, data):
     assert all(type(x) is Fraction for x in got)
     with pytest.raises(DimensionMismatch):
         m.mul_vec(v + [1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), st.data())
+def test_mul_matches_dense_triple_loop(a, data):
+    cols = data.draw(st.integers(0, 6))
+    b = Matrix(a.cols, cols, [[data.draw(ENTRIES) for _ in range(cols)]
+                              for _ in range(a.cols)])
+    got = a.mul(b)
+    expected = dense_mul(a, b)
+    assert (got.rows, got.cols) == (a.rows, cols) and got.entries == expected
+    assert all(type(x) is Fraction for row in got.entries for x in row)
+    assert got.is_zero() == all(not x for row in expected for x in row)
+    with pytest.raises(DimensionMismatch):
+        a.mul(Matrix(a.cols + 1, cols))
 
 
 @settings(max_examples=150, deadline=None)

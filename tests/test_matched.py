@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -10,8 +11,8 @@ from mpla import (InvalidInput, LieAlgebra, LieBialgebra, MatchedPair, Matrix,
                   validate_bialgebra, validate_lie_algebra,
                   validate_matched_pair)
 from mpla.catalog import (aff1, bialgebra_aff1, heisenberg3, mp_a,
-                          mp_action_pair, mp_derivation_heisenberg, mp_double,
-                          standard_fixtures)
+                          mp_action_pair, mp_derivation_heisenberg, mp_direct,
+                          mp_double, sl2, standard_fixtures)
 
 from helpers import rand_lie_candidate, rand_mp_candidate
 
@@ -74,6 +75,47 @@ def test_bicrossed_requires_validity():
     )
     with pytest.raises(InvalidInput):
         bicrossed_product(bad)
+
+
+def test_bicrossed_product_is_built_once_per_pair():
+    for name, mp in standard_fixtures():
+        big = bicrossed_product(mp)
+        assert bicrossed_product(mp) is big, name
+        assert big.is_validated is True and mp.is_validated is True, name
+
+
+def test_each_structure_is_validated_once(monkeypatch):
+    calls = []
+    original = LieAlgebra.bracket_vec
+    monkeypatch.setattr(LieAlgebra, "bracket_vec",
+                        lambda self, u, v: calls.append(self) or original(self, u, v))
+    mp = mp_direct(sl2(), sl2())
+    m, n = mp.dim_g, mp.dim_h
+    jacobi = 3 * comb(m, 3) + 3 * comb(n, 3)
+    compat = 2 * m * comb(n, 2) + 2 * n * comb(m, 2)   # compat(11) and compat(22)
+    assert mp.is_validated is None
+    report = validate_matched_pair(mp)
+    assert report.ok and len(calls) == jacobi + compat
+    assert validate_matched_pair(mp) is report
+    mp.require_valid()
+    assert len(calls) == jacobi + compat
+    # a second pair on the same algebras reuses their reports
+    twin = MatchedPair(mp.g, mp.h, mp.rho, mp.psi)
+    assert validate_matched_pair(twin).ok
+    assert len(calls) == jacobi + 2 * compat
+
+
+def test_invalid_pair_raises_on_every_call():
+    bad = MatchedPair.from_sparse(
+        aff1(), LieAlgebra.abelian(1), rho={(0, 0): [1], (1, 0): [1]}
+    )
+    for _ in range(2):
+        with pytest.raises(InvalidInput):
+            bad.require_valid()
+        with pytest.raises(InvalidInput):
+            bicrossed_product(bad)
+        assert bad.is_validated is False
+        assert not validate_matched_pair(bad).ok
 
 
 def test_bicrossed_jacobi_tracks_validity():

@@ -1,11 +1,16 @@
 import random
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpla import SkewMultiMap, SpaceMismatch, nr_bracket
 from mpla.multimap import insertion, shuffles, sort_sign
+from mpla.scalars import LinearForm
 
-from helpers import rand_lie_candidate, rand_skew_map
+from helpers import rand_lie_candidate, rand_skew_map, shuffle_insertion
 
 
 def test_sort_sign():
@@ -92,3 +97,43 @@ def test_space_mismatch():
     g = rand_skew_map(random.Random(6), 2, 2)
     with pytest.raises(SpaceMismatch):
         nr_bracket(f, g)
+
+
+# -- insertion over the support of f, against the shuffle sum ----------------
+
+SCALARS = st.sampled_from([0, 0, 1, -1, 2, Fraction(-1, 2), Fraction(3, 5)])
+FORMS = st.dictionaries(st.integers(0, 3), st.sampled_from([1, -1, 2, Fraction(1, 3)]),
+                        max_size=2).map(LinearForm)
+
+
+@st.composite
+def skew_maps(draw, arity, dim, codim, linear):
+    """A map whose support is every key (dense) or a few keys in random order."""
+    keys = list(combinations(range(dim), arity))
+    if keys and not draw(st.booleans()):
+        keys = draw(st.lists(st.sampled_from(keys), unique=True, max_size=3))
+    else:
+        keys = draw(st.permutations(keys))
+    values = FORMS if linear else SCALARS
+    return SkewMultiMap(arity, dim, codim,
+                        {key: [draw(values) for _ in range(codim)] for key in keys})
+
+
+def _plain(m):
+    """The coefficients of m with each linear form replaced by its terms."""
+    return {key: [x.terms if isinstance(x, LinearForm) else x for x in vec]
+            for key, vec in m.coeffs.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_insertion_matches_shuffle_sum(data):
+    dim = data.draw(st.integers(1, 4))
+    f_arity, g_arity = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    linear = data.draw(st.sampled_from(["f", "g", None]))
+    f = data.draw(skew_maps(f_arity, dim, dim, linear == "f"))
+    g = data.draw(skew_maps(g_arity, dim, data.draw(st.integers(1, 3)), linear == "g"))
+    got, expected = insertion(f, g), shuffle_insertion(f, g)
+    assert (got.arity, got.dim, got.codim) == (expected.arity, expected.dim, expected.codim)
+    assert _plain(got) == _plain(expected)
+    assert list(got.coeffs) == list(expected.coeffs)
