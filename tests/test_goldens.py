@@ -1,8 +1,12 @@
-"""Stdout of the demos and of ``mpla cohomology``, byte for byte.
+"""Stdout of the demos, of ``mpla cohomology`` and of failing
+``mpla validate`` reports, byte for byte.
 
-The files under ``tests/data/goldens`` were written by the code before the
-elimination kernel learned to clear pivots; any change to how ranks are
-computed must leave every printed byte as it was.
+The demo and cohomology files under ``tests/data/goldens`` were written by
+the code before the elimination kernel learned to clear pivots; any change
+to how ranks are computed must leave every printed byte as it was.  The
+witness files were written before the mirrored axiom groups were derived
+from their twins on the flipped structure: every group, witness key and
+residual must come out as it did.
 """
 
 import os
@@ -34,16 +38,48 @@ CASES += [
 ]
 
 
+# failing reports (exit 1): a pair failing compat(11) and compat(22), an
+# mp-rep failing all six pairing groups, and a coherent skeletal pair
+# failing every mixed and cubic group
+WITNESS_INPUTS = [
+    ("pair", ["witness_pair.json"]),
+    ("rep", ["witness_rep.json", "--as", "mp-rep",
+             "--base", str(DATA / "witness_rep_base.json")]),
+    ("skeletal", ["witness_skeletal.json"]),
+]
+WITNESS_CASES = [
+    (f"validate_{name}.{ext}",
+     ["-m", "mpla.cli", "validate", str(DATA / first), *rest, "--format", fmt])
+    for name, (first, *rest) in WITNESS_INPUTS
+    for ext, fmt in (("txt", "text"), ("json", "json"))
+]
+
+
 def test_every_demo_has_a_golden():
     assert len(CASES) == 9
-    assert sorted(p.name for p in GOLDENS.iterdir()) == sorted(name for name, _ in CASES)
+    assert len(WITNESS_CASES) == 6
+    assert sorted(p.name for p in GOLDENS.iterdir()) == sorted(
+        name for name, _ in CASES + WITNESS_CASES)
+
+
+def _run(args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          timeout=300)
 
 
 @pytest.mark.parametrize("golden,args", CASES, ids=[name for name, _ in CASES])
 def test_stdout_matches_golden(golden, args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          timeout=300)
+    proc = _run(args)
     assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDENS / golden).read_bytes()
+
+
+@pytest.mark.parametrize("golden,args", WITNESS_CASES,
+                         ids=[name for name, _ in WITNESS_CASES])
+def test_failing_report_matches_golden(golden, args):
+    proc = _run(args)
+    assert proc.returncode == 1, proc.stderr.decode()
+    assert proc.stderr == b""
     assert proc.stdout == (GOLDENS / golden).read_bytes()
