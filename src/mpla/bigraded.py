@@ -109,6 +109,18 @@ class BidegreeMap:
         out.part_w = {k: [c * x for x in v] for k, v in self.part_w.items()}
         return out
 
+    def flipped(self) -> "BidegreeMap":
+        """The map with g and h, and V and W, trading places: bidegree k|l
+        becomes l|k, a key (gi, hj) becomes (hj, gi), and each vector takes
+        the sign (-1)^{|gi|*|hj|} of moving the h-slots in front of the
+        g-slots.  The result shares no vector lists with self."""
+        out = BidegreeMap(self.l, self.k, self.dim_h, self.dim_g, self.dim_w, self.dim_v)
+        for table, theirs in ((out.part_v, self.part_w), (out.part_w, self.part_v)):
+            for (gi, hj), vec in theirs.items():
+                odd = len(gi) * len(hj) % 2
+                table[(hj, gi)] = [-x for x in vec] if odd else list(vec)
+        return out
+
     def _eval(self, table, g_args, h_args, codim):
         for pos, a in enumerate(g_args):
             if not isinstance(a, int):

@@ -15,7 +15,16 @@ pi the packaged structure; componentwise
     delta(F)_r = -[mu x rho, F_r] - [psi x nu, F_{r-1}].
 
 ``delta_mpl_coeff`` implements the same operator for arbitrary
-coefficients through fourteen explicit sums; on adjoint coefficients the
+coefficients through explicit sums.  Only delta^{mu x rho} is written out:
+the pair, the representation and the cochain are symmetric under the flip
+that exchanges g with h and V with W (``MatchedPair.flipped``,
+``MPRepresentation.flipped``, ``BidegreeMap.flipped``), and
+delta^{psi x nu} is the flip-conjugate of delta^{mu x rho},
+
+    delta^{psi x nu}(F) = flip(delta^{mu x rho}_flipped(flip(F))),
+
+where flip sends the component value at (gi, hj) to (hj, gi) with the
+sign (-1)^{|gi| |hj|} and no further sign.  On adjoint coefficients the
 two routes agree exactly (this equality is enforced by the test suite
 and pins every sign).
 
@@ -278,131 +287,50 @@ def delta_mpl_adjoint(mp: MatchedPair, F: MPCochain) -> MPCochain:
 
 def _delta_mu_rho(mp: MatchedPair, rep: MPRepresentation, fr: BidegreeMap,
                   n: int, r: int) -> BidegreeMap:
-    """First block of the coboundary: C^{n-r|r-1} -> C^{n-r+1|r-1}."""
+    """First block of the coboundary: C^{n-r|r-1} -> C^{n-r+1|r-1}.
+
+    The V-part (n-r+2 g-slots, r-1 h-slots) and the W-part (n-r+1 g-slots,
+    r h-slots) are one sum; the W-part adds the alpha-term.
+    """
     m, nh = mp.dim_g, mp.dim_h
     p, q = rep.dims
     out = BidegreeMap(n - r + 1, r - 1, m, nh, p, q)
-
-    # V-part on (n-r+2) g-slots and (r-1) h-slots
-    for gi in combinations(range(m), n - r + 2):
-        for hj in combinations(range(nh), r - 1):
-            acc = vzero(p)
-            for pos in range(len(gi)):
-                i1 = pos + 1
-                rest = gi[:pos] + gi[pos + 1:]
-                inner = fr.eval_v(rest, hj)
-                vaccum(acc, (-1) ** (i1 + 1), rep.act_rho_v(gi[pos], inner))
-                for jpos in range(len(hj)):
-                    replaced = hj[:jpos] + (mp.rho[gi[pos]][hj[jpos]],) + hj[jpos + 1:]
-                    vaccum(acc, (-1) ** i1, fr.eval_v(rest, replaced))
-            for pa in range(len(gi)):
-                for pb in range(pa + 1, len(gi)):
-                    rest = tuple(
-                        gi[t] for t in range(len(gi)) if t != pa and t != pb
-                    )
-                    bracket = mp.g.c[gi[pa]][gi[pb]]
-                    sign = (-1) ** ((pa + 1) + (pb + 1))
-                    vaccum(acc, sign, fr.eval_v((bracket,) + rest, hj))
-            if not vis_zero(acc):
-                out.part_v[(gi, hj)] = acc
-
-    # W-part on (n-r+1) g-slots and r h-slots
-    for gi in combinations(range(m), n - r + 1):
-        for hj in combinations(range(nh), r):
-            acc = vzero(q)
-            for pos in range(len(gi)):
-                i1 = pos + 1
-                rest = gi[:pos] + gi[pos + 1:]
-                inner = fr.eval_w(rest, hj)
-                vaccum(acc, (-1) ** (i1 + 1), rep.act_rho_w(gi[pos], inner))
-                for jpos in range(len(hj)):
-                    replaced = hj[:jpos] + (mp.rho[gi[pos]][hj[jpos]],) + hj[jpos + 1:]
-                    vaccum(acc, (-1) ** i1, fr.eval_w(rest, replaced))
-            for jpos in range(len(hj)):
-                j1 = jpos + 1
-                rest = hj[:jpos] + hj[jpos + 1:]
-                inner = fr.eval_v(gi, rest)
-                vaccum(acc, (-1) ** (n - r + j1 + 1),
-                       rep.pair_alpha(inner, hj[jpos]))
-            for pa in range(len(gi)):
-                for pb in range(pa + 1, len(gi)):
-                    rest = tuple(
-                        gi[t] for t in range(len(gi)) if t != pa and t != pb
-                    )
-                    bracket = mp.g.c[gi[pa]][gi[pb]]
-                    sign = (-1) ** ((pa + 1) + (pb + 1))
-                    vaccum(acc, sign, fr.eval_w((bracket,) + rest, hj))
-            if not vis_zero(acc):
-                out.part_w[(gi, hj)] = acc
-    return out
-
-
-def _delta_psi_nu(mp: MatchedPair, rep: MPRepresentation, fr: BidegreeMap,
-                  n: int, r: int) -> BidegreeMap:
-    """Second block of the coboundary: C^{n-r|r-1} -> C^{n-r|r}."""
-    m, nh = mp.dim_g, mp.dim_h
-    p, q = rep.dims
-    out = BidegreeMap(n - r, r, m, nh, p, q)
-
-    # V-part on (n-r+1) g-slots and r h-slots
-    for gi in combinations(range(m), n - r + 1):
-        for hj in combinations(range(nh), r):
-            acc = vzero(p)
-            for pos in range(len(gi)):
-                i1 = pos + 1
-                rest = gi[:pos] + gi[pos + 1:]
-                inner = fr.eval_w(rest, hj)
-                vaccum(acc, (-1) ** i1, rep.pair_beta(inner, gi[pos]))
-            for jpos in range(len(hj)):
-                j1 = jpos + 1
-                rest = hj[:jpos] + hj[jpos + 1:]
-                vaccum(acc, (-1) ** (n - r + j1),
-                       rep.act_psi_v(hj[jpos], fr.eval_v(gi, rest)))
+    for table, size_g, size_h, dim, evaluate, act, alpha_term in (
+        (out.part_v, n - r + 2, r - 1, p, fr.eval_v, rep.act_rho_v, False),
+        (out.part_w, n - r + 1, r, q, fr.eval_w, rep.act_rho_w, True),
+    ):
+        for gi in combinations(range(m), size_g):
+            for hj in combinations(range(nh), size_h):
+                acc = vzero(dim)
                 for pos in range(len(gi)):
-                    replaced = gi[:pos] + (mp.psi[hj[jpos]][gi[pos]],) + gi[pos + 1:]
-                    vaccum(acc, (-1) ** (n - r + j1 + 1),
-                           fr.eval_v(replaced, rest))
-            for pa in range(len(hj)):
-                for pb in range(pa + 1, len(hj)):
-                    rest = tuple(
-                        hj[t] for t in range(len(hj)) if t != pa and t != pb
-                    )
-                    bracket = mp.h.c[hj[pa]][hj[pb]]
-                    sign = (-1) ** (n - r + 1 + (pa + 1) + (pb + 1))
-                    vaccum(acc, sign, fr.eval_v(gi, (bracket,) + rest))
-            if not vis_zero(acc):
-                out.part_v[(gi, hj)] = acc
-
-    # W-part on (n-r) g-slots and (r+1) h-slots
-    for gi in combinations(range(m), n - r):
-        for hj in combinations(range(nh), r + 1):
-            acc = vzero(q)
-            for jpos in range(len(hj)):
-                j1 = jpos + 1
-                rest = hj[:jpos] + hj[jpos + 1:]
-                vaccum(acc, (-1) ** (n - r + j1 + 1),
-                       rep.act_psi_w(hj[jpos], fr.eval_w(gi, rest)))
-                for pos in range(len(gi)):
-                    replaced = gi[:pos] + (mp.psi[hj[jpos]][gi[pos]],) + gi[pos + 1:]
-                    vaccum(acc, (-1) ** (n - r + j1),
-                           fr.eval_w(replaced, rest))
-            for pa in range(len(hj)):
-                for pb in range(pa + 1, len(hj)):
-                    rest = tuple(
-                        hj[t] for t in range(len(hj)) if t != pa and t != pb
-                    )
-                    bracket = mp.h.c[hj[pa]][hj[pb]]
-                    sign = (-1) ** (n - r + (pa + 1) + (pb + 1))
-                    vaccum(acc, sign, fr.eval_w(gi, (bracket,) + rest))
-            if not vis_zero(acc):
-                out.part_w[(gi, hj)] = acc
+                    rest = gi[:pos] + gi[pos + 1:]
+                    vaccum(acc, (-1) ** pos, act(gi[pos], evaluate(rest, hj)))
+                    for jpos in range(len(hj)):
+                        replaced = hj[:jpos] + (mp.rho[gi[pos]][hj[jpos]],) + hj[jpos + 1:]
+                        vaccum(acc, (-1) ** (pos + 1), evaluate(rest, replaced))
+                if alpha_term:
+                    for jpos in range(len(hj)):
+                        rest = hj[:jpos] + hj[jpos + 1:]
+                        vaccum(acc, (-1) ** (n - r + jpos),
+                               rep.pair_alpha(fr.eval_v(gi, rest), hj[jpos]))
+                for pa in range(len(gi)):
+                    for pb in range(pa + 1, len(gi)):
+                        rest = tuple(
+                            gi[t] for t in range(len(gi)) if t != pa and t != pb
+                        )
+                        bracket = mp.g.c[gi[pa]][gi[pb]]
+                        vaccum(acc, (-1) ** (pa + pb), evaluate((bracket,) + rest, hj))
+                if not vis_zero(acc):
+                    table[(gi, hj)] = acc
     return out
 
 
 def delta_mpl_coeff(mp: MatchedPair, rep: MPRepresentation, F: MPCochain) -> MPCochain:
     """Coboundary with coefficients in an arbitrary representation.
 
-    Component r of the output is delta^{mu x rho}(F_r) + delta^{psi x nu}(F_{r-1}).
+    Component r of the output is delta^{mu x rho}(F_r) + delta^{psi x nu}(F_{r-1}),
+    where delta^{psi x nu} is delta^{mu x rho} of the flipped pair and
+    representation, conjugated by ``BidegreeMap.flipped``.
     """
     if (F.dim_g, F.dim_h) != (mp.dim_g, mp.dim_h):
         raise DimensionMismatch("cochain does not live over this matched pair")
@@ -418,13 +346,17 @@ def delta_mpl_coeff(mp: MatchedPair, rep: MPRepresentation, F: MPCochain) -> MPC
     n = F.degree
     degree = n + 1
     p, q = rep.dims
+    flipped = rep.flipped()
     components = []
     for r in range(1, degree + 1):
         part = BidegreeMap(degree - r, r - 1, mp.dim_g, mp.dim_h, p, q)
         if r <= n:
             part = part + _delta_mu_rho(mp, rep, F.component(r), n, r)
         if r >= 2:
-            part = part + _delta_psi_nu(mp, rep, F.component(r - 1), n, r - 1)
+            # F_{r-1} has bidegree n-r+1|r-2; flipped, it sits in slot n-r+2
+            mirror = _delta_mu_rho(flipped.base, flipped,
+                                   F.component(r - 1).flipped(), n, n - r + 2)
+            part = part + mirror.flipped()
         components.append(part)
     return MPCochain(degree, mp.dim_g, mp.dim_h, p, q, components=components)
 

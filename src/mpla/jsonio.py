@@ -60,7 +60,9 @@ def require_object(data, path=None, field=None):
     return data
 
 
-def _expect(data, field, kind, path):
+def _expect(data, field, kind, path, minimum=None):
+    """``data[field]``, checked to be of type ``kind`` and, for an int, at
+    least ``minimum``."""
     require_object(data, path, field)
     if field not in data:
         _fail(f"missing field {field!r}", path, field)
@@ -69,6 +71,8 @@ def _expect(data, field, kind, path):
     if kind is not None and (not isinstance(value, kind)
                              or kind is int and isinstance(value, bool)):
         _fail(f"field {field!r} has the wrong type", path, field)
+    if minimum is not None and value < minimum:
+        _fail(f"field {field!r} must be at least {minimum}, got {value}", path, field)
     return value
 
 
@@ -112,7 +116,7 @@ def _entries(rows, field, bounds, path):
 
 
 def lie_algebra_from_json(data, path=None) -> LieAlgebra:
-    dim = _expect(data, "dim", int, path)
+    dim = _expect(data, "dim", int, path, 0)
     entries = _sparse_entries(data, "bracket", (dim, dim, dim), path)
     table = {}
     for (i, j, k), coeff in entries:
@@ -137,7 +141,7 @@ def lie_algebra_to_json(g: LieAlgebra) -> dict:
 
 
 def lie_rep_from_json(data, algebra: LieAlgebra, path=None) -> LieRep:
-    space_dim = _expect(data, "space_dim", int, path)
+    space_dim = _expect(data, "space_dim", int, path, 0)
     entries = _sparse_entries(data, "action", (algebra.dim, space_dim, space_dim), path)
     a = [[vzero(space_dim) for _ in range(space_dim)] for _ in range(algebra.dim)]
     for (i, p, q), coeff in entries:
@@ -205,8 +209,8 @@ def mp_representation_from_json(data, base: MatchedPair, path=None) -> MPReprese
     from .reps import MPRepresentation
 
     dims = _expect(data, "dims", list, path)
-    if len(dims) != 2 or not all(type(x) is int for x in dims):
-        _fail("dims must be [p, q]", path, "dims")
+    if len(dims) != 2 or not all(type(x) is int and x >= 0 for x in dims):
+        _fail("dims must be [p, q] with p, q >= 0", path, "dims")
     p, q = dims
 
     def fetch(field, rows, cols, veclen):
@@ -257,7 +261,7 @@ def cochain_from_json(data, mp_dims, rep_dims, path=None) -> MPCochain:
     from .bigraded import BidegreeMap
     from .cohomology import MPCochain
 
-    degree = _expect(data, "degree", int, path)
+    degree = _expect(data, "degree", int, path, 0)
     m, n = mp_dims
     p, q = rep_dims
     if degree == 0:
@@ -419,8 +423,8 @@ def bialgebra_to_json(b: LieBialgebra) -> dict:
 def two_term_from_json(data, path=None) -> TwoTermLInfinity:
     from .skeletal import TwoTermLInfinity
 
-    dim0 = _expect(data, "dim0", int, path)
-    dim1 = _expect(data, "dim1", int, path)
+    dim0 = _expect(data, "dim0", int, path, 0)
+    dim1 = _expect(data, "dim1", int, path, 0)
     mu1 = {}
     if "mu1" in data:
         for (p, i), coeff in _sparse_entries(data, "mu1", (dim1, dim0), path):
@@ -572,8 +576,8 @@ def extension_from_json(data, path=None) -> AbelianExtension:
     total = matched_pair_from_json(_expect(data, "total", dict, path), path)
     base = matched_pair_from_json(_expect(data, "base", dict, path), path)
     split = _expect(data, "split", list, path)
-    if len(split) != 4 or not all(type(x) is int for x in split):
-        _fail("split must be [m, p, n, q]", path, "split")
+    if len(split) != 4 or not all(type(x) is int and x >= 0 for x in split):
+        _fail("split must be [m, p, n, q] with entries >= 0", path, "split")
     rep = mp_representation_from_json(_expect(data, "rep", dict, path), base, path)
     return AbelianExtension(total, base, rep, tuple(split))
 

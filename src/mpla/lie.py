@@ -25,7 +25,7 @@ from .errors import ArityMismatch, MalformedTensor
 from .linalg import Matrix, cohomology_dims, operator_matrix
 from .multimap import SkewMultiMap, nr_bracket, sort_sign
 from .report import ValidationReport
-from .scalars import vaccum, vbasis, vis_zero, vzero
+from .scalars import vaccum, vbasis, vcombine, vis_zero, vzero
 
 
 def _dense_tensor(dim, codim, pairs, skew: bool, what: str):
@@ -142,12 +142,7 @@ class LieRep:
 
     def act(self, i: int, v):
         """Action of basis vector e_i on a coefficient vector."""
-        out = vzero(self.space_dim)
-        row = self.a[i]
-        for p, b in enumerate(v):
-            if b:
-                vaccum(out, b, row[p])
-        return out
+        return vcombine(v, self.a[i], self.space_dim)
 
     def act_vec(self, x, v):
         out = vzero(self.space_dim)

@@ -10,8 +10,10 @@ compatibilities hold:
 
 The validator reports six axiom groups (two Jacobi, two action laws, the
 two compatibilities); the tags (11) and (22) are this tool's axiom-group
-numbering, documented in the README.  All checks are ring-generic so
-they also run over k[t]/(t^2) for first-order perturbation tests.
+numbering, documented in the README.  (22) is (11) for the flipped pair
+(h, g, psi, rho), and the validator computes it that way.  All checks are
+ring-generic so they also run over k[t]/(t^2) for first-order
+perturbation tests.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .lie import (LieAlgebra, LieRep, ce_coboundary, validate_lie_algebra,
 from .linalg import Matrix, invert, rank
 from .multimap import SkewMultiMap
 from .report import ValidationReport
-from .scalars import vaccum, vbasis, vis_zero, vneg, vzero
+from .scalars import vaccum, vbasis, vcombine, vis_zero, vneg, vzero
 
 
 def _action_tensor(dim_act, dim_space, data, what):
@@ -82,32 +84,22 @@ class MatchedPair:
         return self.h.dim
 
     def rho_act(self, i: int, h_vec):
-        out = vzero(self.dim_h)
-        for a, c in enumerate(h_vec):
-            if c:
-                vaccum(out, c, self.rho[i][a])
-        return out
+        return vcombine(h_vec, self.rho[i], self.dim_h)
 
     def rho_vec(self, x_vec, h_vec):
-        out = vzero(self.dim_h)
-        for i, c in enumerate(x_vec):
-            if c:
-                vaccum(out, c, self.rho_act(i, h_vec))
-        return out
+        images = [self.rho_act(i, h_vec) if c else None for i, c in enumerate(x_vec)]
+        return vcombine(x_vec, images, self.dim_h)
 
     def psi_act(self, a: int, x_vec):
-        out = vzero(self.dim_g)
-        for i, c in enumerate(x_vec):
-            if c:
-                vaccum(out, c, self.psi[a][i])
-        return out
+        return vcombine(x_vec, self.psi[a], self.dim_g)
 
     def psi_vec(self, h_vec, x_vec):
-        out = vzero(self.dim_g)
-        for a, c in enumerate(h_vec):
-            if c:
-                vaccum(out, c, self.psi_act(a, x_vec))
-        return out
+        images = [self.psi_act(a, x_vec) if c else None for a, c in enumerate(h_vec)]
+        return vcombine(h_vec, images, self.dim_g)
+
+    def flipped(self) -> "MatchedPair":
+        """The same pair with the two sides exchanged: (h, g, psi, rho)."""
+        return MatchedPair(self.h, self.g, self.psi, self.rho)
 
     def rho_rep(self) -> LieRep:
         return LieRep(self.g, self.dim_h, [[list(v) for v in row] for row in self.rho])
@@ -141,7 +133,6 @@ def validate_matched_pair(mp: MatchedPair) -> ValidationReport:
     if mp._report is not None:
         return mp._report
     report = ValidationReport("matched pair")
-    m, n = mp.dim_g, mp.dim_h
 
     jac_g = report.new_check("jacobi(g)")
     for w in validate_lie_algebra(mp.g).checks:
@@ -157,7 +148,17 @@ def validate_matched_pair(mp: MatchedPair) -> ValidationReport:
     for w in validate_representation(mp.psi_rep()).checks:
         rep_psi.witnesses.extend(w.witnesses)
 
-    compat_11 = report.new_check("compat(11)")
+    _compat_11(mp, report.new_check("compat(11)"))
+    _compat_11(mp.flipped(), report.new_check("compat(22)"))
+
+    mp._report = report
+    return report
+
+
+def _compat_11(mp: MatchedPair, check):
+    """Witnesses (i, a, b) of compat(11); on the flipped pair these are the
+    witnesses (a, i, j) of compat(22)."""
+    m, n = mp.dim_g, mp.dim_h
     for i in range(m):
         for a, b in combinations(range(n), 2):
             lhs = mp.rho_act(i, mp.h.c[a][b])
@@ -167,22 +168,7 @@ def validate_matched_pair(mp: MatchedPair) -> ValidationReport:
             vaccum(rhs, -1, mp.rho_vec(mp.psi[a][i], vbasis(n, b)))
             residual = [x - y for x, y in zip(lhs, rhs)]
             if not vis_zero(residual):
-                compat_11.add((i, a, b), residual)
-
-    compat_22 = report.new_check("compat(22)")
-    for a in range(n):
-        for i, j in combinations(range(m), 2):
-            lhs = mp.psi_act(a, mp.g.c[i][j])
-            rhs = mp.g.bracket_vec(mp.psi[a][i], vbasis(m, j))
-            vaccum(rhs, 1, mp.g.bracket_vec(vbasis(m, i), mp.psi[a][j]))
-            vaccum(rhs, 1, mp.psi_vec(mp.rho[j][a], vbasis(m, i)))
-            vaccum(rhs, -1, mp.psi_vec(mp.rho[i][a], vbasis(m, j)))
-            residual = [x - y for x, y in zip(lhs, rhs)]
-            if not vis_zero(residual):
-                compat_22.add((a, i, j), residual)
-
-    mp._report = report
-    return report
+                check.add((i, a, b), residual)
 
 
 def bicrossed_product(mp: MatchedPair) -> LieAlgebra:

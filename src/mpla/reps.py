@@ -4,7 +4,10 @@ A representation of (g, h, rho, psi) on a pair of spaces (V, W) consists
 of four actions (rho_V, psi_V on V; rho_W, psi_W on W) and two pairing
 maps alpha: V x h -> W, beta: W x g -> V subject to six mixed identities
 (tags pairing(1)..pairing(6) below).  The canonical example is the
-adjoint one, (V, W) = (g, h) with alpha = rho and beta = psi.
+adjoint one, (V, W) = (g, h) with alpha = rho and beta = psi.  Exchanging
+g with h and V with W (``MPRepresentation.flipped``) maps each
+representation to one of the flipped pair, and pairing(2), (5), (6) to
+pairing(1), (3), (4).
 
 Tensors are stored with the acting index first:
   rho_V[i][u], psi_V[a][u] : vectors in V,
@@ -19,7 +22,7 @@ from .errors import (DimensionMismatch, InvalidInput, MalformedTensor,
 from .lie import LieAlgebra, LieRep, validate_representation
 from .matched import MatchedPair, bicrossed_product
 from .report import ValidationReport
-from .scalars import vaccum, vbasis, vis_zero, vneg, vzero
+from .scalars import vaccum, vbasis, vcombine, vis_zero, vneg, vzero
 
 
 def _tensor(rows, cols, veclen, data, what):
@@ -91,61 +94,34 @@ class MPRepresentation:
     # -- vector actions ----------------------------------------------------
 
     def act_rho_v(self, i, v):
-        out = vzero(self.dim_v)
-        for u, c in enumerate(v):
-            if c:
-                vaccum(out, c, self.rho_v[i][u])
-        return out
-
-    def act_psi_v(self, a, v):
-        out = vzero(self.dim_v)
-        for u, c in enumerate(v):
-            if c:
-                vaccum(out, c, self.psi_v[a][u])
-        return out
+        return vcombine(v, self.rho_v[i], self.dim_v)
 
     def act_rho_w(self, i, w):
-        out = vzero(self.dim_w)
-        for u, c in enumerate(w):
-            if c:
-                vaccum(out, c, self.rho_w[i][u])
-        return out
+        return vcombine(w, self.rho_w[i], self.dim_w)
 
     def act_psi_w(self, a, w):
-        out = vzero(self.dim_w)
-        for u, c in enumerate(w):
-            if c:
-                vaccum(out, c, self.psi_w[a][u])
-        return out
+        return vcombine(w, self.psi_w[a], self.dim_w)
 
     def pair_alpha(self, v, a):
         """alpha_v h_a for a coefficient vector v in V."""
-        out = vzero(self.dim_w)
-        for u, c in enumerate(v):
-            if c:
-                vaccum(out, c, self.alpha[u][a])
-        return out
+        return vcombine(v, [row[a] for row in self.alpha], self.dim_w)
 
     def pair_alpha_vec(self, v, h_vec):
-        out = vzero(self.dim_w)
-        for a, c in enumerate(h_vec):
-            if c:
-                vaccum(out, c, self.pair_alpha(v, a))
-        return out
+        images = [self.pair_alpha(v, a) if c else None for a, c in enumerate(h_vec)]
+        return vcombine(h_vec, images, self.dim_w)
 
     def pair_beta(self, w, i):
-        out = vzero(self.dim_v)
-        for u, c in enumerate(w):
-            if c:
-                vaccum(out, c, self.beta[u][i])
-        return out
+        """beta_w x_i for a coefficient vector w in W."""
+        return vcombine(w, [row[i] for row in self.beta], self.dim_v)
 
-    def pair_beta_vec(self, w, x_vec):
-        out = vzero(self.dim_v)
-        for i, c in enumerate(x_vec):
-            if c:
-                vaccum(out, c, self.pair_beta(w, i))
-        return out
+    def flipped(self) -> "MPRepresentation":
+        """The representation of the flipped pair on (W, V): rho_V' = psi_W,
+        psi_V' = rho_W, rho_W' = psi_V, psi_W' = rho_V, alpha' = beta and
+        beta' = alpha."""
+        return MPRepresentation(
+            self.base.flipped(), self.dim_w, self.dim_v,
+            self.psi_w, self.rho_w, self.psi_v, self.rho_v, self.beta, self.alpha,
+        )
 
     def rho_v_rep(self):
         return LieRep(self.base.g, self.dim_v, self.rho_v)
@@ -188,9 +164,6 @@ def validate_mp_representation(r: MPRepresentation) -> ValidationReport:
     """
     if r._report is not None:
         return r._report
-    mp = r.base
-    m, n = mp.dim_g, mp.dim_h
-    p, q = r.dims
     report = ValidationReport("matched-pair representation")
 
     for name, rep in (
@@ -201,8 +174,32 @@ def validate_mp_representation(r: MPRepresentation) -> ValidationReport:
         for c in validate_representation(rep).checks:
             check.witnesses.extend(c.witnesses)
 
-    # pairing(1): alpha_{rho_V(x) v} h = rho_W(x) alpha_v h - alpha_v rho_x h
-    check = report.new_check("pairing(1)")
+    flipped = r.flipped()
+    for name, group, data in (
+        ("pairing(1)", _pairing_1, r), ("pairing(2)", _pairing_1, flipped),
+        ("pairing(3)", _pairing_3, r), ("pairing(4)", _pairing_4, r),
+        ("pairing(5)", _pairing_3, flipped), ("pairing(6)", _pairing_4, flipped),
+    ):
+        group(data, report.new_check(name))
+
+    r._report = report
+    return report
+
+
+# pairing(2), pairing(5) and pairing(6) are pairing(1), pairing(3) and
+# pairing(4) of the flipped representation, witness keys included:
+#   pairing(2): beta_{psi_W(h) w} x = psi_V(h) beta_w x - beta_w psi_h x
+#   pairing(5): psi_V(h) rho_V(x) v = rho_V(psi_h x) v + rho_V(x) psi_V(h) v
+#               + beta_{alpha_v h} x - psi_V(rho_x h) v
+#   pairing(6): beta_w [x,y] = -rho_V(y) beta_w x + rho_V(x) beta_w y
+#               + beta_{rho_W(y) w} x - beta_{rho_W(x) w} y
+
+
+def _pairing_1(r: MPRepresentation, check):
+    """alpha_{rho_V(x) v} h = rho_W(x) alpha_v h - alpha_v rho_x h."""
+    mp = r.base
+    m, n = mp.dim_g, mp.dim_h
+    p = r.dim_v
     for i in range(m):
         for u in range(p):
             for a in range(n):
@@ -213,21 +210,13 @@ def validate_mp_representation(r: MPRepresentation) -> ValidationReport:
                 if not vis_zero(res):
                     check.add((i, u, a), res)
 
-    # pairing(2): beta_{psi_W(h) w} x = psi_V(h) beta_w x - beta_w psi_h x
-    check = report.new_check("pairing(2)")
-    for a in range(n):
-        for w in range(q):
-            for i in range(m):
-                lhs = r.pair_beta(r.psi_w[a][w], i)
-                rhs = r.act_psi_v(a, r.beta[w][i])
-                vaccum(rhs, -1, r.pair_beta_vec(vbasis(q, w), mp.psi[a][i]))
-                res = [x - y for x, y in zip(lhs, rhs)]
-                if not vis_zero(res):
-                    check.add((a, w, i), res)
 
-    # pairing(3): rho_W(x) psi_W(h) w = psi_W(rho_x h) w + psi_W(h) rho_W(x) w
-    #             + alpha_{beta_w x} h - rho_W(psi_h x) w
-    check = report.new_check("pairing(3)")
+def _pairing_3(r: MPRepresentation, check):
+    """rho_W(x) psi_W(h) w = psi_W(rho_x h) w + psi_W(h) rho_W(x) w
+    + alpha_{beta_w x} h - rho_W(psi_h x) w."""
+    mp = r.base
+    m, n = mp.dim_g, mp.dim_h
+    q = r.dim_w
     for i in range(m):
         for a in range(n):
             for w in range(q):
@@ -241,14 +230,18 @@ def validate_mp_representation(r: MPRepresentation) -> ValidationReport:
                 if not vis_zero(res):
                     check.add((i, a, w), res)
 
-    # pairing(4): alpha_v [h,k] = -psi_W(k) alpha_v h + psi_W(h) alpha_v k
-    #             + alpha_{psi_V(k) v} h - alpha_{psi_V(h) v} k
-    check = report.new_check("pairing(4)")
+
+def _pairing_4(r: MPRepresentation, check):
+    """alpha_v [h,k] = -psi_W(k) alpha_v h + psi_W(h) alpha_v k
+    + alpha_{psi_V(k) v} h - alpha_{psi_V(h) v} k."""
+    mp = r.base
+    n = mp.dim_h
+    p = r.dim_v
     for u in range(p):
         for a in range(n):
             for b in range(a + 1, n):
                 lhs = r.pair_alpha_vec(vbasis(p, u), mp.h.c[a][b])
-                rhs = vzero(q)
+                rhs = vzero(r.dim_w)
                 vaccum(rhs, -1, r.act_psi_w(b, r.alpha[u][a]))
                 vaccum(rhs, 1, r.act_psi_w(a, r.alpha[u][b]))
                 vaccum(rhs, 1, r.pair_alpha(r.psi_v[b][u], a))
@@ -256,41 +249,6 @@ def validate_mp_representation(r: MPRepresentation) -> ValidationReport:
                 res = [x - y for x, y in zip(lhs, rhs)]
                 if not vis_zero(res):
                     check.add((u, a, b), res)
-
-    # pairing(5): psi_V(h) rho_V(x) v = rho_V(psi_h x) v + rho_V(x) psi_V(h) v
-    #             + beta_{alpha_v h} x - psi_V(rho_x h) v
-    check = report.new_check("pairing(5)")
-    for a in range(n):
-        for i in range(m):
-            for u in range(p):
-                lhs = r.act_psi_v(a, r.rho_v[i][u])
-                rhs = vzero(p)
-                vaccum(rhs, 1, r.rho_v_rep().act_vec(mp.psi[a][i], vbasis(p, u)))
-                vaccum(rhs, 1, r.act_rho_v(i, r.psi_v[a][u]))
-                vaccum(rhs, 1, r.pair_beta(r.alpha[u][a], i))
-                vaccum(rhs, -1, r.psi_v_rep().act_vec(mp.rho[i][a], vbasis(p, u)))
-                res = [x - y for x, y in zip(lhs, rhs)]
-                if not vis_zero(res):
-                    check.add((a, i, u), res)
-
-    # pairing(6): beta_w [x,y] = -rho_V(y) beta_w x + rho_V(x) beta_w y
-    #             + beta_{rho_W(y) w} x - beta_{rho_W(x) w} y
-    check = report.new_check("pairing(6)")
-    for w in range(q):
-        for i in range(m):
-            for j in range(i + 1, m):
-                lhs = r.pair_beta_vec(vbasis(q, w), mp.g.c[i][j])
-                rhs = vzero(p)
-                vaccum(rhs, -1, r.act_rho_v(j, r.beta[w][i]))
-                vaccum(rhs, 1, r.act_rho_v(i, r.beta[w][j]))
-                vaccum(rhs, 1, r.pair_beta(r.rho_w[j][w], i))
-                vaccum(rhs, -1, r.pair_beta(r.rho_w[i][w], j))
-                res = [x - y for x, y in zip(lhs, rhs)]
-                if not vis_zero(res):
-                    check.add((w, i, j), res)
-
-    r._report = report
-    return report
 
 
 def semidirect_tensors(r: MPRepresentation):

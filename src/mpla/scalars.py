@@ -225,5 +225,19 @@ def vaccum(acc, c, u):
     return acc
 
 
+def vcombine(coeffs, vectors, n):
+    """The length-n sum of c * vectors[k] over the nonzero coeffs[k] = c;
+    vectors[k] is not read where coeffs[k] is zero."""
+    out = [0] * n
+    for k, c in enumerate(coeffs):
+        if c:
+            # vaccum(out, c, vectors[k]), inlined: this is the innermost loop
+            # of every action and pairing accessor
+            for i, a in enumerate(vectors[k]):
+                if a:
+                    out[i] = out[i] + c * a
+    return out
+
+
 def vis_zero(u) -> bool:
     return all(not a for a in u)

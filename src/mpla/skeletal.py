@@ -28,7 +28,7 @@ from .lie import LieAlgebra
 from .matched import MatchedPair
 from .report import ValidationReport
 from .reps import MPRepresentation
-from .scalars import vaccum, vbasis, vis_zero, vneg, vzero
+from .scalars import vaccum, vbasis, vcombine, vis_zero, vneg, vzero
 
 
 class TwoTermLInfinity:
@@ -126,25 +126,14 @@ class TwoTermLInfinity:
 
     def b01(self, i, v1):
         """[e_i, v] for v in g1 coordinates."""
-        out = vzero(self.dim1)
-        for p, c in enumerate(v1):
-            if c:
-                vaccum(out, c, self.bracket01[i][p])
-        return out
+        return vcombine(v1, self.bracket01[i], self.dim1)
 
     def b01_vec(self, v0, v1):
-        out = vzero(self.dim1)
-        for i, c in enumerate(v0):
-            if c:
-                vaccum(out, c, self.b01(i, v1))
-        return out
+        images = [self.b01(i, v1) if c else None for i, c in enumerate(v0)]
+        return vcombine(v0, images, self.dim1)
 
     def mu1_vec(self, v1):
-        out = vzero(self.dim0)
-        for p, c in enumerate(v1):
-            if c:
-                vaccum(out, c, self.mu1[p])
-        return out
+        return vcombine(v1, self.mu1, self.dim0)
 
     def mu3_basis(self, i, j, k):
         return self.mu3[i][j][k]
@@ -307,25 +296,14 @@ class SkeletalRep:
         )
 
     def act00(self, i, v):
-        out = vzero(self.dim_v0)
-        for u, c in enumerate(v):
-            if c:
-                vaccum(out, c, self.r00[i][u])
-        return out
+        return vcombine(v, self.r00[i], self.dim_v0)
 
     def act00_vec(self, x, v):
-        out = vzero(self.dim_v0)
-        for i, c in enumerate(x):
-            if c:
-                vaccum(out, c, self.act00(i, v))
-        return out
+        images = [self.act00(i, v) if c else None for i, c in enumerate(x)]
+        return vcombine(x, images, self.dim_v0)
 
     def act01(self, i, v):
-        out = vzero(self.dim_v1)
-        for u, c in enumerate(v):
-            if c:
-                vaccum(out, c, self.r01[i][u])
-        return out
+        return vcombine(v, self.r01[i], self.dim_v1)
 
     def r3_vec(self, x, y, v):
         out = vzero(self.dim_v1)
@@ -372,12 +350,8 @@ def validate_skeletal_rep(t: TwoTermLInfinity, r: SkeletalRep) -> ValidationRepo
             for u in range(r.dim_v1):
                 lhs = r.act01(i, r.r01[j][u])
                 vaccum(lhs, -1, r.act01(j, r.r01[i][u]))
-                bracket = t.bracket00[i][j]
-                inner = vzero(r.dim_v1)
-                for k, c in enumerate(bracket):
-                    if c:
-                        vaccum(inner, c, r.r01[k][u])
-                vaccum(lhs, -1, inner)
+                vaccum(lhs, -1, vcombine(t.bracket00[i][j], [row[u] for row in r.r01],
+                                         r.dim_v1))
                 if not vis_zero(lhs):
                     check.add((i, j, u), lhs)
 
@@ -389,12 +363,7 @@ def validate_skeletal_rep(t: TwoTermLInfinity, r: SkeletalRep) -> ValidationRepo
             lhs = r.act01(i, r.r3[j][k][u])
             vaccum(lhs, -1, r.act01(j, r.r3[i][k][u]))
             vaccum(lhs, 1, r.act01(k, r.r3[i][j][u]))
-            mu3v = t.mu3[i][j][k]
-            inner = vzero(r.dim_v1)
-            for p, c in enumerate(mu3v):
-                if c:
-                    vaccum(inner, c, r.r10[p][u])
-            vaccum(lhs, 1, inner)
+            vaccum(lhs, 1, vcombine(t.mu3[i][j][k], [row[u] for row in r.r10], r.dim_v1))
             rhs = r.r3_vec(t.bracket00[i][j], z, v)
             vaccum(rhs, -1, r.r3_vec(t.bracket00[i][k], y, v))
             vaccum(rhs, 1, r.r3_vec(y, z, r.r00[i][u]))
@@ -430,6 +399,15 @@ class SkeletalMatchedPair:
         self.psi2_01 = [[list(v) for v in row] for row in psi2_01]
         self.psi2_10 = [[list(v) for v in row] for row in psi2_10]
         self.psi3 = [[[list(v) for v in row] for row in plane] for plane in psi3]
+
+    def flipped(self) -> "SkeletalMatchedPair":
+        """The same pair with G and H exchanged, and with them the rho2/rho3
+        and psi2/psi3 blocks."""
+        return SkeletalMatchedPair(
+            self.H, self.G,
+            self.psi2_00, self.psi2_01, self.psi2_10, self.psi3,
+            self.rho2_00, self.rho2_01, self.rho2_10, self.rho3,
+        )
 
     def rho_rep(self) -> SkeletalRep:
         return SkeletalRep(self.H.dim0, self.H.dim1,
@@ -563,8 +541,6 @@ def validate_skeletal_matched_pair(s: SkeletalMatchedPair) -> ValidationReport:
     compatibilities."""
     report = ValidationReport("skeletal matched pair")
     G, H = s.G, s.H
-    m, n = G.dim0, H.dim0
-    p, q = G.dim1, H.dim1
 
     check = report.new_check("G skeletal and coherent")
     if not G.is_skeletal:
@@ -587,191 +563,96 @@ def validate_skeletal_matched_pair(s: SkeletalMatchedPair) -> ValidationReport:
     for c in validate_skeletal_rep(H, s.psi_rep()).checks:
         check.witnesses.extend(c.witnesses)
 
-    rho = s.rho_rep()
-    psi = s.psi_rep()
+    flipped = s.flipped()
+    for name, group, data in (
+        ("mixed(1)", _mixed_1, s), ("mixed(2)", _mixed_1, flipped),
+        ("mixed(3)", _mixed_3, s), ("mixed(4)", _mixed_4, s),
+        ("mixed(5)", _mixed_3, flipped), ("mixed(6)", _mixed_4, flipped),
+        ("compat(skel1)", _compat_skel1, s), ("compat(skel2)", _compat_skel2, s),
+        ("compat(skel3)", _compat_skel1, flipped),
+        ("compat(skel4)", _compat_skel2, flipped),
+    ):
+        group(data, report.new_check(name))
+    return report
 
-    # mixed(1): rho2([x, v], h) = rho2(x, rho2(v, h)) - rho2(v, rho2(x, h))
-    check = report.new_check("mixed(1)")
+
+# The groups mixed(2), mixed(5), mixed(6), compat(skel3) and compat(skel4)
+# are mixed(1), mixed(3), mixed(4), compat(skel1) and compat(skel2) of the
+# flipped pair, witness keys included:
+#   mixed(2): psi2([h, w], x) = psi2(h, psi2(w, x)) - psi2(w, psi2(h, x))
+#   mixed(5): psi2(h, [x, v]) = [psi2(h,x), v] + [x, psi2(h,v)]
+#             + psi2(rho2(v,h), x) - psi2(rho2(x,h), v)
+#   mixed(6): psi2(w, [x, y]) = [psi2(w,x), y] + [x, psi2(w,y)]
+#             + psi2(rho2(y,w), x) - psi2(rho2(x,w), y)
+
+
+def _mixed_1(s: SkeletalMatchedPair, check):
+    """rho2([x, v], h) = rho2(x, rho2(v, h)) - rho2(v, rho2(x, h))."""
+    m, n, p, q = s.G.dim0, s.H.dim0, s.G.dim1, s.H.dim1
     for i in range(m):
         for u in range(p):
             for a in range(n):
-                bracket = G.bracket01[i][u]  # [x, v] in g1
-                lhs = vzero(q)
-                for pp, c in enumerate(bracket):
-                    if c:
-                        vaccum(lhs, c, s.rho2_10[pp][a])
-                rhs = vzero(q)
-                inner = s.rho2_10[u][a]  # rho2(v, h) in h1
-                for w, c in enumerate(inner):
-                    if c:
-                        vaccum(rhs, c, s.rho2_01[i][w])
-                inner = s.rho2_00[i][a]  # rho2(x, h) in h0
-                sub = vzero(q)
-                for b, c in enumerate(inner):
-                    if c:
-                        vaccum(sub, c, s.rho2_10[u][b])
-                vaccum(rhs, -1, sub)
+                # [x, v] in g1, rho2(v, h) in h1, rho2(x, h) in h0
+                lhs = vcombine(s.G.bracket01[i][u], [row[a] for row in s.rho2_10], q)
+                rhs = vcombine(s.rho2_10[u][a], s.rho2_01[i], q)
+                vaccum(rhs, -1, vcombine(s.rho2_00[i][a], s.rho2_10[u], q))
                 res = [x - y for x, y in zip(lhs, rhs)]
                 if not vis_zero(res):
                     check.add((i, u, a), res)
 
-    # mixed(2): psi2([h, w], x) = psi2(h, psi2(w, x)) - psi2(w, psi2(h, x))
-    check = report.new_check("mixed(2)")
-    for a in range(n):
-        for w in range(q):
-            for i in range(m):
-                bracket = H.bracket01[a][w]
-                lhs = vzero(p)
-                for ww, c in enumerate(bracket):
-                    if c:
-                        vaccum(lhs, c, s.psi2_10[ww][i])
-                rhs = vzero(p)
-                inner = s.psi2_10[w][i]
-                for u, c in enumerate(inner):
-                    if c:
-                        vaccum(rhs, c, s.psi2_01[a][u])
-                inner = s.psi2_00[a][i]
-                sub = vzero(p)
-                for j, c in enumerate(inner):
-                    if c:
-                        vaccum(sub, c, s.psi2_10[w][j])
-                vaccum(rhs, -1, sub)
-                res = [x - y for x, y in zip(lhs, rhs)]
-                if not vis_zero(res):
-                    check.add((a, w, i), res)
 
-    # mixed(3): rho2(x, [h, w]) = [rho2(x,h), w] + [h, rho2(x,w)]
-    #           + rho2(psi2(w,x), h) - rho2(psi2(h,x), w)
-    check = report.new_check("mixed(3)")
+def _mixed_3(s: SkeletalMatchedPair, check):
+    """rho2(x, [h, w]) = [rho2(x,h), w] + [h, rho2(x,w)]
+    + rho2(psi2(w,x), h) - rho2(psi2(h,x), w)."""
+    H = s.H
+    m, n, q = s.G.dim0, H.dim0, H.dim1
     for i in range(m):
         for a in range(n):
             for w in range(q):
-                lhs = vzero(q)
-                bracket = H.bracket01[a][w]
-                for ww, c in enumerate(bracket):
-                    if c:
-                        vaccum(lhs, c, s.rho2_01[i][ww])
+                lhs = vcombine(H.bracket01[a][w], s.rho2_01[i], q)
                 rhs = H.b01_vec(s.rho2_00[i][a], vbasis(q, w))
                 vaccum(rhs, 1, H.b01(a, s.rho2_01[i][w]))
-                inner = s.psi2_10[w][i]  # psi2(w, x) in g1
-                sub = vzero(q)
-                for u, c in enumerate(inner):
-                    if c:
-                        vaccum(sub, c, s.rho2_10[u][a])
-                vaccum(rhs, 1, sub)
-                inner = s.psi2_00[a][i]  # psi2(h, x) in g0
-                sub = vzero(q)
-                for j, c in enumerate(inner):
-                    if c:
-                        vaccum(sub, c, s.rho2_01[j][w])
-                vaccum(rhs, -1, sub)
+                # psi2(w, x) in g1, psi2(h, x) in g0
+                vaccum(rhs, 1, vcombine(s.psi2_10[w][i], [row[a] for row in s.rho2_10], q))
+                vaccum(rhs, -1, vcombine(s.psi2_00[a][i], [row[w] for row in s.rho2_01], q))
                 res = [x - y for x, y in zip(lhs, rhs)]
                 if not vis_zero(res):
                     check.add((i, a, w), res)
 
-    # mixed(4): rho2(v, [h, k]) = [rho2(v,h), k] + [h, rho2(v,k)]
-    #           + rho2(psi2(k,v), h) - rho2(psi2(h,v), k)
-    check = report.new_check("mixed(4)")
+
+def _mixed_4(s: SkeletalMatchedPair, check):
+    """rho2(v, [h, k]) = [rho2(v,h), k] + [h, rho2(v,k)]
+    + rho2(psi2(k,v), h) - rho2(psi2(h,v), k)."""
+    H = s.H
+    n, p, q = H.dim0, s.G.dim1, H.dim1
     for u in range(p):
         for a in range(n):
             for b in range(a + 1, n):
-                lhs = vzero(q)
-                bracket = H.bracket00[a][b]
-                for bb, c in enumerate(bracket):
-                    if c:
-                        vaccum(lhs, c, s.rho2_10[u][bb])
+                lhs = vcombine(H.bracket00[a][b], s.rho2_10[u], q)
                 rhs = vneg(H.b01(b, s.rho2_10[u][a]))
                 vaccum(rhs, 1, H.b01(a, s.rho2_10[u][b]))
-                inner = s.psi2_01[b][u]  # psi2(k, v) in g1
-                sub = vzero(q)
-                for uu, c in enumerate(inner):
-                    if c:
-                        vaccum(sub, c, s.rho2_10[uu][a])
-                vaccum(rhs, 1, sub)
-                inner = s.psi2_01[a][u]
-                sub = vzero(q)
-                for uu, c in enumerate(inner):
-                    if c:
-                        vaccum(sub, c, s.rho2_10[uu][b])
-                vaccum(rhs, -1, sub)
+                # psi2(k, v) and psi2(h, v) in g1
+                vaccum(rhs, 1, vcombine(s.psi2_01[b][u], [row[a] for row in s.rho2_10], q))
+                vaccum(rhs, -1, vcombine(s.psi2_01[a][u], [row[b] for row in s.rho2_10], q))
                 res = [x - y for x, y in zip(lhs, rhs)]
                 if not vis_zero(res):
                     check.add((u, a, b), res)
 
-    # mixed(5): psi2(h, [x, v]) = [psi2(h,x), v] + [x, psi2(h,v)]
-    #           + psi2(rho2(v,h), x) - psi2(rho2(x,h), v)
-    check = report.new_check("mixed(5)")
-    for a in range(n):
-        for i in range(m):
-            for u in range(p):
-                lhs = vzero(p)
-                bracket = G.bracket01[i][u]
-                for uu, c in enumerate(bracket):
-                    if c:
-                        vaccum(lhs, c, s.psi2_01[a][uu])
-                rhs = G.b01_vec(s.psi2_00[a][i], vbasis(p, u))
-                vaccum(rhs, 1, G.b01(i, s.psi2_01[a][u]))
-                inner = s.rho2_10[u][a]  # rho2(v, h) in h1
-                sub = vzero(p)
-                for w, c in enumerate(inner):
-                    if c:
-                        vaccum(sub, c, s.psi2_10[w][i])
-                vaccum(rhs, 1, sub)
-                inner = s.rho2_00[i][a]
-                sub = vzero(p)
-                for b, c in enumerate(inner):
-                    if c:
-                        vaccum(sub, c, s.psi2_01[b][u])
-                vaccum(rhs, -1, sub)
-                res = [x - y for x, y in zip(lhs, rhs)]
-                if not vis_zero(res):
-                    check.add((a, i, u), res)
 
-    # mixed(6): psi2(w, [x, y]) = [psi2(w,x), y] + [x, psi2(w,y)]
-    #           + psi2(rho2(y,w), x) - psi2(rho2(x,w), y)
-    check = report.new_check("mixed(6)")
-    for w in range(q):
-        for i in range(m):
-            for j in range(i + 1, m):
-                lhs = vzero(p)
-                bracket = G.bracket00[i][j]
-                for jj, c in enumerate(bracket):
-                    if c:
-                        vaccum(lhs, c, s.psi2_10[w][jj])
-                rhs = vneg(G.b01(j, s.psi2_10[w][i]))
-                vaccum(rhs, 1, G.b01(i, s.psi2_10[w][j]))
-                inner = s.rho2_01[j][w]  # rho2(y, w) in h1
-                sub = vzero(p)
-                for ww, c in enumerate(inner):
-                    if c:
-                        vaccum(sub, c, s.psi2_10[ww][i])
-                vaccum(rhs, 1, sub)
-                inner = s.rho2_01[i][w]
-                sub = vzero(p)
-                for ww, c in enumerate(inner):
-                    if c:
-                        vaccum(sub, c, s.psi2_10[ww][j])
-                vaccum(rhs, -1, sub)
-                res = [x - y for x, y in zip(lhs, rhs)]
-                if not vis_zero(res):
-                    check.add((w, i, j), res)
-
-    # compat(skel1): [x, psi3(h,k,y)] - [y, psi3(h,k,x)] - psi3(h,k,[x,y])
-    #   - psi3(rho2(x,h),k,y) + psi3(rho2(x,k),h,y)
-    #   + psi3(rho2(y,h),k,x) - psi3(rho2(y,k),h,x) = 0
-    check = report.new_check("compat(skel1)")
+def _compat_skel1(s: SkeletalMatchedPair, check):
+    """[x, psi3(h,k,y)] - [y, psi3(h,k,x)] - psi3(h,k,[x,y])
+    - psi3(rho2(x,h),k,y) + psi3(rho2(x,k),h,y)
+    + psi3(rho2(y,h),k,x) - psi3(rho2(y,k),h,x) = 0."""
+    G = s.G
+    m, n, p = G.dim0, s.H.dim0, G.dim1
+    psi = s.psi_rep()
     for i in range(m):
         for j in range(i + 1, m):
             for a in range(n):
                 for b in range(a + 1, n):
                     res = G.b01(i, s.psi3[a][b][j])
                     vaccum(res, -1, G.b01(j, s.psi3[a][b][i]))
-                    bracket = G.bracket00[i][j]
-                    sub = vzero(p)
-                    for k, c in enumerate(bracket):
-                        if c:
-                            vaccum(sub, c, s.psi3[a][b][k])
-                    vaccum(res, -1, sub)
+                    vaccum(res, -1, vcombine(G.bracket00[i][j], s.psi3[a][b], p))
                     vaccum(res, -1, psi.r3_vec(s.rho2_00[i][a], vbasis(n, b), vbasis(m, j)))
                     vaccum(res, 1, psi.r3_vec(s.rho2_00[i][b], vbasis(n, a), vbasis(m, j)))
                     vaccum(res, 1, psi.r3_vec(s.rho2_00[j][a], vbasis(n, b), vbasis(m, i)))
@@ -779,23 +660,19 @@ def validate_skeletal_matched_pair(s: SkeletalMatchedPair) -> ValidationReport:
                     if not vis_zero(res):
                         check.add((i, j, a, b), res)
 
-    # compat(skel2): rho2(x, nu3(h,k,k')) + rho2(psi3(k,k',x), h)
-    #   - rho2(psi3(h,k',x), k) + rho2(psi3(h,k,x), k')
-    #   - nu3(rho2(x,h),k,k') + nu3(rho2(x,k),h,k') - nu3(rho2(x,k'),h,k) = 0
-    check = report.new_check("compat(skel2)")
+
+def _compat_skel2(s: SkeletalMatchedPair, check):
+    """rho2(x, nu3(h,k,k')) + rho2(psi3(k,k',x), h)
+    - rho2(psi3(h,k',x), k) + rho2(psi3(h,k,x), k')
+    - nu3(rho2(x,h),k,k') + nu3(rho2(x,k),h,k') - nu3(rho2(x,k'),h,k) = 0."""
+    H = s.H
+    m, n, q = s.G.dim0, H.dim0, H.dim1
     for i in range(m):
         for a, b, c3 in combinations(range(n), 3):
-            res = vzero(q)
-            vec = H.mu3[a][b][c3]
-            for w, c in enumerate(vec):
-                if c:
-                    vaccum(res, c, s.rho2_01[i][w])
+            res = vcombine(H.mu3[a][b][c3], s.rho2_01[i], q)
             for (pair, other) in (((b, c3), a), ((a, c3), b), ((a, b), c3)):
-                inner = s.psi3[pair[0]][pair[1]][i]
-                sub = vzero(q)
-                for u, c in enumerate(inner):
-                    if c:
-                        vaccum(sub, c, s.rho2_10[u][other])
+                sub = vcombine(s.psi3[pair[0]][pair[1]][i],
+                               [row[other] for row in s.rho2_10], q)
                 sign = 1 if pair == (b, c3) or pair == (a, b) else -1
                 vaccum(res, sign, sub)
             ha, hb, hc = (vbasis(n, s3) for s3 in (a, b, c3))
@@ -804,53 +681,6 @@ def validate_skeletal_matched_pair(s: SkeletalMatchedPair) -> ValidationReport:
             vaccum(res, -1, H.mu3_vec(s.rho2_00[i][c3], ha, hb))
             if not vis_zero(res):
                 check.add((i, a, b, c3), res)
-
-    # compat(skel3): mirror of skel1
-    check = report.new_check("compat(skel3)")
-    for a in range(n):
-        for b in range(a + 1, n):
-            for i in range(m):
-                for j in range(i + 1, m):
-                    res = H.b01(a, s.rho3[i][j][b])
-                    vaccum(res, -1, H.b01(b, s.rho3[i][j][a]))
-                    bracket = H.bracket00[a][b]
-                    sub = vzero(q)
-                    for k, c in enumerate(bracket):
-                        if c:
-                            vaccum(sub, c, s.rho3[i][j][k])
-                    vaccum(res, -1, sub)
-                    vaccum(res, -1, rho.r3_vec(s.psi2_00[a][i], vbasis(m, j), vbasis(n, b)))
-                    vaccum(res, 1, rho.r3_vec(s.psi2_00[a][j], vbasis(m, i), vbasis(n, b)))
-                    vaccum(res, 1, rho.r3_vec(s.psi2_00[b][i], vbasis(m, j), vbasis(n, a)))
-                    vaccum(res, -1, rho.r3_vec(s.psi2_00[b][j], vbasis(m, i), vbasis(n, a)))
-                    if not vis_zero(res):
-                        check.add((a, b, i, j), res)
-
-    # compat(skel4): mirror of skel2
-    check = report.new_check("compat(skel4)")
-    for a in range(n):
-        for i, j, k in combinations(range(m), 3):
-            res = vzero(p)
-            vec = G.mu3[i][j][k]
-            for u, c in enumerate(vec):
-                if c:
-                    vaccum(res, c, s.psi2_01[a][u])
-            for (pair, other) in (((j, k), i), ((i, k), j), ((i, j), k)):
-                inner = s.rho3[pair[0]][pair[1]][a]
-                sub = vzero(p)
-                for w, c in enumerate(inner):
-                    if c:
-                        vaccum(sub, c, s.psi2_10[w][other])
-                sign = 1 if pair == (j, k) or pair == (i, j) else -1
-                vaccum(res, sign, sub)
-            xi, xj, xk = (vbasis(m, s3) for s3 in (i, j, k))
-            vaccum(res, -1, G.mu3_vec(s.psi2_00[a][i], xj, xk))
-            vaccum(res, 1, G.mu3_vec(s.psi2_00[a][j], xi, xk))
-            vaccum(res, -1, G.mu3_vec(s.psi2_00[a][k], xi, xj))
-            if not vis_zero(res):
-                check.add((a, i, j, k), res)
-
-    return report
 
 
 def skeletal_to_triple(s: SkeletalMatchedPair) -> SkeletalTriple:

@@ -298,3 +298,117 @@ def shuffle_insertion(f, g):
                     vaccum(acc, sgn * ck, g.evaluate((k,) + tail))
         coeffs[key] = acc
     return SkewMultiMap(out_arity, f.dim, g.codim, coeffs)
+
+
+def delta_psi_nu(mp, rep, fr, n, r):
+    """Second block of the coboundary, C^{n-r|r-1} -> C^{n-r|r}, by its own
+    explicit sums: the oracle for the flip-conjugate route of
+    ``delta_mpl_coeff``."""
+    from mpla.bigraded import BidegreeMap
+    from mpla.scalars import vaccum, vcombine, vis_zero, vzero
+
+    m, nh = mp.dim_g, mp.dim_h
+    p, q = rep.dims
+    out = BidegreeMap(n - r, r, m, nh, p, q)
+
+    # V-part on (n-r+1) g-slots and r h-slots
+    for gi in combinations(range(m), n - r + 1):
+        for hj in combinations(range(nh), r):
+            acc = vzero(p)
+            for pos in range(len(gi)):
+                i1 = pos + 1
+                rest = gi[:pos] + gi[pos + 1:]
+                inner = fr.eval_w(rest, hj)
+                vaccum(acc, (-1) ** i1, rep.pair_beta(inner, gi[pos]))
+            for jpos in range(len(hj)):
+                j1 = jpos + 1
+                rest = hj[:jpos] + hj[jpos + 1:]
+                vaccum(acc, (-1) ** (n - r + j1),
+                       vcombine(fr.eval_v(gi, rest), rep.psi_v[hj[jpos]], p))
+                for pos in range(len(gi)):
+                    replaced = gi[:pos] + (mp.psi[hj[jpos]][gi[pos]],) + gi[pos + 1:]
+                    vaccum(acc, (-1) ** (n - r + j1 + 1),
+                           fr.eval_v(replaced, rest))
+            for pa in range(len(hj)):
+                for pb in range(pa + 1, len(hj)):
+                    rest = tuple(
+                        hj[t] for t in range(len(hj)) if t != pa and t != pb
+                    )
+                    bracket = mp.h.c[hj[pa]][hj[pb]]
+                    sign = (-1) ** (n - r + 1 + (pa + 1) + (pb + 1))
+                    vaccum(acc, sign, fr.eval_v(gi, (bracket,) + rest))
+            if not vis_zero(acc):
+                out.part_v[(gi, hj)] = acc
+
+    # W-part on (n-r) g-slots and (r+1) h-slots
+    for gi in combinations(range(m), n - r):
+        for hj in combinations(range(nh), r + 1):
+            acc = vzero(q)
+            for jpos in range(len(hj)):
+                j1 = jpos + 1
+                rest = hj[:jpos] + hj[jpos + 1:]
+                vaccum(acc, (-1) ** (n - r + j1 + 1),
+                       rep.act_psi_w(hj[jpos], fr.eval_w(gi, rest)))
+                for pos in range(len(gi)):
+                    replaced = gi[:pos] + (mp.psi[hj[jpos]][gi[pos]],) + gi[pos + 1:]
+                    vaccum(acc, (-1) ** (n - r + j1),
+                           fr.eval_w(replaced, rest))
+            for pa in range(len(hj)):
+                for pb in range(pa + 1, len(hj)):
+                    rest = tuple(
+                        hj[t] for t in range(len(hj)) if t != pa and t != pb
+                    )
+                    bracket = mp.h.c[hj[pa]][hj[pb]]
+                    sign = (-1) ** (n - r + (pa + 1) + (pb + 1))
+                    vaccum(acc, sign, fr.eval_w(gi, (bracket,) + rest))
+            if not vis_zero(acc):
+                out.part_w[(gi, hj)] = acc
+    return out
+
+
+def gl2() -> LieAlgebra:
+    """gl_2 in the basis (e11, e12, e21, e22)."""
+    return LieAlgebra.from_brackets(4, {
+        (0, 1): [0, 1, 0, 0], (0, 2): [0, 0, -1, 0], (1, 2): [1, 0, 0, -1],
+        (1, 3): [0, 1, 0, 0], (2, 3): [0, 0, -1, 0],
+    })
+
+
+def gl2_rota_baxter_pair() -> MatchedPair:
+    """The two-sided 4+4 pair rota_baxter_matched_pair(gl_2, R), where R is
+    minus the projection onto the upper-triangular part along e21."""
+    from mpla import Matrix, rota_baxter_matched_pair
+
+    r_matrix = Matrix.from_rows([[-1, 0, 0, 0], [0, -1, 0, 0],
+                                 [0, 0, 0, 0], [0, 0, 0, -1]])
+    return rota_baxter_matched_pair(gl2(), r_matrix)
+
+
+# h_dims of the full complex of gl2_rota_baxter_pair() with adjoint coefficients
+GL2_ROTA_BAXTER_H = [8, 3, 7, 9, 9, 4, 2, 4, 2]
+
+
+def rand_skeletal_candidate(rng, G, H, lo=-1, hi=1):
+    """Random two- and three-slot actions between two two-term structures."""
+    from mpla.skeletal import SkeletalMatchedPair
+    from mpla.scalars import vzero
+
+    m, n, p, q = G.dim0, H.dim0, G.dim1, H.dim1
+
+    def block(rows, cols, veclen):
+        return [[rand_vector(rng, veclen, lo, hi) for _ in range(cols)]
+                for _ in range(rows)]
+
+    def trilinear(d, cols, veclen):
+        t = [[[vzero(veclen) for _ in range(cols)] for _ in range(d)] for _ in range(d)]
+        for i, j in combinations(range(d), 2):
+            for a in range(cols):
+                vec = rand_vector(rng, veclen, lo, hi)
+                t[i][j][a] = vec
+                t[j][i][a] = [-x for x in vec]
+        return t
+
+    return SkeletalMatchedPair(
+        G, H, block(m, n, n), block(m, q, q), block(p, n, q), trilinear(m, n, q),
+        block(n, m, m), block(n, p, p), block(q, m, p), trilinear(n, m, p),
+    )

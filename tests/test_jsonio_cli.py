@@ -439,3 +439,38 @@ def test_cli_extend_rejects_misread_cochain_indices(tmp_path, capsys, cli_files,
     captured = capsys.readouterr()
     assert path in captured.err and "field=part_V)" in captured.err
     assert not captured.out
+
+
+# (argv, payload, field): a negative count is malformed input
+NEGATIVE_COUNTS = [
+    (["validate", "BAD", "--as", "lie"], {"dim": -1, "bracket": []}, "dim"),
+    (["validate", "BAD"], {"dim0": -1, "dim1": 1}, "dim0"),
+    (["skeletal-validate", "BAD"], {"dim0": 1, "dim1": -1}, "dim1"),
+    (["validate", "BAD", "--as", "rep", "--algebra", "aff1.json"],
+     {"space_dim": -2, "action": []}, "space_dim"),
+    (["extend", "mp.json", "BAD"], {"degree": -1, "components": []}, "degree"),
+    (["validate", "BAD", "--as", "mp-rep", "--base", "mp.json"], {"dims": [-1, 2]},
+     "dims"),
+]
+
+
+@pytest.mark.parametrize("argv,payload,field", NEGATIVE_COUNTS,
+                         ids=[field for _, _, field in NEGATIVE_COUNTS])
+def test_cli_negative_count_exits_2_naming_path_and_field(tmp_path, capsys, cli_files,
+                                                          argv, payload, field):
+    path = write(tmp_path, "bad.json", payload)
+    assert main([path if arg == "BAD" else cli_files.get(arg, arg) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert path in captured.err and f"field={field})" in captured.err
+    assert not captured.out
+
+
+def test_cli_negative_split_exits_2_naming_path_and_field(tmp_path, capsys, cli_files):
+    with open(cli_files["extension.json"], encoding="utf-8") as handle:
+        data = json.load(handle)
+    data["split"] = [data["split"][0], -1] + data["split"][2:]
+    path = write(tmp_path, "bad.json", data)
+    assert main(["extract-cocycle", path]) == 2
+    captured = capsys.readouterr()
+    assert path in captured.err and "field=split)" in captured.err
+    assert not captured.out
