@@ -10,7 +10,7 @@ abelian extensions, and the canonical section recovers them exactly.
 import random
 from fractions import Fraction
 
-from mpla import (DeformationCandidate, adjoint_representation,
+from mpla import (DeformationCandidate, Matrix, adjoint_representation,
                   cochain_from_coords, cochain_to_candidate,
                   cocycle_to_extension, deformation_check, delta_matrix,
                   extension_to_cocycle, canonical_sections, kernel_basis,
@@ -53,10 +53,11 @@ def main():
 
     s1, s2 = canonical_sections(ext.split)
     m, p, n, q = ext.split
+    rows = s1.entries
     for i in range(m):
         for u in range(p):
-            s1.entries[m + u][i] = Fraction(rng.randint(-2, 2))
-    alt = extension_to_cocycle(ext, (s1, s2))
+            rows[m + u][i] = Fraction(rng.randint(-2, 2))
+    alt = extension_to_cocycle(ext, (Matrix.from_rows(rows), s2))
     print(f"a different section gives a different cochain: {alt != F} "
           "(they differ by an exact one; see the test suite)")
 

@@ -297,13 +297,13 @@ class AbelianExtension:
 
 def canonical_sections(split) -> tuple[Matrix, Matrix]:
     m, p, n, q = split
-    s1 = Matrix.zero(m + p, m)
-    for i in range(m):
-        s1.entries[i][i] = Fraction(1)
-    s2 = Matrix.zero(n + q, n)
-    for a in range(n):
-        s2.entries[a][a] = Fraction(1)
-    return s1, s2
+    return _block_identity(m + p, m), _block_identity(n + q, n)
+
+
+def _block_identity(rows: int, cols: int) -> Matrix:
+    """The rows x cols matrix with ones on the diagonal and zeros elsewhere."""
+    return Matrix.from_sparse(rows, cols,
+                              [{i: Fraction(1)} if i < cols else {} for i in range(rows)])
 
 
 def cocycle_to_extension(mp: MatchedPair, rep: MPRepresentation,
@@ -453,12 +453,8 @@ def validate_extension(e: AbelianExtension) -> ValidationReport:
                 check.add(("h-ideal", w, a), res)
 
     check = report.new_check("projection is a morphism")
-    j1 = Matrix.zero(m, m + p)
-    for i in range(m):
-        j1.entries[i][i] = Fraction(1)
-    j2 = Matrix.zero(n, n + q)
-    for a in range(n):
-        j2.entries[a][a] = Fraction(1)
+    j1 = _block_identity(m, m + p)
+    j2 = _block_identity(n, n + q)
     try:
         sub = check_morphism(total, e.base, MPMorphism(j1, j2))
         for c in sub.checks:
@@ -480,17 +476,19 @@ def extension_isomorphism_check(e: AbelianExtension, e2: AbelianExtension,
     for i in range(m + p):
         for j in range(m + p):
             expected_id = Fraction(int(i == j))
-            if j < m and i < m and f.entries[i][j] != expected_id:
-                check.add(("f-base", i, j), f.entries[i][j] - expected_id)
-            if j >= m and f.entries[i][j] != expected_id:
-                check.add(("f-fiber", i, j), f.entries[i][j] - expected_id)
+            x = f.entry(i, j)
+            if j < m and i < m and x != expected_id:
+                check.add(("f-base", i, j), x - expected_id)
+            if j >= m and x != expected_id:
+                check.add(("f-fiber", i, j), x - expected_id)
     for a in range(n + q):
         for b in range(n + q):
             expected_id = Fraction(int(a == b))
-            if b < n and a < n and g_map.entries[a][b] != expected_id:
-                check.add(("g-base", a, b), g_map.entries[a][b] - expected_id)
-            if b >= n and g_map.entries[a][b] != expected_id:
-                check.add(("g-fiber", a, b), g_map.entries[a][b] - expected_id)
+            x = g_map.entry(a, b)
+            if b < n and a < n and x != expected_id:
+                check.add(("g-base", a, b), x - expected_id)
+            if b >= n and x != expected_id:
+                check.add(("g-fiber", a, b), x - expected_id)
 
     check = report.new_check("morphism of total pairs")
     sub = check_morphism(e.total, e2.total, MPMorphism(f, g_map))

@@ -17,6 +17,7 @@ All arithmetic is ring-generic: entries may be Fractions or DualNumbers.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -213,7 +214,17 @@ def validate_representation(r: LieRep) -> ValidationReport:
 
 
 def ce_coboundary(r: LieRep, f: SkewMultiMap, n: int | None = None) -> SkewMultiMap:
-    """Coboundary of f in Hom(Lambda^n g, V) for the representation r."""
+    """Coboundary of f in Hom(Lambda^n g, V) for the representation r.
+
+    Runs over the stored keys of f.  A key s meets each index i not in s
+    in the output key s + {i}, through x_i . f(s) with the sign
+    (-1)^(position of i).  Dropping k from s leaves rest; each bracket
+    [x_a, x_b] with a nonzero e_k-coefficient and a, b not in rest meets
+    rest in the output key rest + {a, b}, through f([x_a, x_b], rest).
+    Terms are summed in the groups the defining formula sums them in (one
+    action term, one bracket argument), so every coordinate comes out with
+    the same value and scalar type as from that formula.
+    """
     g = r.algebra
     if n is None:
         n = f.arity
@@ -221,24 +232,48 @@ def ce_coboundary(r: LieRep, f: SkewMultiMap, n: int | None = None) -> SkewMulti
         raise ArityMismatch(f"cochain has arity {f.arity}, expected {n}")
     if f.dim != g.dim or f.codim != r.space_dim:
         raise ArityMismatch("cochain spaces do not match the representation")
-    coeffs = {}
-    for key in combinations(range(g.dim), n + 1):
-        acc = vzero(r.space_dim)
-        for pos in range(n + 1):
-            rest = key[:pos] + key[pos + 1:]
-            sign = -1 if pos % 2 else 1
-            vaccum(acc, sign, r.act(key[pos], f.evaluate(rest)))
-        for pi in range(n + 1):
-            for pj in range(pi + 1, n + 1):
-                rest = tuple(
-                    key[t] for t in range(n + 1) if t != pi and t != pj
-                )
-                sign = -1 if (pi + pj) % 2 else 1  # (-1)^{(pi+1)+(pj+1)}
-                bracket = g.c[key[pi]][key[pj]]
-                vaccum(acc, sign, f.evaluate_mixed((bracket,) + rest))
-        if not vis_zero(acc):
-            coeffs[key] = acc
-    return SkewMultiMap(n + 1, g.dim, r.space_dim, coeffs)
+    s_dim = r.space_dim
+    acc = {}
+
+    def add(key, sign, vec):
+        out = acc.get(key)
+        if out is None:
+            out = acc[key] = vzero(s_dim)
+        vaccum(out, sign, vec)
+
+    # x_i . f(s)
+    for s, vec in f.coeffs.items():
+        for i in range(g.dim):
+            if i not in s:
+                pos = bisect_left(s, i)
+                add(s[:pos] + (i,) + s[pos:], -1 if pos % 2 else 1, r.act(i, vec))
+
+    # f([x_a, x_b], rest): the stored keys rest + {k}, by rest
+    completions = {}
+    for s, vec in f.coeffs.items():
+        for pos, k in enumerate(s):
+            rest = s[:pos] + s[pos + 1:]
+            completions.setdefault(rest, []).append((k, -1 if pos % 2 else 1, vec))
+    by_output = [[] for _ in range(g.dim)]
+    for a in range(g.dim):
+        for b in range(a + 1, g.dim):
+            for k, c in enumerate(g.c[a][b]):
+                if c:
+                    by_output[k].append((a, b, c))
+    for rest, terms in completions.items():
+        groups = {}
+        for k, sign, vec in terms:
+            for a, b, c in by_output[k]:
+                if a in rest or b in rest:
+                    continue
+                out = groups.get((a, b))
+                if out is None:
+                    out = groups[(a, b)] = vzero(s_dim)
+                vaccum(out, sign * c, vec)
+        for (a, b), vec in groups.items():
+            pa, pb = bisect_left(rest, a), bisect_left(rest, b) + 1
+            add(tuple(sorted(rest + (a, b))), -1 if (pa + pb) % 2 else 1, vec)
+    return SkewMultiMap(n + 1, g.dim, s_dim, {key: acc[key] for key in sorted(acc)})
 
 
 def ce_basis(dim: int, space_dim: int, n: int):

@@ -1,8 +1,13 @@
 """Exact linear algebra over the rationals.
 
-``Matrix`` is the dense container every public function takes and
-returns.  ``operator_matrix`` turns a ring-generic linear map into its
-matrix by running it once on a probe vector of linear forms.
+``Matrix`` is the sparse container every public function takes and
+returns: each row is a ``{column: Fraction}`` dict of its nonzero
+entries, and nothing else is stored.  Every operation reads stored
+entries only, so its cost follows the nonzeros, not rows x cols.
+``Matrix.entries`` is a dense view, built afresh on each access, for
+callers that want rows of Fractions; writing into it changes nothing.
+``operator_matrix`` turns a ring-generic linear map into its matrix by
+running it once on a probe vector of linear forms.
 
 One sparse elimination kernel serves ``rank``, ``kernel_basis``,
 ``solve`` and ``invert``.  Each nonzero row becomes a sparse integer
@@ -37,29 +42,47 @@ from math import gcd, lcm
 from .errors import DimensionMismatch, InputError, NotAComplex
 from .scalars import LinearForm
 
-# The zero entry of the matrices built here.  Sparse scans test entries
-# against it by identity before calling Fraction.__bool__, which is slow
-# Python code and would otherwise run once per entry of a mostly zero matrix.
+# The value read for an entry that is not stored.
 _ZERO = Fraction(0)
 
 
-class Matrix:
-    """Immutable-by-convention dense matrix of Fractions, row major."""
+def _sparse_row(row) -> dict:
+    """{column: Fraction} of the nonzero entries of a dense row."""
+    out = {}
+    for j, x in enumerate(row):
+        if type(x) is not Fraction:
+            x = Fraction(x)
+        if x:
+            out[j] = x
+    return out
 
-    __slots__ = ("rows", "cols", "entries")
+
+class Matrix:
+    """Immutable-by-convention sparse matrix of Fractions.
+
+    ``data[i]`` is the {column: Fraction} dict of the nonzero entries of
+    row i.  ``Matrix(rows, cols, entries)`` reads dense rows.
+    """
+
+    __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, entries=None):
         self.rows = rows
         self.cols = cols
         if entries is None:
-            self.entries = [[_ZERO] * cols for _ in range(rows)]
-        else:
-            if len(entries) != rows or any(len(r) != cols for r in entries):
-                raise DimensionMismatch(
-                    f"entries do not fill a {rows}x{cols} matrix"
-                )
-            self.entries = [[x if type(x) is Fraction else Fraction(x) for x in r]
-                            for r in entries]
+            self.data = [{} for _ in range(rows)]
+            return
+        if len(entries) != rows or any(len(r) != cols for r in entries):
+            raise DimensionMismatch(f"entries do not fill a {rows}x{cols} matrix")
+        self.data = [_sparse_row(r) for r in entries]
+
+    @classmethod
+    def from_sparse(cls, rows: int, cols: int, data) -> "Matrix":
+        """The matrix whose row i holds data[i], a {column: Fraction} dict of
+        nonzero entries; the dicts are taken over, not copied or checked."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m.data = rows, cols, data
+        return m
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
@@ -67,10 +90,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.entries[i][i] = Fraction(1)
-        return m
+        return cls.from_sparse(n, n, [{i: Fraction(1)} for i in range(n)])
 
     @classmethod
     def from_rows(cls, rows) -> "Matrix":
@@ -86,44 +106,55 @@ class Matrix:
         n_rows = len(cols[0])
         return cls(n_rows, len(cols), [[c[i] for c in cols] for i in range(n_rows)])
 
+    @property
+    def entries(self) -> list[list[Fraction]]:
+        """Dense rows of Fractions, built on each access."""
+        cols = range(self.cols)
+        return [[row.get(j, _ZERO) for j in cols] for row in self.data]
+
+    def entry(self, i: int, j: int) -> Fraction:
+        return self.data[i].get(j, _ZERO)
+
     def column(self, j: int):
-        return [self.entries[i][j] for i in range(self.rows)]
+        return [row.get(j, _ZERO) for row in self.data]
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols, self.rows,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-        )
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.data):
+            for j, x in row.items():
+                out[j][i] = x
+        return Matrix.from_sparse(self.cols, self.rows, out)
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        out = Matrix(self.rows, other.cols)
-        other_rows = [_nonzeros(row) for row in other.entries]
-        for row, out_row in zip(self.entries, out.entries):
-            for k, a in _nonzeros(row):
-                for j, b in other_rows[k]:
-                    out_row[j] += a * b
-        return out
+        other_rows = other.data
+        out = []
+        for row in self.data:
+            acc = {}
+            for k, a in row.items():
+                for j, b in other_rows[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: x for j, x in acc.items() if x})
+        return Matrix.from_sparse(self.rows, other.cols, out)
 
     def mul_vec(self, v):
         if len(v) != self.cols:
             raise DimensionMismatch("vector length does not match column count")
-        support = [(j, x) for j, x in enumerate(v) if x]
         out = []
-        for row in self.entries:
+        for row in self.data:
             total = _ZERO
-            for j, x in support:
-                a = row[j]
-                if a is not _ZERO and a:
+            for j, a in row.items():
+                x = v[j]
+                if x:
                     total += a * x
             out.append(total)
         return out
 
     def is_zero(self) -> bool:
-        return all(x is _ZERO or not x for row in self.entries for x in row)
+        return not any(self.data)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -131,7 +162,7 @@ class Matrix:
         return (
             self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.data == other.data
         )
 
     def __repr__(self):
@@ -149,33 +180,27 @@ def operator_matrix(image, n_rows: int, n_cols: int) -> Matrix:
     out = image([LinearForm.variable(j) for j in range(n_cols)])
     if len(out) != n_rows:
         raise DimensionMismatch(f"image has {len(out)} coordinates, expected {n_rows}")
-    entries = []
+    data = []
     for form in out:
-        row = [_ZERO] * n_cols
-        if form:
-            if not isinstance(form, LinearForm):
-                raise TypeError(f"image coordinate {form!r} is not a linear form")
-            for j, c in form.terms.items():
-                row[j] = Fraction(c)
-        entries.append(row)
-    return Matrix(n_rows, n_cols, entries)
+        if not form:
+            data.append({})
+            continue
+        if not isinstance(form, LinearForm):
+            raise TypeError(f"image coordinate {form!r} is not a linear form")
+        data.append({j: c if type(c) is Fraction else Fraction(c)
+                     for j, c in form.terms.items()})
+    return Matrix.from_sparse(n_rows, n_cols, data)
 
 
 # -- the elimination kernel --------------------------------------------------
 
 
-def _nonzeros(row) -> list:
-    """(column, entry) pairs of the nonzero entries of a dense row."""
-    return [(j, x) for j, x in enumerate(row) if x is not _ZERO and x]
-
-
-def _integer_row(row) -> dict:
-    """{column: int} proportional to a rational row, with content 1."""
-    pairs = _nonzeros(row)
-    if not pairs:
+def _integer_row(row: dict) -> dict:
+    """{column: int} proportional to a sparse rational row, with content 1."""
+    if not row:
         return {}
-    scale = lcm(*(x.denominator for _, x in pairs))
-    out = {j: x.numerator * (scale // x.denominator) for j, x in pairs}
+    scale = lcm(*(x.denominator for x in row.values()))
+    out = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
     content = gcd(*out.values())
     if content > 1:
         out = {j: v // content for j, v in out.items()}
@@ -204,7 +229,8 @@ def _eliminate(row: dict, pivot_row: dict, c: int) -> dict:
 def _echelon(rows, reduce: bool = False) -> list[tuple[int, dict]]:
     """(pivot column, integer row) pairs of a row echelon form, in column order.
 
-    ``rows`` are rational rows (dense lists).  With ``reduce`` the rows
+    ``rows`` are sparse rational rows ({column: Fraction or int} dicts of
+    nonzero entries).  With ``reduce`` the rows
     are back-substituted: each then holds its pivot and free columns only,
     and dividing it by its pivot entry gives the reduced row echelon form.
     """
@@ -264,8 +290,8 @@ def rank(m: Matrix, clear=None, pivots=None) -> int:
     indices of m) of that elimination.
     """
     if clear is None:
-        return len(_echelon(m.entries if m.rows <= m.cols else zip(*m.entries)))
-    kept = (col for j, col in enumerate(zip(*m.entries)) if j not in clear)
+        return len(_echelon(m.data if m.rows <= m.cols else m.transpose().data))
+    kept = (col for j, col in enumerate(m.transpose().data) if j not in clear)
     echelon = _echelon(kept)
     if pivots is not None:
         pivots.update(c for c, _ in echelon)
@@ -279,9 +305,9 @@ def kernel_dim(m: Matrix) -> int:
 def _scaled_rows(m: Matrix) -> list:
     """The nonzero entries of each row of c*m, for the least integer c > 0
     that clears every denominator of m."""
-    rows = [_nonzeros(row) for row in m.entries]
-    scale = lcm(*(x.denominator for row in rows for _, x in row))
-    return [[(j, x.numerator * (scale // x.denominator)) for j, x in row] for row in rows]
+    scale = lcm(*(x.denominator for row in m.data for x in row.values()))
+    return [[(j, x.numerator * (scale // x.denominator)) for j, x in row.items()]
+            for row in m.data]
 
 
 def _product_is_zero(a_rows, b_rows) -> bool:
@@ -311,21 +337,21 @@ def cohomology_dims(delta, max_degree: int) -> list[int]:
         raise InputError(f"max_degree must be nonnegative, got {max_degree}",
                          field="max_degree")
     dims = []
-    prev, prev_rows, prev_rank, prev_pivots = None, None, 0, set()
+    prev_rows, prev_rank, prev_pivots = None, 0, set()
     for d in range(max_degree + 1):
         m = delta(d)
         rows = _scaled_rows(m)
-        if prev is not None:
-            if m.cols != prev.rows:
+        if prev_rows is not None:
+            if m.cols != len(prev_rows):
                 raise DimensionMismatch(
-                    f"d_out has {m.cols} columns but d_in has {prev.rows} rows"
+                    f"d_out has {m.cols} columns but d_in has {len(prev_rows)} rows"
                 )
             if not _product_is_zero(rows, prev_rows):
                 raise NotAComplex("d_out * d_in != 0")
         pivots = set()
         r = rank(m, prev_pivots, pivots)
         dims.append(m.cols - r - prev_rank)
-        prev, prev_rows, prev_rank, prev_pivots = m, rows, r, pivots
+        prev_rows, prev_rank, prev_pivots = rows, r, pivots
     return dims
 
 
@@ -344,7 +370,7 @@ def kernel_basis(m: Matrix) -> list[list[Fraction]]:
     The vector of free column f has 1 at f, minus the reduced row echelon
     entries of column f at the pivot columns, and 0 elsewhere.
     """
-    pivots = _rref(m.entries)
+    pivots = _rref(m.data)
     pivot_cols = {c for c, _ in pivots}
     free = [j for j in range(m.cols) if j not in pivot_cols]
     slot = {j: t for t, j in enumerate(free)}
@@ -365,7 +391,11 @@ def solve(m: Matrix, b) -> list[Fraction] | None:
     if len(b) != m.rows:
         raise DimensionMismatch("right-hand side length does not match row count")
     n = m.cols
-    pivots = _rref([list(row) + [Fraction(b[i])] for i, row in enumerate(m.entries)])
+    rows = []
+    for row, bi in zip(m.data, b):
+        bi = Fraction(bi)
+        rows.append({**row, n: bi} if bi else row)
+    pivots = _rref(rows)
     x = [Fraction(0)] * n
     for c, row in pivots:
         if c == n:
@@ -379,8 +409,8 @@ def invert(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise DimensionMismatch("only square matrices can be inverted")
     n = m.rows
-    pivots = _rref([list(row) + [int(i == j) for j in range(n)]
-                    for i, row in enumerate(m.entries)])
+    pivots = _rref([{**row, n + i: 1} for i, row in enumerate(m.data)])
     if [c for c, _ in pivots[:n]] != list(range(n)):
         raise DimensionMismatch("matrix is singular")
-    return Matrix(n, n, [[row.get(n + j, _ZERO) for j in range(n)] for _, row in pivots])
+    return Matrix.from_sparse(n, n, [{j - n: x for j, x in row.items() if j >= n}
+                                     for _, row in pivots])

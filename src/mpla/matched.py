@@ -266,13 +266,11 @@ def check_morphism(src: MatchedPair, dst: MatchedPair, phi: MPMorphism) -> Valid
     combined = report.new_check("combined-product homomorphism")
     big_src = bicrossed_product(src)
     big_dst = bicrossed_product(dst)
-    blocks = Matrix.zero(dst.dim_g + dst.dim_h, src.dim_g + src.dim_h)
-    for i in range(dst.dim_g):
-        for j in range(src.dim_g):
-            blocks.entries[i][j] = f.entries[i][j]
-    for a in range(dst.dim_h):
-        for b in range(src.dim_h):
-            blocks.entries[dst.dim_g + a][src.dim_g + b] = gm.entries[a][b]
+    shift = src.dim_g
+    blocks = Matrix.from_sparse(
+        dst.dim_g + dst.dim_h, src.dim_g + src.dim_h,
+        f.data + [{shift + b: x for b, x in row.items()} for row in gm.data],
+    )
     _is_hom(big_src, big_dst, blocks, combined, "g+h")
     return report
 

@@ -413,10 +413,6 @@ class SkeletalMatchedPair:
         return SkeletalRep(self.H.dim0, self.H.dim1,
                            self.rho2_00, self.rho2_01, self.rho2_10, self.rho3)
 
-    def psi_rep(self) -> SkeletalRep:
-        return SkeletalRep(self.G.dim0, self.G.dim1,
-                           self.psi2_00, self.psi2_01, self.psi2_10, self.psi3)
-
     def tensors_equal(self, other) -> bool:
         return (
             self.G.tensors_equal(other.G) and self.H.tensors_equal(other.H)
@@ -556,14 +552,11 @@ def validate_skeletal_matched_pair(s: SkeletalMatchedPair) -> ValidationReport:
     if not report.ok:
         return report
 
-    check = report.new_check("rho representation of G")
-    for c in validate_skeletal_rep(G, s.rho_rep()).checks:
-        check.witnesses.extend(c.witnesses)
-    check = report.new_check("psi representation of H")
-    for c in validate_skeletal_rep(H, s.psi_rep()).checks:
-        check.witnesses.extend(c.witnesses)
-
     flipped = s.flipped()
+    for name, data in (("rho representation of G", s), ("psi representation of H", flipped)):
+        check = report.new_check(name)
+        for c in validate_skeletal_rep(data.G, data.rho_rep()).checks:
+            check.witnesses.extend(c.witnesses)
     for name, group, data in (
         ("mixed(1)", _mixed_1, s), ("mixed(2)", _mixed_1, flipped),
         ("mixed(3)", _mixed_3, s), ("mixed(4)", _mixed_4, s),
@@ -576,9 +569,10 @@ def validate_skeletal_matched_pair(s: SkeletalMatchedPair) -> ValidationReport:
     return report
 
 
-# The groups mixed(2), mixed(5), mixed(6), compat(skel3) and compat(skel4)
-# are mixed(1), mixed(3), mixed(4), compat(skel1) and compat(skel2) of the
-# flipped pair, witness keys included:
+# The groups "psi representation of H", mixed(2), mixed(5), mixed(6),
+# compat(skel3) and compat(skel4) are "rho representation of G", mixed(1),
+# mixed(3), mixed(4), compat(skel1) and compat(skel2) of the flipped pair,
+# witness keys included:
 #   mixed(2): psi2([h, w], x) = psi2(h, psi2(w, x)) - psi2(w, psi2(h, x))
 #   mixed(5): psi2(h, [x, v]) = [psi2(h,x), v] + [x, psi2(h,v)]
 #             + psi2(rho2(v,h), x) - psi2(rho2(x,h), v)
@@ -645,7 +639,7 @@ def _compat_skel1(s: SkeletalMatchedPair, check):
     + psi3(rho2(y,h),k,x) - psi3(rho2(y,k),h,x) = 0."""
     G = s.G
     m, n, p = G.dim0, s.H.dim0, G.dim1
-    psi = s.psi_rep()
+    psi = s.flipped().rho_rep()
     for i in range(m):
         for j in range(i + 1, m):
             for a in range(n):

@@ -233,9 +233,44 @@ def percolumn_delta_matrix(mp, rep, degree, route="coeff"):
     return Matrix.from_columns(columns)
 
 
+def pull_ce_coboundary(r, f, n=None):
+    """The CE coboundary by its defining formula: every (n+1)-key of the
+    algebra pulls the action and bracket terms from f, whatever f's
+    support.  Oracle for ``lie.ce_coboundary``, which runs over f's keys."""
+    from mpla.errors import ArityMismatch
+    from mpla.scalars import vaccum, vis_zero, vzero
+
+    g = r.algebra
+    if n is None:
+        n = f.arity
+    if f.arity != n:
+        raise ArityMismatch(f"cochain has arity {f.arity}, expected {n}")
+    if f.dim != g.dim or f.codim != r.space_dim:
+        raise ArityMismatch("cochain spaces do not match the representation")
+    coeffs = {}
+    for key in combinations(range(g.dim), n + 1):
+        acc = vzero(r.space_dim)
+        for pos in range(n + 1):
+            rest = key[:pos] + key[pos + 1:]
+            sign = -1 if pos % 2 else 1
+            vaccum(acc, sign, r.act(key[pos], f.evaluate(rest)))
+        for pi in range(n + 1):
+            for pj in range(pi + 1, n + 1):
+                rest = tuple(
+                    key[t] for t in range(n + 1) if t != pi and t != pj
+                )
+                sign = -1 if (pi + pj) % 2 else 1  # (-1)^{(pi+1)+(pj+1)}
+                bracket = g.c[key[pi]][key[pj]]
+                vaccum(acc, sign, f.evaluate_mixed((bracket,) + rest))
+        if not vis_zero(acc):
+            coeffs[key] = acc
+    return SkewMultiMap(n + 1, g.dim, r.space_dim, coeffs)
+
+
 def percolumn_ce_matrix(r, n):
-    """The CE coboundary matrix, one basis cochain at a time."""
-    from mpla import Matrix, ce_basis, ce_coboundary
+    """The CE coboundary matrix, one basis cochain at a time, through the
+    pull-form oracle."""
+    from mpla import Matrix, ce_basis
     from mpla.scalars import vzero
 
     g = r.algebra
@@ -246,7 +281,7 @@ def percolumn_ce_matrix(r, n):
     for key, p in domain:
         vec = vzero(r.space_dim)
         vec[p] = Fraction(1)
-        image = ce_coboundary(r, SkewMultiMap(n, g.dim, r.space_dim, {key: vec}), n)
+        image = pull_ce_coboundary(r, SkewMultiMap(n, g.dim, r.space_dim, {key: vec}), n)
         col = [Fraction(0)] * len(target)
         for tkey, tvec in image.coeffs.items():
             for q, x in enumerate(tvec):

@@ -205,20 +205,21 @@ def test_criterion_07_extension_round_trip():
             F2 = F - delta_mpl_coeff(mp, rep, theta)
             e1 = cocycle_to_extension(mp, rep, F)
             e2 = cocycle_to_extension(mp, rep, F2)
-            f_map = Matrix.identity(m + p)
-            g_map = Matrix.identity(n + q)
+            f_rows = Matrix.identity(m + p).entries
+            g_rows = Matrix.identity(n + q).entries
             part = theta.component(1)
             for i in range(m):
                 vec = part.part_v.get(((i,), ()))
                 if vec:
                     for u, c in enumerate(vec):
-                        f_map.entries[m + u][i] = c
+                        f_rows[m + u][i] = c
             for a in range(n):
                 vec = part.part_w.get(((), (a,)))
                 if vec:
                     for w, c in enumerate(vec):
-                        g_map.entries[n + w][a] = c
-            assert extension_isomorphism_check(e1, e2, f_map, g_map).ok, name
+                        g_rows[n + w][a] = c
+            assert extension_isomorphism_check(
+                e1, e2, Matrix.from_rows(f_rows), Matrix.from_rows(g_rows)).ok, name
     report(7, "extensions and cocycles invert each other",
            f"{round_trips} kernel-basis round trips")
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -340,7 +341,7 @@ def test_ce_and_liebi_matrices_match_percolumn_oracles():
     from mpla import bicrossed_product
     from mpla.catalog import heisenberg3, sl2
 
-    for _, mp in small_fixtures():
+    for _, mp in standard_fixtures():
         big = bicrossed_product(mp)
         for r in (big.adjoint(), LieRep.trivial(big)):
             for n in range(big.dim + 2):
@@ -402,3 +403,38 @@ def test_cleared_ranks_on_conjugated_complexes_to_the_top_degree():
             oracle = [m.cols - r - (ranks[d - 1] if d else 0)
                       for d, (m, r) in enumerate(zip(matrices, ranks))]
             assert got == expected == oracle
+
+
+# -- the full complex of a 6+6 pair ------------------------------------------
+
+# h_dims of semidirect_product(coadjoint_representation(mp_direct(sl2, sl2)))
+# with adjoint coefficients, degrees 0..12 (the whole complex)
+SL2_SL2_COADJOINT_H = [12, 8, 18, 16, 18, 22, 16, 12, 6, 0, 2, 2, 0]
+# degrees 0..4 as computed with dense matrix rows, the most that dense
+# storage reached in about 1 GiB
+SL2_SL2_COADJOINT_H_DENSE = [12, 8, 18, 16, 18]
+
+
+def closed_form_cochain_dim(m, n, p, q, degree):
+    """dim C^d of the matched-pair complex, from its definition."""
+    if degree == 0:
+        return p + q
+    return sum(p * comb(m, degree - r + 1) * comb(n, r - 1) + q * comb(m, degree - r) * comb(n, r)
+               for r in range(1, degree + 1))
+
+
+def test_full_complex_of_the_6_6_coadjoint_pair():
+    from mpla import mpl_dimension_report, semidirect_product
+    from mpla.catalog import sl2
+
+    mp = semidirect_product(coadjoint_representation(mp_direct(sl2(), sl2())))
+    assert (mp.dim_g, mp.dim_h) == (6, 6)
+    table = mpl_dimension_report(mp, adjoint_representation(mp), 12)
+    h_dims = [row["h_dim"] for row in table]
+    cochain_dims = [closed_form_cochain_dim(6, 6, 6, 6, d) for d in range(13)]
+    assert [row["cochain_dim"] for row in table] == cochain_dims
+    assert max(cochain_dims) == 11076
+    assert h_dims == SL2_SL2_COADJOINT_H
+    assert h_dims[:5] == SL2_SL2_COADJOINT_H_DENSE
+    euler = [sum((-1) ** d * v for d, v in enumerate(dims)) for dims in (cochain_dims, h_dims)]
+    assert euler == [12, 12]

@@ -197,20 +197,21 @@ def test_cohomologous_cocycles_isomorphic_extensions():
         F2 = F - delta_mpl_coeff(mp, rep, theta)
         e1 = cocycle_to_extension(mp, rep, F)
         e2 = cocycle_to_extension(mp, rep, F2)
-        f = Matrix.identity(m + p)
-        g_map = Matrix.identity(n + q)
+        f_rows = Matrix.identity(m + p).entries
+        g_rows = Matrix.identity(n + q).entries
         part = theta.component(1)
         for i in range(m):
             vec = part.part_v.get(((i,), ()))
             if vec:
                 for u, c in enumerate(vec):
-                    f.entries[m + u][i] = c
+                    f_rows[m + u][i] = c
         for a in range(n):
             vec = part.part_w.get(((), (a,)))
             if vec:
                 for w, c in enumerate(vec):
-                    g_map.entries[n + w][a] = c
-        assert extension_isomorphism_check(e1, e2, f, g_map).ok, name
+                    g_rows[n + w][a] = c
+        assert extension_isomorphism_check(
+            e1, e2, Matrix.from_rows(f_rows), Matrix.from_rows(g_rows)).ok, name
 
 
 def test_section_independence():
@@ -222,14 +223,15 @@ def test_section_independence():
         F = cochain_from_coords(
             dims, rep.dims, 2, kernel_basis(delta_matrix(mp, rep, 2))[-1])
         ext = cocycle_to_extension(mp, rep, F)
-        s1, s2 = canonical_sections(ext.split)
+        s1_rows, s2_rows = (s.entries for s in canonical_sections(ext.split))
         for i in range(m):
             for u in range(p):
-                s1.entries[m + u][i] = rand_fraction(rng, -2, 2)
+                s1_rows[m + u][i] = rand_fraction(rng, -2, 2)
         for a in range(n):
             for w in range(q):
-                s2.entries[n + w][a] = rand_fraction(rng, -2, 2)
-        alt = extension_to_cocycle(ext, (s1, s2))
+                s2_rows[n + w][a] = rand_fraction(rng, -2, 2)
+        alt = extension_to_cocycle(
+            ext, (Matrix.from_rows(s1_rows), Matrix.from_rows(s2_rows)))
         diff = [a - b for a, b in
                 zip(cochain_to_coords(alt), cochain_to_coords(F))]
         assert solve(delta_matrix(mp, rep, 1), diff) is not None, name
@@ -240,6 +242,8 @@ def test_bad_section_rejected():
     rep = adjoint_representation(mp)
     ext = cocycle_to_extension(mp, rep, MPCochain.zero(2, (1, 1), (1, 1)))
     s1, s2 = canonical_sections(ext.split)
-    s1.entries[0][0] = Fraction(2)  # no longer splits the projection
+    s1_rows = s1.entries
+    s1_rows[0][0] = Fraction(2)  # no longer splits the projection
+    s1 = Matrix.from_rows(s1_rows)
     with pytest.raises(NotASection):
         extension_to_cocycle(ext, (s1, s2))

@@ -1,11 +1,17 @@
 import random
+from fractions import Fraction
+from itertools import combinations
+
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from mpla import (LieAlgebra, LieRep, SkewMultiMap, ce_cohomology_dims,
                   ce_coboundary, ce_matrix, nr_bracket, validate_lie_algebra,
                   validate_representation, wedge_rep)
 from mpla.catalog import aff1, heisenberg3, sl2
+from mpla.scalars import DualNumber, LinearForm
 
-from helpers import rand_lie_candidate, rand_skew_map
+from helpers import pull_ce_coboundary, rand_lie_candidate, rand_skew_map
 
 
 def test_validate_abelian_and_aff1():
@@ -103,3 +109,68 @@ def test_wedge_rep_is_representation():
     for g in (aff1(), heisenberg3(), sl2()):
         for q in (1, 2, 3):
             assert validate_representation(wedge_rep(g, q)).ok
+
+
+# -- the coboundary over f's support, against the defining formula -----------
+
+SCALARS = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(-1, 2), Fraction(3, 5)])
+VALUES = {
+    "scalar": SCALARS,
+    "linear": st.dictionaries(st.integers(0, 3), st.sampled_from([1, -1, 2, Fraction(1, 3)]),
+                              max_size=2).map(LinearForm),
+    "dual": st.builds(DualNumber, SCALARS, SCALARS),
+}
+
+
+@st.composite
+def algebras_and_reps(draw):
+    """A skew bracket drawn entry by entry and a zero or random action: mostly
+    neither a Lie algebra nor a representation."""
+    dim = draw(st.integers(1, 5))
+    g = LieAlgebra.from_brackets(dim, {
+        key: [draw(SCALARS) for _ in range(dim)]
+        for key in combinations(range(dim), 2) if draw(st.booleans())})
+    space_dim = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return LieRep.zero(g, space_dim)
+    action = [[[draw(SCALARS) for _ in range(space_dim)] for _ in range(space_dim)]
+              for _ in range(dim)]
+    return LieRep(g, space_dim, action)
+
+
+def _plain(m):
+    """Coefficients of m, linear forms as their terms, with each value's type."""
+    return {key: [(type(x), x.terms if isinstance(x, LinearForm) else x) for x in vec]
+            for key, vec in m.coeffs.items()}
+
+
+@seed(7)
+@settings(max_examples=300, deadline=None)
+@given(algebras_and_reps(), st.data())
+def test_ce_coboundary_matches_pull_form(rep, data):
+    dim, codim = rep.algebra.dim, rep.space_dim
+    arity = data.draw(st.integers(0, dim))
+    keys = list(combinations(range(dim), arity))
+    if data.draw(st.booleans()):
+        keys = data.draw(st.lists(st.sampled_from(keys), unique=True, max_size=2))
+    else:
+        keys = data.draw(st.permutations(keys))
+    values = VALUES[data.draw(st.sampled_from(sorted(VALUES)))]
+    f = SkewMultiMap(arity, dim, codim,
+                     {key: [data.draw(values) for _ in range(codim)] for key in keys})
+    got, expected = ce_coboundary(rep, f, arity), pull_ce_coboundary(rep, f, arity)
+    assert (got.arity, got.dim, got.codim) == (expected.arity, expected.dim, expected.codim)
+    assert _plain(got) == _plain(expected)
+    assert list(got.coeffs) == list(expected.coeffs)
+
+
+def test_ce_coboundary_sums_each_bracket_argument_before_adding_it():
+    # [e0, e1] = e0 - e1 sends f(e0) - f(e1) = [0, 1] into key (0, 1): the
+    # cancelled slot was never added, so it stays the int 0 it started as
+    g = LieAlgebra.from_brackets(2, {(0, 1): [Fraction(1), Fraction(-1)]})
+    rep = LieRep.zero(g, 2)
+    f = SkewMultiMap(1, 2, 2, {(0,): [1, 1], (1,): [1, 0]})
+    got = ce_coboundary(rep, f, 1)
+    assert got.coeffs == {(0, 1): [0, -1]}
+    assert [type(x) for x in got.coeffs[(0, 1)]] == [int, Fraction]
+    assert _plain(got) == _plain(pull_ce_coboundary(rep, f, 1))

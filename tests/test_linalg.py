@@ -184,6 +184,45 @@ def test_solve_matches_gauss_jordan(m, data):
 
 
 @settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sparse_storage_matches_dense_rows(data):
+    rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    dense = [[data.draw(ENTRIES) for _ in range(cols)] for _ in range(rows)]
+    expected = [[Fraction(x) for x in row] for row in dense]
+    columns = [[expected[i][j] for i in range(rows)] for j in range(cols)]
+    made = [Matrix(rows, cols, dense),
+            Matrix.from_sparse(rows, cols, [{j: x for j, x in enumerate(row) if x}
+                                            for row in expected])]
+    if rows:
+        made.append(Matrix.from_rows(dense))
+    if cols:
+        made.append(Matrix.from_columns([[row[j] for row in dense] for j in range(cols)]))
+    for m in made:
+        assert (m.rows, m.cols) == (rows, cols)
+        assert m == made[0]
+        assert m.entries == expected
+        assert all(type(x) is Fraction for row in m.entries for x in row)
+        assert all(type(x) is Fraction and x for row in m.data for x in row.values())
+        assert [m.column(j) for j in range(cols)] == columns
+        assert all(type(x) is Fraction for j in range(cols) for x in m.column(j))
+        assert all(m.entry(i, j) == expected[i][j] and type(m.entry(i, j)) is Fraction
+                   for i in range(rows) for j in range(cols))
+        t = m.transpose()
+        assert (t.rows, t.cols) == (cols, rows) and t.entries == columns
+        assert t.transpose() == m
+        assert m.is_zero() == (not any(x for row in dense for x in row))
+    m = made[0]
+    if rows and cols:
+        view = m.entries
+        view[0][0] += 1               # a dense view: writing into it changes nothing
+        assert m.entries == expected
+        assert Matrix(rows, cols, view) != m
+    assert m != Matrix.zero(rows, cols + 1) and m != Matrix.zero(rows + 1, cols)
+    assert Matrix.identity(rows).entries == [[Fraction(int(i == j)) for j in range(rows)]
+                                             for i in range(rows)]
+
+
+@settings(max_examples=150, deadline=None)
 @given(matrices(), st.data())
 def test_mul_vec_matches_dense_formula(m, data):
     v = [data.draw(ENTRIES) for _ in range(m.cols)]
@@ -294,10 +333,11 @@ def _known_complex(rng, lone, pieces):
     change = [rand_invertible(rng, n) for n in dims]
     deltas = []
     for d in range(top + 1):
-        m = Matrix.zero(dims[d + 1], dims[d])
+        rows = [[0] * dims[d] for _ in range(dims[d + 1])]
         for i in range(pieces[d]):
-            m.entries[lone[d + 1] + pieces[d + 1] + i][lone[d] + i] = \
+            rows[lone[d + 1] + pieces[d + 1] + i][lone[d] + i] = \
                 rand_fraction(rng, 1, 4) * rng.choice((1, -1))
+        m = Matrix(dims[d + 1], dims[d], rows)
         deltas.append(change[d + 1].mul(m).mul(invert(change[d])))
     return deltas
 
