@@ -6,7 +6,11 @@ the code before the elimination kernel learned to clear pivots; any change
 to how ranks are computed must leave every printed byte as it was.  The
 witness files were written before the mirrored axiom groups were derived
 from their twins on the flipped structure: every group, witness key and
-residual must come out as it did.
+residual must come out as it did.  The ``mc-check`` and ``deform-check``
+files were written while the graded bracket and delta^{mu x rho} still
+evaluated their input at every output key; their residuals come straight
+from those two formulas, so the printed values and scalar types (``0``
+against ``Fraction(0, 1)``) must not change with the way they are summed.
 """
 
 import os
@@ -53,11 +57,23 @@ WITNESS_CASES = [
     for name, (first, *rest) in WITNESS_INPUTS
     for ext, fmt in (("txt", "text"), ("json", "json"))
 ]
+# failing residual reports (exit 1): the square-zero test of a pair failing
+# all three component brackets, and an open deformation candidate of the
+# 4+4 pair, whose cocycle route prints the residuals of delta_2
+WITNESS_CASES += [
+    (f"{name}.{ext}", ["-m", "mpla.cli", *args, "--format", fmt])
+    for name, args in (
+        ("mc_check_pair", ["mc-check", str(DATA / "witness_pair.json")]),
+        ("deform_check_open", ["deform-check", str(DATA / "semidirect_double.json"),
+                               str(DATA / "deform_open.json")]),
+    )
+    for ext, fmt in (("txt", "text"), ("json", "json"))
+]
 
 
 def test_every_demo_has_a_golden():
     assert len(CASES) == 9
-    assert len(WITNESS_CASES) == 6
+    assert len(WITNESS_CASES) == 10
     assert sorted(p.name for p in GOLDENS.iterdir()) == sorted(
         name for name, _ in CASES + WITNESS_CASES)
 
