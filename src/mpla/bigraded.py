@@ -21,7 +21,7 @@ from math import comb
 
 from .errors import ArityMismatch, DimensionMismatch
 from .multimap import SkewMultiMap, nr_bracket
-from .scalars import vaccum, vis_zero, vzero
+from .scalars import vis_zero, vzero
 
 
 class BidegreeMap:
@@ -121,49 +121,6 @@ class BidegreeMap:
                 table[(hj, gi)] = [-x for x in vec] if odd else list(vec)
         return out
 
-    def _eval(self, table, g_args, h_args, codim):
-        for pos, a in enumerate(g_args):
-            if not isinstance(a, int):
-                acc = vzero(codim)
-                for idx, c in enumerate(a):
-                    if c:
-                        inner = self._eval(
-                            table, g_args[:pos] + (idx,) + g_args[pos + 1:],
-                            h_args, codim,
-                        )
-                        vaccum(acc, c, inner)
-                return acc
-        for pos, a in enumerate(h_args):
-            if not isinstance(a, int):
-                acc = vzero(codim)
-                for idx, c in enumerate(a):
-                    if c:
-                        inner = self._eval(
-                            table, g_args, h_args[:pos] + (idx,) + h_args[pos + 1:],
-                            codim,
-                        )
-                        vaccum(acc, c, inner)
-                return acc
-        from .multimap import sort_sign
-
-        sg, gi = sort_sign(tuple(g_args))
-        if sg == 0:
-            return vzero(codim)
-        sh, hj = sort_sign(tuple(h_args))
-        if sh == 0:
-            return vzero(codim)
-        vec = table.get((gi, hj))
-        if vec is None:
-            return vzero(codim)
-        return [sg * sh * x for x in vec]
-
-    def eval_v(self, g_args, h_args):
-        """V-part on (k+1) g-arguments and l h-arguments (indices or vectors)."""
-        return self._eval(self.part_v, tuple(g_args), tuple(h_args), self.dim_v)
-
-    def eval_w(self, g_args, h_args):
-        return self._eval(self.part_w, tuple(g_args), tuple(h_args), self.dim_w)
-
     def space_dim(self) -> int:
         m, n = self.dim_g, self.dim_h
         return (
@@ -185,7 +142,7 @@ def embed(b: BidegreeMap) -> SkewMultiMap:
     for (gi, hj), vec in b.part_w.items():
         key = gi + tuple(m + a for a in hj)
         coeffs[key] = vzero(m) + list(vec)
-    return SkewMultiMap(arity, m + n, m + n, coeffs)
+    return SkewMultiMap.from_canonical(arity, m + n, m + n, coeffs)
 
 
 @dataclass

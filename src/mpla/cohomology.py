@@ -26,7 +26,12 @@ delta^{psi x nu} is the flip-conjugate of delta^{mu x rho},
 where flip sends the component value at (gi, hj) to (hj, gi) with the
 sign (-1)^{|gi| |hj|} and no further sign.  On adjoint coefficients the
 two routes agree exactly (this equality is enforced by the test suite
-and pins every sign).
+and pins every sign).  Both routes run over the stored keys of their
+input: the graded bracket through ``multimap.insertion``, and
+delta^{mu x rho} over the keys (s, t) of F_r, each of which meets the
+output keys of its action, rho-, bracket- and alpha-terms; the argument
+sums of the defining formula are kept as groups, so values and scalar
+types are those of the formula.
 
 Degree 0.  The pointwise degree-0 formula
 
@@ -45,6 +50,7 @@ genuine ones and square to zero exactly.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -57,7 +63,7 @@ from .matched import LieBialgebra, MatchedPair, bialgebra_to_matched_pair
 from .multimap import SkewMultiMap, nr_bracket
 from .report import ValidationReport
 from .reps import MPRepresentation, adjoint_representation
-from .scalars import vaccum, vis_zero, vzero
+from .scalars import vaccum, vaccum_at, vis_zero, vzero
 
 
 def cochain_space_dim(mp_dims, rep_dims, degree: int) -> int:
@@ -226,10 +232,39 @@ def cochain_from_coords(mp_dims, rep_dims, degree, coords) -> MPCochain:
 
 
 def basis_cochain(mp_dims, rep_dims, degree, key) -> MPCochain:
-    coords = [Fraction(0)] * cochain_space_dim(mp_dims, rep_dims, degree)
-    keys = cochain_basis(mp_dims, rep_dims, degree)
-    coords[keys.index(key)] = Fraction(1)
-    return cochain_from_coords(mp_dims, rep_dims, degree, coords)
+    """The cochain whose coordinate at ``key``, one of the keys of
+    ``cochain_basis``, is 1 and every other coordinate 0.  Only that key is
+    built; any other key raises ValueError."""
+    m, n = mp_dims
+    p, q = rep_dims
+    missing = ValueError(f"{key!r} is not in list")
+
+    def increasing(t, size, bound):
+        return (isinstance(t, tuple) and len(t) == size
+                and all(x in range(bound) for x in t)
+                and all(a < b for a, b in zip(t, t[1:])))
+
+    if degree == 0:
+        if not (isinstance(key, tuple) and len(key) == 2 and key[0] == "vec"
+                and key[1] in range(p + q)):
+            raise missing
+        F = MPCochain(0, m, n, p, q)
+        F.vec[int(key[1])] = Fraction(1)
+        return F
+    if not (isinstance(key, tuple) and len(key) == 5
+            and key[0] in range(1, degree + 1) and key[1] in ("V", "W")):
+        raise missing
+    r, part, gi, hj, idx = key
+    r = int(r)
+    size_g, size_h, dim = (degree - r + 1, r - 1, p) if part == "V" else (degree - r, r, q)
+    if not (increasing(gi, size_g, m) and increasing(hj, size_h, n) and idx in range(dim)):
+        raise missing
+    vec = vzero(dim)
+    vec[int(idx)] = Fraction(1)
+    F = MPCochain(degree, m, n, p, q)
+    table = F.component(r).part_v if part == "V" else F.component(r).part_w
+    table[(tuple(map(int, gi)), tuple(map(int, hj)))] = vec
+    return F
 
 
 def _require_adjoint(mp: MatchedPair, F: MPCochain):
@@ -289,39 +324,79 @@ def _delta_mu_rho(mp: MatchedPair, rep: MPRepresentation, fr: BidegreeMap,
                   n: int, r: int) -> BidegreeMap:
     """First block of the coboundary: C^{n-r|r-1} -> C^{n-r+1|r-1}.
 
-    The V-part (n-r+2 g-slots, r-1 h-slots) and the W-part (n-r+1 g-slots,
-    r h-slots) are one sum; the W-part adds the alpha-term.
+    Runs over the stored keys (s, t) of F_r; a V-key feeds the V-part
+    (n-r+2 g-slots, r-1 h-slots) and a W-key the W-part (n-r+1 g-slots,
+    r h-slots) through the same three terms:
+
+      action   s meets each i not in s in the key (s + {i}, t);
+      rho      each b in t is replaced by each a with an h_b-coefficient
+               in rho_i(h_a), i not in s, in the key (s + {i}, t - {b} + {a});
+      bracket  each k in s is replaced by each pair a < b with c^k_ab != 0,
+               a, b not in s - {k}, in the key (s - {k} + {a, b}, t).
+
+    A V-key (s, t) also meets each b not in t in the W-key (s, t + {b})
+    through the alpha-term.  The rho- and bracket-terms are summed in the
+    groups the defining formula sums them in (one rho_i(h_a) or [x_a, x_b]
+    argument of F), so every coordinate comes out with the same value and
+    scalar type as from that formula.
     """
     m, nh = mp.dim_g, mp.dim_h
     p, q = rep.dims
+    # rho_i(h_a) = sum of c h_b, by (i, b); [x_a, x_b] = sum of c x_k, by k
+    rho_by_input = [[[] for _ in range(nh)] for _ in range(m)]
+    for i in range(m):
+        for a in range(nh):
+            for b, c in enumerate(mp.rho[i][a]):
+                if c:
+                    rho_by_input[i][b].append((a, c))
+    bracket_by_output = [[] for _ in range(m)]
+    for a in range(m):
+        for b in range(a + 1, m):
+            for k, c in enumerate(mp.g.c[a][b]):
+                if c:
+                    bracket_by_output[k].append((a, b, c))
+    parts = []
+    for source, dim, act, alpha_source in ((fr.part_v, p, rep.act_rho_v, {}),
+                                           (fr.part_w, q, rep.act_rho_w, fr.part_v)):
+        # one group per rho- or bracket-argument of F, its terms taking the
+        # sign the formula adds the argument with
+        acc, rho_groups, bracket_groups = {}, {}, {}
+        for (s, t), vec in source.items():
+            for i in range(m):
+                if i in s:
+                    continue
+                pos = bisect_left(s, i)
+                out_g = s[:pos] + (i,) + s[pos:]
+                sign = -1 if pos % 2 else 1
+                vaccum_at(acc, (out_g, t), sign, act(i, vec), dim)
+                for tb, b in enumerate(t):
+                    rest = t[:tb] + t[tb + 1:]
+                    for a, c in rho_by_input[i][b]:
+                        if a not in rest:
+                            ja = bisect_left(rest, a)
+                            group = (out_g, rest[:ja] + (a,) + rest[ja:], i, a)
+                            vaccum_at(rho_groups, group,
+                                      sign * c if (ja + tb) % 2 else -sign * c, vec, dim)
+            for pk, k in enumerate(s):
+                rest = s[:pk] + s[pk + 1:]
+                for a, b, c in bracket_by_output[k]:
+                    if a not in rest and b not in rest:
+                        pa, pb = bisect_left(rest, a), bisect_left(rest, b) + 1
+                        vaccum_at(bracket_groups, (rest, a, b, t),
+                                  -c if (pa + pb + pk) % 2 else c, vec, dim)
+        for (out_g, hj, _, _), total in rho_groups.items():
+            vaccum_at(acc, (out_g, hj), 1, total, dim)
+        for (rest, a, b, t), total in bracket_groups.items():
+            vaccum_at(acc, (tuple(sorted(rest + (a, b))), t), 1, total, dim)
+        for (s, t), vec in alpha_source.items():
+            for b in range(nh):
+                if b not in t:
+                    jpos = bisect_left(t, b)
+                    vaccum_at(acc, (s, t[:jpos] + (b,) + t[jpos:]),
+                              -1 if (n - r + jpos) % 2 else 1, rep.pair_alpha(vec, b), dim)
+        parts.append({key: acc[key] for key in sorted(acc) if not vis_zero(acc[key])})
     out = BidegreeMap(n - r + 1, r - 1, m, nh, p, q)
-    for table, size_g, size_h, dim, evaluate, act, alpha_term in (
-        (out.part_v, n - r + 2, r - 1, p, fr.eval_v, rep.act_rho_v, False),
-        (out.part_w, n - r + 1, r, q, fr.eval_w, rep.act_rho_w, True),
-    ):
-        for gi in combinations(range(m), size_g):
-            for hj in combinations(range(nh), size_h):
-                acc = vzero(dim)
-                for pos in range(len(gi)):
-                    rest = gi[:pos] + gi[pos + 1:]
-                    vaccum(acc, (-1) ** pos, act(gi[pos], evaluate(rest, hj)))
-                    for jpos in range(len(hj)):
-                        replaced = hj[:jpos] + (mp.rho[gi[pos]][hj[jpos]],) + hj[jpos + 1:]
-                        vaccum(acc, (-1) ** (pos + 1), evaluate(rest, replaced))
-                if alpha_term:
-                    for jpos in range(len(hj)):
-                        rest = hj[:jpos] + hj[jpos + 1:]
-                        vaccum(acc, (-1) ** (n - r + jpos),
-                               rep.pair_alpha(fr.eval_v(gi, rest), hj[jpos]))
-                for pa in range(len(gi)):
-                    for pb in range(pa + 1, len(gi)):
-                        rest = tuple(
-                            gi[t] for t in range(len(gi)) if t != pa and t != pb
-                        )
-                        bracket = mp.g.c[gi[pa]][gi[pb]]
-                        vaccum(acc, (-1) ** (pa + pb), evaluate((bracket,) + rest, hj))
-                if not vis_zero(acc):
-                    table[(gi, hj)] = acc
+    out.part_v, out.part_w = parts
     return out
 
 

@@ -26,7 +26,7 @@ from .errors import ArityMismatch, MalformedTensor
 from .linalg import Matrix, cohomology_dims, operator_matrix
 from .multimap import SkewMultiMap, nr_bracket, sort_sign
 from .report import ValidationReport
-from .scalars import vaccum, vbasis, vcombine, vis_zero, vzero
+from .scalars import vaccum, vaccum_at, vbasis, vcombine, vis_zero, vzero
 
 
 def _dense_tensor(dim, codim, pairs, skew: bool, what: str):
@@ -235,18 +235,13 @@ def ce_coboundary(r: LieRep, f: SkewMultiMap, n: int | None = None) -> SkewMulti
     s_dim = r.space_dim
     acc = {}
 
-    def add(key, sign, vec):
-        out = acc.get(key)
-        if out is None:
-            out = acc[key] = vzero(s_dim)
-        vaccum(out, sign, vec)
-
     # x_i . f(s)
     for s, vec in f.coeffs.items():
         for i in range(g.dim):
             if i not in s:
                 pos = bisect_left(s, i)
-                add(s[:pos] + (i,) + s[pos:], -1 if pos % 2 else 1, r.act(i, vec))
+                vaccum_at(acc, s[:pos] + (i,) + s[pos:], -1 if pos % 2 else 1,
+                          r.act(i, vec), s_dim)
 
     # f([x_a, x_b], rest): the stored keys rest + {k}, by rest
     completions = {}
@@ -264,16 +259,15 @@ def ce_coboundary(r: LieRep, f: SkewMultiMap, n: int | None = None) -> SkewMulti
         groups = {}
         for k, sign, vec in terms:
             for a, b, c in by_output[k]:
-                if a in rest or b in rest:
-                    continue
-                out = groups.get((a, b))
-                if out is None:
-                    out = groups[(a, b)] = vzero(s_dim)
-                vaccum(out, sign * c, vec)
+                if a not in rest and b not in rest:
+                    vaccum_at(groups, (a, b), sign * c, vec, s_dim)
         for (a, b), vec in groups.items():
             pa, pb = bisect_left(rest, a), bisect_left(rest, b) + 1
-            add(tuple(sorted(rest + (a, b))), -1 if (pa + pb) % 2 else 1, vec)
-    return SkewMultiMap(n + 1, g.dim, s_dim, {key: acc[key] for key in sorted(acc)})
+            vaccum_at(acc, tuple(sorted(rest + (a, b))), -1 if (pa + pb) % 2 else 1,
+                      vec, s_dim)
+    return SkewMultiMap.from_canonical(
+        n + 1, g.dim, s_dim,
+        {key: acc[key] for key in sorted(acc) if not vis_zero(acc[key])})
 
 
 def ce_basis(dim: int, space_dim: int, n: int):

@@ -17,6 +17,13 @@ The bracket implemented here is
 whose square-zero elements of arity 2 are exactly the Lie brackets.
 Arity-0 maps (plain vectors) are allowed: i_f g plugs the vector into
 the first slot of g, and i_g f of an arity-0 f is zero.
+
+``insertion`` runs over the stored keys of g, with f's keys indexed by
+output index, so it costs the keys the two maps meet in, not every
+output key.  ``SkewMultiMap(...)`` checks each key and drops zero
+vectors; ``SkewMultiMap.from_canonical`` takes canonical keys and nonzero
+vectors over unchecked, for the builders here and in ``bigraded`` and
+``lie`` whose keys are canonical by construction.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import ArityMismatch, SpaceMismatch
-from .scalars import vaccum, vis_zero, vzero
+from .scalars import vaccum, vaccum_at, vis_zero, vzero
 
 
 def sort_sign(idx):
@@ -85,6 +92,15 @@ class SkewMultiMap:
                     self.coeffs[key] = vec
 
     @classmethod
+    def from_canonical(cls, arity: int, dim: int, codim: int, coeffs) -> "SkewMultiMap":
+        """The map storing coeffs, a dict from strictly increasing in-range
+        keys of the arity to nonzero vectors of length codim; the dict is
+        taken over, not copied or checked."""
+        out = cls.__new__(cls)
+        out.arity, out.dim, out.codim, out.coeffs = arity, dim, codim, coeffs
+        return out
+
+    @classmethod
     def zero(cls, arity, dim, codim):
         return cls(arity, dim, codim)
 
@@ -132,10 +148,14 @@ class SkewMultiMap:
         out = dict((k, list(v)) for k, v in self.coeffs.items())
         for k, v in other.coeffs.items():
             if k in out:
-                out[k] = [a + b for a, b in zip(out[k], v)]
+                merged = [a + b for a, b in zip(out[k], v)]
+                if vis_zero(merged):
+                    del out[k]
+                else:
+                    out[k] = merged
             else:
                 out[k] = list(v)
-        return SkewMultiMap(self.arity, self.dim, self.codim, out)
+        return SkewMultiMap.from_canonical(self.arity, self.dim, self.codim, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -144,10 +164,12 @@ class SkewMultiMap:
         return self.scale(-1)
 
     def scale(self, c) -> "SkewMultiMap":
-        return SkewMultiMap(
-            self.arity, self.dim, self.codim,
-            {k: [c * x for x in v] for k, v in self.coeffs.items()},
-        )
+        out = {}
+        for k, v in self.coeffs.items():
+            scaled = [c * x for x in v]
+            if not vis_zero(scaled):
+                out[k] = scaled
+        return SkewMultiMap.from_canonical(self.arity, self.dim, self.codim, out)
 
     def _check_same_shape(self, other):
         if (self.arity, self.dim, self.codim) != (other.arity, other.dim, other.codim):
@@ -160,10 +182,13 @@ class SkewMultiMap:
 def insertion(f: SkewMultiMap, g: SkewMultiMap) -> SkewMultiMap:
     """i_f g: plug f into the first slot of g, summed over shuffles.
 
-    Runs over the support of f.  A key ``sub`` of f and a ``tail`` of
-    g.arity - 1 other indices meet in the output key sorted(sub + tail),
-    and the shuffle that splits that key into sub and tail has the sign
-    of sorting sub + tail.  Output keys are stored in increasing order.
+    Runs over the stored keys of g, with the keys of f indexed once by
+    each output index k where f's vector is nonzero.  A key K of g splits
+    into k at position pk and tail = K minus k, and g((k,) + tail) is
+    (-1)^pk g(K).  Each indexed key ``sub`` of f disjoint from tail meets
+    tail in the output key sorted(sub + tail), and the shuffle that splits
+    that key into sub and tail has the sign of sorting sub + tail.  Output
+    keys are stored in increasing order.
     """
     if f.dim != g.dim:
         raise SpaceMismatch("insertion requires maps on the same space")
@@ -172,18 +197,22 @@ def insertion(f: SkewMultiMap, g: SkewMultiMap) -> SkewMultiMap:
     out_arity = f.arity + g.arity - 1
     if g.arity == 0 or out_arity < 0:
         return SkewMultiMap.zero(max(out_arity, 0), f.dim, g.codim)
-    acc = {}
+    by_output = [[] for _ in range(f.codim)]
     for sub, vec in f.coeffs.items():
-        others = [i for i in range(f.dim) if i not in sub]
-        for tail in combinations(others, g.arity - 1):
-            sgn, key = sort_sign(sub + tail)
-            out = acc.get(key)
-            if out is None:
-                out = acc[key] = vzero(g.codim)
-            for k, ck in enumerate(vec):
-                if ck:
-                    vaccum(out, sgn * ck, g.evaluate((k,) + tail))
-    return SkewMultiMap(out_arity, f.dim, g.codim, {key: acc[key] for key in sorted(acc)})
+        for k, ck in enumerate(vec):
+            if ck:
+                by_output[k].append((sub, ck))
+    acc = {}
+    for key, gvec in g.coeffs.items():
+        for pk, k in enumerate(key):
+            tail = key[:pk] + key[pk + 1:]
+            for sub, ck in by_output[k]:
+                sgn, out_key = sort_sign(sub + tail)
+                if sgn:
+                    vaccum_at(acc, out_key, -sgn * ck if pk % 2 else sgn * ck, gvec, g.codim)
+    return SkewMultiMap.from_canonical(
+        out_arity, f.dim, g.codim,
+        {key: acc[key] for key in sorted(acc) if not vis_zero(acc[key])})
 
 
 def nr_bracket(f: SkewMultiMap, g: SkewMultiMap) -> SkewMultiMap:

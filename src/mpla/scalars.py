@@ -219,10 +219,25 @@ def vscale(c, u):
 
 def vaccum(acc, c, u):
     """acc += c * u in place; returns acc."""
+    if type(c) is int and c == 1:
+        # 1 * a has the value and type of a, for every scalar type here
+        for i, a in enumerate(u):
+            if a:
+                acc[i] = acc[i] + a
+        return acc
     for i, a in enumerate(u):
         if a:
             acc[i] = acc[i] + c * a
     return acc
+
+
+def vaccum_at(table, key, c, u, n):
+    """table[key] += c * u in place, table[key] starting as the zero vector
+    of length n; returns table[key]."""
+    acc = table.get(key)
+    if acc is None:
+        acc = table[key] = [0] * n
+    return vaccum(acc, c, u)
 
 
 def vcombine(coeffs, vectors, n):

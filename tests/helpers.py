@@ -335,6 +335,117 @@ def shuffle_insertion(f, g):
     return SkewMultiMap(out_arity, f.dim, g.codim, coeffs)
 
 
+def pull_insertion(f, g):
+    """i_f g from the keys of f: each key ``sub`` and each tail of other
+    indices pulls g((k,) + tail) for every k with f(sub)_k != 0, zeros
+    included.  The form ``multimap.insertion`` had before it ran over the
+    keys of g; the operation-count guard measures it."""
+    from mpla.multimap import sort_sign
+    from mpla.scalars import vaccum, vzero
+
+    out_arity = f.arity + g.arity - 1
+    if g.arity == 0 or out_arity < 0:
+        return SkewMultiMap.zero(max(out_arity, 0), f.dim, g.codim)
+    acc = {}
+    for sub, vec in f.coeffs.items():
+        others = [i for i in range(f.dim) if i not in sub]
+        for tail in combinations(others, g.arity - 1):
+            sgn, key = sort_sign(sub + tail)
+            out = acc.get(key)
+            if out is None:
+                out = acc[key] = vzero(g.codim)
+            for k, ck in enumerate(vec):
+                if ck:
+                    vaccum(out, sgn * ck, g.evaluate((k,) + tail))
+    return SkewMultiMap(out_arity, f.dim, g.codim, {key: acc[key] for key in sorted(acc)})
+
+
+def bidegree_eval(table, g_args, h_args, codim):
+    """A part of a bidegree map (``part_v`` or ``part_w``) on g- and
+    h-arguments, each a basis index or a coefficient vector; a vector
+    argument is expanded into the sum over its nonzero coefficients."""
+    from mpla.multimap import sort_sign
+    from mpla.scalars import vaccum, vzero
+
+    g_args, h_args = tuple(g_args), tuple(h_args)
+    for pos, a in enumerate(g_args):
+        if not isinstance(a, int):
+            acc = vzero(codim)
+            for idx, c in enumerate(a):
+                if c:
+                    inner = bidegree_eval(table, g_args[:pos] + (idx,) + g_args[pos + 1:],
+                                          h_args, codim)
+                    vaccum(acc, c, inner)
+            return acc
+    for pos, a in enumerate(h_args):
+        if not isinstance(a, int):
+            acc = vzero(codim)
+            for idx, c in enumerate(a):
+                if c:
+                    inner = bidegree_eval(table, g_args,
+                                          h_args[:pos] + (idx,) + h_args[pos + 1:], codim)
+                    vaccum(acc, c, inner)
+            return acc
+    sg, gi = sort_sign(g_args)
+    if sg == 0:
+        return vzero(codim)
+    sh, hj = sort_sign(h_args)
+    if sh == 0:
+        return vzero(codim)
+    vec = table.get((gi, hj))
+    if vec is None:
+        return vzero(codim)
+    return [sg * sh * x for x in vec]
+
+
+def pull_delta_mu_rho(mp, rep, fr, n, r):
+    """δ^{μ×ρ}: C^{n-r|r-1} -> C^{n-r+1|r-1} by its defining sums: every
+    output key pulls the action, ρ-, bracket- and α-terms from F_r, whatever
+    its support.  Oracle for ``cohomology._delta_mu_rho``, which runs over
+    F_r's keys."""
+    from mpla.bigraded import BidegreeMap
+    from mpla.scalars import vaccum, vis_zero, vzero
+
+    m, nh = mp.dim_g, mp.dim_h
+    p, q = rep.dims
+    out = BidegreeMap(n - r + 1, r - 1, m, nh, p, q)
+
+    def eval_v(g_args, h_args):
+        return bidegree_eval(fr.part_v, g_args, h_args, p)
+
+    def eval_w(g_args, h_args):
+        return bidegree_eval(fr.part_w, g_args, h_args, q)
+
+    for table, size_g, size_h, dim, evaluate, act, alpha_term in (
+        (out.part_v, n - r + 2, r - 1, p, eval_v, rep.act_rho_v, False),
+        (out.part_w, n - r + 1, r, q, eval_w, rep.act_rho_w, True),
+    ):
+        for gi in combinations(range(m), size_g):
+            for hj in combinations(range(nh), size_h):
+                acc = vzero(dim)
+                for pos in range(len(gi)):
+                    rest = gi[:pos] + gi[pos + 1:]
+                    vaccum(acc, (-1) ** pos, act(gi[pos], evaluate(rest, hj)))
+                    for jpos in range(len(hj)):
+                        replaced = hj[:jpos] + (mp.rho[gi[pos]][hj[jpos]],) + hj[jpos + 1:]
+                        vaccum(acc, (-1) ** (pos + 1), evaluate(rest, replaced))
+                if alpha_term:
+                    for jpos in range(len(hj)):
+                        rest = hj[:jpos] + hj[jpos + 1:]
+                        vaccum(acc, (-1) ** (n - r + jpos),
+                               rep.pair_alpha(eval_v(gi, rest), hj[jpos]))
+                for pa in range(len(gi)):
+                    for pb in range(pa + 1, len(gi)):
+                        rest = tuple(
+                            gi[t] for t in range(len(gi)) if t != pa and t != pb
+                        )
+                        bracket = mp.g.c[gi[pa]][gi[pb]]
+                        vaccum(acc, (-1) ** (pa + pb), evaluate((bracket,) + rest, hj))
+                if not vis_zero(acc):
+                    table[(gi, hj)] = acc
+    return out
+
+
 def delta_psi_nu(mp, rep, fr, n, r):
     """Second block of the coboundary, C^{n-r|r-1} -> C^{n-r|r}, by its own
     explicit sums: the oracle for the flip-conjugate route of
@@ -346,6 +457,12 @@ def delta_psi_nu(mp, rep, fr, n, r):
     p, q = rep.dims
     out = BidegreeMap(n - r, r, m, nh, p, q)
 
+    def eval_v(g_args, h_args):
+        return bidegree_eval(fr.part_v, g_args, h_args, p)
+
+    def eval_w(g_args, h_args):
+        return bidegree_eval(fr.part_w, g_args, h_args, q)
+
     # V-part on (n-r+1) g-slots and r h-slots
     for gi in combinations(range(m), n - r + 1):
         for hj in combinations(range(nh), r):
@@ -353,17 +470,17 @@ def delta_psi_nu(mp, rep, fr, n, r):
             for pos in range(len(gi)):
                 i1 = pos + 1
                 rest = gi[:pos] + gi[pos + 1:]
-                inner = fr.eval_w(rest, hj)
+                inner = eval_w(rest, hj)
                 vaccum(acc, (-1) ** i1, rep.pair_beta(inner, gi[pos]))
             for jpos in range(len(hj)):
                 j1 = jpos + 1
                 rest = hj[:jpos] + hj[jpos + 1:]
                 vaccum(acc, (-1) ** (n - r + j1),
-                       vcombine(fr.eval_v(gi, rest), rep.psi_v[hj[jpos]], p))
+                       vcombine(eval_v(gi, rest), rep.psi_v[hj[jpos]], p))
                 for pos in range(len(gi)):
                     replaced = gi[:pos] + (mp.psi[hj[jpos]][gi[pos]],) + gi[pos + 1:]
                     vaccum(acc, (-1) ** (n - r + j1 + 1),
-                           fr.eval_v(replaced, rest))
+                           eval_v(replaced, rest))
             for pa in range(len(hj)):
                 for pb in range(pa + 1, len(hj)):
                     rest = tuple(
@@ -371,7 +488,7 @@ def delta_psi_nu(mp, rep, fr, n, r):
                     )
                     bracket = mp.h.c[hj[pa]][hj[pb]]
                     sign = (-1) ** (n - r + 1 + (pa + 1) + (pb + 1))
-                    vaccum(acc, sign, fr.eval_v(gi, (bracket,) + rest))
+                    vaccum(acc, sign, eval_v(gi, (bracket,) + rest))
             if not vis_zero(acc):
                 out.part_v[(gi, hj)] = acc
 
@@ -383,11 +500,11 @@ def delta_psi_nu(mp, rep, fr, n, r):
                 j1 = jpos + 1
                 rest = hj[:jpos] + hj[jpos + 1:]
                 vaccum(acc, (-1) ** (n - r + j1 + 1),
-                       rep.act_psi_w(hj[jpos], fr.eval_w(gi, rest)))
+                       rep.act_psi_w(hj[jpos], eval_w(gi, rest)))
                 for pos in range(len(gi)):
                     replaced = gi[:pos] + (mp.psi[hj[jpos]][gi[pos]],) + gi[pos + 1:]
                     vaccum(acc, (-1) ** (n - r + j1),
-                           fr.eval_w(replaced, rest))
+                           eval_w(replaced, rest))
             for pa in range(len(hj)):
                 for pb in range(pa + 1, len(hj)):
                     rest = tuple(
@@ -395,7 +512,7 @@ def delta_psi_nu(mp, rep, fr, n, r):
                     )
                     bracket = mp.h.c[hj[pa]][hj[pb]]
                     sign = (-1) ** (n - r + (pa + 1) + (pb + 1))
-                    vaccum(acc, sign, fr.eval_w(gi, (bracket,) + rest))
+                    vaccum(acc, sign, eval_w(gi, (bracket,) + rest))
             if not vis_zero(acc):
                 out.part_w[(gi, hj)] = acc
     return out

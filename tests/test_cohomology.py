@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from mpla import (CoefficientMismatch, LieBialgebra, MPCochain,
                   adjoint_representation, basis_cochain, bialgebra_aff1,
@@ -15,15 +18,18 @@ from mpla import (CoefficientMismatch, LieBialgebra, MPCochain,
                   validate_matched_pair)
 from mpla import (InputError, LieAlgebra, LieRep, MatchedPair, MPRepresentation,
                   ce_cohomology_dims)
-from mpla.bigraded import decompose
+from mpla.bigraded import BidegreeMap, decompose
 from mpla.catalog import (aff1, mp_a, mp_direct, mp_double, small_fixtures,
                           standard_fixtures)
+from mpla.cohomology import _delta_mu_rho
 from mpla.lie import ce_matrix
 from mpla.linalg import Matrix
+from mpla.scalars import DualNumber, LinearForm
 
 from helpers import (dense_rref, percolumn_ce_matrix, percolumn_delta_matrix,
-                     percolumn_liebi_matrix, rand_cochain, rand_fraction,
-                     rand_invertible)
+                     percolumn_liebi_matrix, pull_delta_mu_rho, rand_cochain,
+                     rand_fraction, rand_invertible, rand_mp_candidate,
+                     rand_mp_rep_candidate)
 
 
 def test_cochain_space_dims():
@@ -438,3 +444,153 @@ def test_full_complex_of_the_6_6_coadjoint_pair():
     assert h_dims[:5] == SL2_SL2_COADJOINT_H_DENSE
     euler = [sum((-1) ** d * v for d, v in enumerate(dims)) for dims in (cochain_dims, h_dims)]
     assert euler == [12, 12]
+
+
+# -- delta^{mu x rho} over F_r's keys, against the defining sums ---------------
+
+def _rand_value(rng, kind):
+    if kind == "fraction":
+        return rng.choice([0, 0, 1, -1, 2, Fraction(1), Fraction(-1), Fraction(1, 2)])
+    if kind == "dual":
+        return rng.choice([0, DualNumber(rng.randint(-1, 1), rng.randint(-1, 1))])
+    terms = {j: rng.choice([1, -1, Fraction(1, 3)]) for j in rng.sample(range(4), 2)}
+    return rng.choice([0, LinearForm(terms)])
+
+
+def _rand_bidegree_map(rng, k, l, dims, rep_dims, kind, dense):
+    m, n = dims
+    p, q = rep_dims
+    parts = []
+    for size_g, size_h, dim in ((k + 1, l, p), (k, l + 1, q)):
+        keys = [(gi, hj) for gi in combinations(range(m), size_g)
+                for hj in combinations(range(n), size_h)]
+        if not dense:
+            keys = rng.sample(keys, min(len(keys), rng.randint(0, 2)))
+        rng.shuffle(keys)
+        parts.append({key: [_rand_value(rng, kind) for _ in range(dim)] for key in keys})
+    return BidegreeMap(k, l, m, n, p, q, part_v=parts[0], part_w=parts[1])
+
+
+def _typed(b):
+    """Both parts of b in key order, each value with its type and linear
+    forms as their terms."""
+    return [[(key, [(type(x), x.terms if isinstance(x, LinearForm) else x)
+                    for x in vec]) for key, vec in part.items()]
+            for part in (b.part_v, b.part_w)]
+
+
+def _sparse_pair_and_rep(rng, m, n, p, q):
+    """A pair and representation with few nonzero constants, and with each
+    action and pairing tensor zero half of the time: the argument sums of
+    the coboundary then often cancel with nothing else in their slot."""
+    def vec(size):
+        return [Fraction(rng.choice([0, 0, 0, 1, -1])) for _ in range(size)]
+
+    def tensor(rows, cols, size):
+        if rng.random() < 0.5:
+            return {}
+        return {(i, j): vec(size) for i in range(rows) for j in range(cols)}
+
+    g = LieAlgebra.from_brackets(m, {key: vec(m) for key in combinations(range(m), 2)})
+    h = LieAlgebra.from_brackets(n, {key: vec(n) for key in combinations(range(n), 2)})
+    mp = MatchedPair.from_sparse(g, h, tensor(m, n, n), tensor(n, m, m))
+    rep = MPRepresentation.from_sparse(
+        mp, (p, q), rho_v=tensor(m, p, p), psi_v=tensor(n, p, p), rho_w=tensor(m, q, q),
+        psi_w=tensor(n, q, q), alpha=tensor(p, n, q), beta=tensor(q, m, p))
+    return mp, rep
+
+
+@seed(8)
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(1, 3), st.integers(1, 3),
+       st.integers(1, 2), st.integers(1, 2),
+       st.sampled_from(["fraction", "dual", "linear"]), st.booleans(), st.booleans())
+def test_delta_mu_rho_matches_pull_form(state, m, n, p, q, kind, dense, sparse):
+    # random candidates, mostly invalid: the two forms are one formula
+    rng = random.Random(state)
+    if sparse:
+        mp, rep = _sparse_pair_and_rep(rng, m, n, p, q)
+    else:
+        mp = rand_mp_candidate(rng, m, n, lo=-1, hi=1)
+        rep = rand_mp_rep_candidate(rng, mp, (p, q), lo=-1, hi=1)
+    for degree in range(1, 5):
+        for r in range(1, degree + 1):
+            fr = _rand_bidegree_map(rng, degree - r, r - 1, (m, n), (p, q), kind, dense)
+            got = _delta_mu_rho(mp, rep, fr, degree, r)
+            expected = pull_delta_mu_rho(mp, rep, fr, degree, r)
+            assert got.shape() == expected.shape()
+            assert _typed(got) == _typed(expected), (degree, r)
+
+
+def _cancelling_argument(kind):
+    """A pair, a zero representation and F_1 whose one rho- or bracket-argument
+    sum F(h_0) - F(h_1) or F(x_0) - F(x_1) is [0, 1]; nothing else reaches
+    the output key."""
+    one, both = [Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]
+    if kind == "rho":
+        # rho_0(h_0) = h_0 - h_1, into the W-key ((0,), (0,))
+        g, h = LieAlgebra.abelian(1), LieAlgebra.abelian(2)
+        mp = MatchedPair.from_sparse(g, h, rho={(0, 0): [Fraction(1), Fraction(-1)]})
+        fr = BidegreeMap(0, 0, 1, 2, 1, 2, part_w={((), (0,)): both, ((), (1,)): one})
+        return mp, MPRepresentation.from_sparse(mp, (1, 2)), fr, "part_w", ((0,), (0,))
+    # [x_0, x_1] = x_0 - x_1, into the V-key ((0, 1), ())
+    g = LieAlgebra.from_brackets(2, {(0, 1): [Fraction(1), Fraction(-1)]})
+    mp = MatchedPair.from_sparse(g, LieAlgebra.abelian(1))
+    fr = BidegreeMap(0, 0, 2, 1, 2, 1, part_v={((0,), ()): both, ((1,), ()): one})
+    return mp, MPRepresentation.from_sparse(mp, (2, 1)), fr, "part_v", ((0, 1), ())
+
+
+@pytest.mark.parametrize("kind", ["rho", "bracket"])
+def test_delta_mu_rho_sums_each_argument_before_adding_it(kind):
+    # the cancelled slot was never added, so it stays the int 0 it started as
+    mp, rep, fr, name, key = _cancelling_argument(kind)
+    got = _delta_mu_rho(mp, rep, fr, 1, 1)
+    other = "part_v" if name == "part_w" else "part_w"
+    assert getattr(got, other) == {} and getattr(got, name) == {key: [0, -1]}
+    assert [type(x) for x in getattr(got, name)[key]] == [int, Fraction]
+    assert _typed(got) == _typed(pull_delta_mu_rho(mp, rep, fr, 1, 1))
+
+
+# -- basis_cochain builds its one key -----------------------------------------
+
+def _basis_cochain_by_coords(mp_dims, rep_dims, degree, key):
+    """The construction through the full coordinate vector."""
+    coords = [Fraction(0)] * cochain_space_dim(mp_dims, rep_dims, degree)
+    coords[cochain_basis(mp_dims, rep_dims, degree).index(key)] = Fraction(1)
+    return cochain_from_coords(mp_dims, rep_dims, degree, coords)
+
+
+def _slots(F):
+    if F.degree == 0:
+        return [(type(x), x) for x in F.vec]
+    return [(key, [(type(x), x) for x in vec]) for part in F.components
+            for table in (part.part_v, part.part_w) for key, vec in table.items()]
+
+
+def test_basis_cochain_matches_the_coordinate_construction():
+    for _, mp in standard_fixtures():
+        dims = (mp.dim_g, mp.dim_h)
+        for rep_dims in (dims, (1, 2)):
+            for degree in range(sum(dims) + 2):
+                for key in cochain_basis(dims, rep_dims, degree):
+                    got = basis_cochain(dims, rep_dims, degree, key)
+                    expected = _basis_cochain_by_coords(dims, rep_dims, degree, key)
+                    assert got == expected and _slots(got) == _slots(expected)
+
+
+@pytest.mark.parametrize("degree,key", [
+    (0, ("vec", 3)), (0, ("vec", -1)), (0, ("V", 0)), (0, (1, "V", (0,), (), 0)),
+    (1, ("vec", 0)), (1, (0, "V", (0,), (), 0)), (1, (2, "V", (), (0,), 0)),
+    (1, (1, "X", (0,), (), 0)), (1, (1, "V", (0,), (0,), 0)),
+    (1, (1, "V", (2,), (), 0)), (1, (1, "V", (0,), (), 1)), (1, (1, "W", (), (0,), 2)),
+    (1, (1, "V", [0], (), 0)), (1, [1, "V", (0,), (), 0]), (1, (1, "V", (0,), ())),
+    (2, (1, "V", (1, 0), (), 0)), (2, (1, "V", (0, 0), (), 0)),
+    (2, (2, "W", (), (0, 1), 0)), (2, (1, "V", ("0", 1), (), 0)), (-1, (1, "V", (), (), 0)),
+])
+def test_basis_cochain_rejects_a_key_outside_the_basis(degree, key):
+    # dims (2, 1), coefficients (1, 2)
+    with pytest.raises(ValueError) as old:
+        _basis_cochain_by_coords((2, 1), (1, 2), degree, key)
+    with pytest.raises(ValueError) as new:
+        basis_cochain((2, 1), (1, 2), degree, key)
+    assert str(new.value) == str(old.value)

@@ -7,10 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpla import SkewMultiMap, SpaceMismatch, nr_bracket
+from mpla import multimap
+from mpla.bigraded import StructureElement
+from mpla.catalog import mp_semidirect_double
 from mpla.multimap import insertion, shuffles, sort_sign
 from mpla.scalars import LinearForm
 
-from helpers import rand_lie_candidate, rand_skew_map, shuffle_insertion
+from helpers import (pull_insertion, rand_lie_candidate, rand_skew_map,
+                     shuffle_insertion)
 
 
 def test_sort_sign():
@@ -120,8 +124,9 @@ def skew_maps(draw, arity, dim, codim, linear):
 
 
 def _plain(m):
-    """The coefficients of m with each linear form replaced by its terms."""
-    return {key: [x.terms if isinstance(x, LinearForm) else x for x in vec]
+    """The coefficients of m, each value with its type and linear forms as
+    their terms (so an int 0 and a Fraction(0) differ)."""
+    return {key: [(type(x), x.terms if isinstance(x, LinearForm) else x) for x in vec]
             for key, vec in m.coeffs.items()}
 
 
@@ -137,3 +142,30 @@ def test_insertion_matches_shuffle_sum(data):
     assert (got.arity, got.dim, got.codim) == (expected.arity, expected.dim, expected.codim)
     assert _plain(got) == _plain(expected)
     assert list(got.coeffs) == list(expected.coeffs)
+
+
+def test_insertion_sort_signs_are_bounded_by_the_keys_it_meets(monkeypatch):
+    # i_f g for a one-key g costs at most arity(g) * |f| sort signs, whatever
+    # the dimension: one per key of f indexed under each index of g's key
+    calls = []
+
+    def counting(idx):
+        calls.append(idx)
+        return sort_sign(idx)
+
+    monkeypatch.setattr(multimap, "sort_sign", counting)
+    mp = mp_semidirect_double()
+    f = StructureElement.from_matched_pair(mp).total()
+    dim = f.dim
+    pull_exceeds = False
+    for arity in range(1, 5):
+        for key in list(combinations(range(dim), arity))[::7]:
+            g = SkewMultiMap(arity, dim, 2, {key: [1, Fraction(-1, 2)]})
+            calls.clear()
+            got = insertion(f, g)
+            assert len(calls) <= arity * len(f.coeffs), (arity, key)
+            calls.clear()
+            expected = pull_insertion(f, g)
+            pull_exceeds |= len(calls) > arity * len(f.coeffs)
+            assert _plain(got) == _plain(expected)
+    assert pull_exceeds  # the form that pulls at every tail breaks the bound
