@@ -4,7 +4,8 @@ Conventions:
   * a LieAlgebra of dimension m stores c[i][j] = coefficient vector of
     [e_i, e_j]; skewness and the Jacobi identity are checked by
     ``validate_lie_algebra``, whose report is kept on the object (values
-    are immutable after construction, so each object is checked once);
+    are immutable after construction, so each object is checked once),
+    and decided on the integral image ``integral()``, also kept;
   * a LieRep stores a[i][p] = coefficient vector of the action of e_i on
     the p-th basis vector of the module;
   * the coboundary on Hom(Lambda^n g, V) is
@@ -12,7 +13,9 @@ Conventions:
       (d f)(x_1..x_{n+1}) = sum_i (-1)^{i+1} x_i . f(.. x_i^ ..)
                           + sum_{i<j} (-1)^{i+j} f([x_i,x_j], .. x_i^ .. x_j^ ..).
 
-All arithmetic is ring-generic: entries may be Fractions or DualNumbers.
+All arithmetic is ring-generic: entries may be ints, Fractions or
+DualNumbers.  ``ce_matrix`` runs its probe on the representation's
+integral image.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from math import comb
 from .errors import ArityMismatch, MalformedTensor
 from .linalg import Matrix, cohomology_dims, operator_matrix
 from .multimap import SkewMultiMap, nr_bracket, sort_sign
-from .report import ValidationReport
-from .scalars import vaccum, vaccum_at, vbasis, vcombine, vis_zero, vzero
+from .report import ValidationReport, checked_on_image
+from .scalars import (integral_tensor, vaccum, vaccum_at, vbasis, vcombine, vis_zero,
+                      vzero)
 
 
 def _dense_tensor(dim, codim, pairs, skew: bool, what: str):
@@ -49,7 +53,7 @@ def _dense_tensor(dim, codim, pairs, skew: bool, what: str):
 class LieAlgebra:
     """Finite-dimensional Lie algebra given by structure constants."""
 
-    __slots__ = ("dim", "c", "_report")
+    __slots__ = ("dim", "c", "_report", "_integral", "_adjoint")
 
     def __init__(self, dim: int, c):
         self.dim = dim
@@ -60,7 +64,7 @@ class LieAlgebra:
             for v in row:
                 if len(v) != dim:
                     raise MalformedTensor("bracket value has wrong length")
-        self._report = None
+        self._report = self._integral = self._adjoint = None
 
     @classmethod
     def from_brackets(cls, dim: int, brackets=None) -> "LieAlgebra":
@@ -94,7 +98,18 @@ class LieAlgebra:
         return SkewMultiMap(2, self.dim, self.dim, coeffs)
 
     def adjoint(self) -> "LieRep":
-        return LieRep(self, self.dim, [[list(v) for v in row] for row in self.c])
+        """The adjoint representation, built once and kept on the algebra."""
+        if self._adjoint is None:
+            self._adjoint = LieRep(self, self.dim, self.c)
+        return self._adjoint
+
+    def integral(self) -> "LieAlgebra":
+        """The integral image (``scalars.integral``), built once and kept;
+        self when every constant is already an int or a proper fraction."""
+        if self._integral is None:
+            c = integral_tensor(self.c)
+            self._integral = self if c is self.c else LieAlgebra(self.dim, c)
+        return self._integral
 
     @property
     def is_validated(self):
@@ -115,7 +130,7 @@ class LieAlgebra:
 class LieRep:
     """Representation of a LieAlgebra on a coefficient space."""
 
-    __slots__ = ("algebra", "space_dim", "a", "_report")
+    __slots__ = ("algebra", "space_dim", "a", "_report", "_integral")
 
     def __init__(self, algebra: LieAlgebra, space_dim: int, a):
         self.algebra = algebra
@@ -127,7 +142,7 @@ class LieRep:
             for v in row:
                 if len(v) != space_dim:
                     raise MalformedTensor("action value has wrong length")
-        self._report = None
+        self._report = self._integral = None
 
     @classmethod
     def zero(cls, algebra: LieAlgebra, space_dim: int) -> "LieRep":
@@ -156,6 +171,14 @@ class LieRep:
         """Action of e_i as a space_dim x space_dim matrix (columns = images)."""
         return Matrix.from_columns([self.a[i][p] for p in range(self.space_dim)])
 
+    def integral(self) -> "LieRep":
+        """The integral image over the algebra's, built once and kept."""
+        if self._integral is None:
+            algebra, a = self.algebra.integral(), integral_tensor(self.a)
+            self._integral = (self if algebra is self.algebra and a is self.a
+                              else LieRep(algebra, self.space_dim, a))
+        return self._integral
+
     def require_valid(self):
         if not validate_representation(self).ok:
             from .errors import InvalidInput
@@ -166,10 +189,13 @@ class LieRep:
 def validate_lie_algebra(g: LieAlgebra) -> ValidationReport:
     """Check skewness and the Jacobi identity, with basis-triple witnesses.
 
-    The report is computed once per algebra and kept on it.
+    The report is computed once per algebra and kept on it
+    (``report.checked_on_image``).
     """
-    if g._report is not None:
-        return g._report
+    return checked_on_image(g, _lie_algebra_report)
+
+
+def _lie_algebra_report(g: LieAlgebra) -> ValidationReport:
     report = ValidationReport("lie algebra")
     skew = report.new_check("skew-symmetry")
     for i in range(g.dim):
@@ -184,17 +210,19 @@ def validate_lie_algebra(g: LieAlgebra) -> ValidationReport:
         vaccum(residual, 1, g.bracket_vec(g.c[k][i], vbasis(g.dim, j)))
         if not vis_zero(residual):
             jacobi.add((i, j, k), residual)
-    g._report = report
     return report
 
 
 def validate_representation(r: LieRep) -> ValidationReport:
     """Check the action law rho_{[x,y]} = rho_x rho_y - rho_y rho_x.
 
-    The report is computed once per representation and kept on it.
+    The report is computed once per representation and kept on it
+    (``report.checked_on_image``).
     """
-    if r._report is not None:
-        return r._report
+    return checked_on_image(r, _representation_report)
+
+
+def _representation_report(r: LieRep) -> ValidationReport:
     report = ValidationReport("representation")
     law = report.new_check("action law")
     g = r.algebra
@@ -209,7 +237,6 @@ def validate_representation(r: LieRep) -> ValidationReport:
                 residual = [a - b for a, b in zip(lhs, rhs)]
                 if not vis_zero(residual):
                     law.add((i, j, p), residual)
-    r._report = report
     return report
 
 
@@ -280,7 +307,9 @@ def ce_basis(dim: int, space_dim: int, n: int):
 
 
 def ce_matrix(r: LieRep, n: int) -> Matrix:
-    """Matrix of the degree-n coboundary in the monomial basis."""
+    """Matrix of the degree-n coboundary in the monomial basis, probed on
+    the integral image of r."""
+    r = r.integral()
     g = r.algebra
     s = r.space_dim
     domain = list(combinations(range(g.dim), n))

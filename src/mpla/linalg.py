@@ -7,7 +7,16 @@ entries only, so its cost follows the nonzeros, not rows x cols.
 ``Matrix.entries`` is a dense view, built afresh on each access, for
 callers that want rows of Fractions; writing into it changes nothing.
 ``operator_matrix`` turns a ring-generic linear map into its matrix by
-running it once on a probe vector of linear forms.
+running it once on a probe vector of linear forms; callers run it on the
+integral image of their structure (``scalars.integral``), so the probe
+computes in ints, and it stores each coefficient as a Fraction.
+
+Products are taken in integers: each factor's rows are scaled by the
+least common denominator of its entries, one kernel
+(``_product_rows``) multiplies the integer rows, and ``Matrix.mul``
+divides each nonzero entry of the result by the product of the two
+scales, one Fraction per stored entry.  The delta o delta = 0 check of
+``cohomology_dims`` runs the same kernel and builds no Fraction.
 
 One sparse elimination kernel serves ``rank``, ``kernel_basis``,
 ``solve`` and ``invert``.  Each nonzero row becomes a sparse integer
@@ -130,14 +139,11 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        other_rows = other.data
-        out = []
-        for row in self.data:
-            acc = {}
-            for k, a in row.items():
-                for j, b in other_rows[k].items():
-                    acc[j] = acc.get(j, 0) + a * b
-            out.append({j: x for j, x in acc.items() if x})
+        scale_a, a_rows = _scaled_rows(self)
+        scale_b, b_rows = _scaled_rows(other)
+        scale = scale_a * scale_b
+        out = [{j: Fraction(x, scale) for j, x in acc.items() if x}
+               for acc in _product_rows(a_rows, b_rows)]
         return Matrix.from_sparse(self.rows, other.cols, out)
 
     def mul_vec(self, v):
@@ -302,24 +308,28 @@ def kernel_dim(m: Matrix) -> int:
     return m.cols - rank(m)
 
 
-def _scaled_rows(m: Matrix) -> list:
-    """The nonzero entries of each row of c*m, for the least integer c > 0
-    that clears every denominator of m."""
+def _scaled_rows(m: Matrix) -> tuple[int, list]:
+    """(c, rows): the least integer c > 0 that clears every denominator of
+    m, and the nonzero entries of each row of c*m as (column, int) pairs."""
     scale = lcm(*(x.denominator for row in m.data for x in row.values()))
-    return [[(j, x.numerator * (scale // x.denominator)) for j, x in row.items()]
-            for row in m.data]
+    return scale, [[(j, x.numerator * (scale // x.denominator)) for j, x in row.items()]
+                   for row in m.data]
 
 
-def _product_is_zero(a_rows, b_rows) -> bool:
-    """a * b == 0, for a and b given as their rows' nonzero entries."""
+def _product_rows(a_rows, b_rows):
+    """Each row of a * b as a {column: int} dict, zero sums included, for
+    a and b given as their rows' nonzero integer entries."""
     for row in a_rows:
         acc = {}
         for k, x in row:
             for j, y in b_rows[k]:
                 acc[j] = acc.get(j, 0) + x * y
-        if any(acc.values()):
-            return False
-    return True
+        yield acc
+
+
+def _product_is_zero(a_rows, b_rows) -> bool:
+    """a * b == 0, for a and b given as their rows' nonzero integer entries."""
+    return not any(any(acc.values()) for acc in _product_rows(a_rows, b_rows))
 
 
 def cohomology_dims(delta, max_degree: int) -> list[int]:
@@ -340,7 +350,7 @@ def cohomology_dims(delta, max_degree: int) -> list[int]:
     prev_rows, prev_rank, prev_pivots = None, 0, set()
     for d in range(max_degree + 1):
         m = delta(d)
-        rows = _scaled_rows(m)
+        _, rows = _scaled_rows(m)
         if prev_rows is not None:
             if m.cols != len(prev_rows):
                 raise DimensionMismatch(

@@ -13,7 +13,8 @@ two compatibilities); the tags (11) and (22) are this tool's axiom-group
 numbering, documented in the README.  (22) is (11) for the flipped pair
 (h, g, psi, rho), and the validator computes it that way.  All checks are
 ring-generic so they also run over k[t]/(t^2) for first-order
-perturbation tests.
+perturbation tests.  A pair's integral image (``MatchedPair.integral``)
+is built over its algebras' kept images; the validator decides on it.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from .lie import (LieAlgebra, LieRep, ce_coboundary, validate_lie_algebra,
                   validate_representation, wedge_basis, wedge_rep)
 from .linalg import Matrix, invert, rank
 from .multimap import SkewMultiMap
-from .report import ValidationReport
-from .scalars import vaccum, vbasis, vcombine, vis_zero, vneg, vzero
+from .report import ValidationReport, checked_on_image
+from .scalars import (integral, integral_tensor, vaccum, vbasis, vcombine, vis_zero, vneg,
+                      vzero)
 
 
 def _action_tensor(dim_act, dim_space, data, what):
@@ -45,7 +47,7 @@ def _action_tensor(dim_act, dim_space, data, what):
 class MatchedPair:
     """Two Lie algebras with mutual actions; constructible unvalidated."""
 
-    __slots__ = ("g", "h", "rho", "psi", "_report", "_bicrossed")
+    __slots__ = ("g", "h", "rho", "psi", "_report", "_bicrossed", "_integral", "_structure")
 
     def __init__(self, g: LieAlgebra, h: LieAlgebra, rho, psi):
         self.g = g
@@ -64,8 +66,7 @@ class MatchedPair:
             for v in row:
                 if len(v) != g.dim:
                     raise MalformedTensor("psi value has wrong length")
-        self._report = None
-        self._bicrossed = None
+        self._report = self._bicrossed = self._integral = self._structure = None
 
     @classmethod
     def from_sparse(cls, g: LieAlgebra, h: LieAlgebra, rho=None, psi=None):
@@ -97,6 +98,16 @@ class MatchedPair:
         images = [self.psi_act(a, x_vec) if c else None for a, c in enumerate(h_vec)]
         return vcombine(h_vec, images, self.dim_g)
 
+    def integral(self) -> "MatchedPair":
+        """The integral image over the algebras' kept images, built once and
+        kept; self when nothing changes."""
+        if self._integral is None:
+            g, h = self.g.integral(), self.h.integral()
+            rho, psi = integral_tensor(self.rho), integral_tensor(self.psi)
+            same = g is self.g and h is self.h and rho is self.rho and psi is self.psi
+            self._integral = self if same else MatchedPair(g, h, rho, psi)
+        return self._integral
+
     def flipped(self) -> "MatchedPair":
         """The same pair with the two sides exchanged: (h, g, psi, rho)."""
         return MatchedPair(self.h, self.g, self.psi, self.rho)
@@ -127,11 +138,14 @@ class MatchedPair:
 def validate_matched_pair(mp: MatchedPair) -> ValidationReport:
     """Full axiom check with witnesses, grouped as in the module docstring.
 
-    The report is computed once per pair and kept on it; the Jacobi groups
-    reuse the reports kept on g and h.
+    The report is computed once per pair and kept on it
+    (``report.checked_on_image``); the Jacobi groups reuse the reports
+    kept on g and h.
     """
-    if mp._report is not None:
-        return mp._report
+    return checked_on_image(mp, _matched_pair_report)
+
+
+def _matched_pair_report(mp: MatchedPair) -> ValidationReport:
     report = ValidationReport("matched pair")
 
     jac_g = report.new_check("jacobi(g)")
@@ -150,8 +164,6 @@ def validate_matched_pair(mp: MatchedPair) -> ValidationReport:
 
     _compat_11(mp, report.new_check("compat(11)"))
     _compat_11(mp.flipped(), report.new_check("compat(22)"))
-
-    mp._report = report
     return report
 
 
@@ -369,7 +381,7 @@ class LieBialgebra:
     [t^a, t^b]* = sum_k cobracket[k][(a, b)] t^k.
     """
 
-    __slots__ = ("g", "cobracket")
+    __slots__ = ("g", "cobracket", "_integral", "_pair")
 
     def __init__(self, g: LieAlgebra, cobracket):
         self.g = g
@@ -386,6 +398,17 @@ class LieBialgebra:
                 if coeff:
                     clean[(i, j)] = coeff
             self.cobracket.append(clean)
+        self._integral = self._pair = None
+
+    def integral(self) -> "LieBialgebra":
+        """The integral image over g's kept image, built once and kept."""
+        if self._integral is None:
+            g = self.g.integral()
+            same = g is self.g and all(integral(c) is c for table in self.cobracket
+                                       for c in table.values())
+            self._integral = self if same else LieBialgebra(
+                g, [{key: integral(c) for key, c in table.items()} for table in self.cobracket])
+        return self._integral
 
     def dual_algebra(self) -> LieAlgebra:
         m = self.g.dim
@@ -436,7 +459,11 @@ def bialgebra_to_matched_pair(b: LieBialgebra) -> MatchedPair:
 
     The action of x on a covector q is (x . q)(y) = -q([x, y]); the action
     of a covector on g is dual to the adjoint action of the dual algebra.
+    Built and validated once per bialgebra; later calls return the same
+    pair.
     """
+    if b._pair is not None:
+        return b._pair
     validation = validate_bialgebra(b)
     if not validation.ok:
         raise InvalidInput("bialgebra fails validation")
@@ -454,4 +481,5 @@ def bialgebra_to_matched_pair(b: LieBialgebra) -> MatchedPair:
             psi[a][i] = [-dual.c[a][j][i] for j in range(m)]
     pair = MatchedPair(b.g, dual, rho, psi)
     pair.require_valid()
+    b._pair = pair
     return pair

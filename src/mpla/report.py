@@ -4,6 +4,9 @@ Every validator returns a ValidationReport: a list of named axiom-group
 checks, each carrying the basis tuples where the axiom fails together
 with the residual value at that tuple.  An empty witness list in every
 group means the structure is valid.
+
+The structure validators decide on the structure's integral image
+(``scalars.integral``), in int arithmetic, through ``checked_on_image``.
 """
 
 from __future__ import annotations
@@ -95,3 +98,21 @@ class ValidationReport:
                 for c in self.checks
             ],
         }
+
+
+def checked_on_image(obj, check) -> ValidationReport:
+    """The report of check on obj, computed once and kept on obj.
+
+    It is decided on ``obj.integral()``, which has obj's values, so the
+    image passes exactly when obj does, and a passing report (no
+    witnesses) is the same from either.  Witness residuals show scalar
+    types, so a failing structure is checked again on obj itself.
+    """
+    if obj._report is None:
+        image = obj.integral()
+        if image is obj:
+            obj._report = check(obj)
+        else:
+            report = checked_on_image(image, check)
+            obj._report = report if report.ok else check(obj)
+    return obj._report

@@ -13,6 +13,8 @@ Tensors are stored with the acting index first:
   rho_V[i][u], psi_V[a][u] : vectors in V,
   rho_W[i][w], psi_W[a][w] : vectors in W,
   alpha[u][a] : vector in W,   beta[w][i] : vector in V.
+The pairings are also kept by column, _alpha_cols[a][u] = alpha[u][a] and
+_beta_cols[i][w] = beta[w][i], for ``pair_alpha`` and ``pair_beta``.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ from .errors import (DimensionMismatch, InvalidInput, MalformedTensor,
                      NotRestrictable)
 from .lie import LieAlgebra, LieRep, validate_representation
 from .matched import MatchedPair, bicrossed_product
-from .report import ValidationReport
-from .scalars import vaccum, vbasis, vcombine, vis_zero, vneg, vzero
+from .report import ValidationReport, checked_on_image
+from .scalars import integral_tensor, vaccum, vbasis, vcombine, vis_zero, vneg, vzero
 
 
 def _tensor(rows, cols, veclen, data, what):
@@ -41,7 +43,7 @@ class MPRepresentation:
     """Representation data of a matched pair on a pair of spaces (V, W)."""
 
     __slots__ = ("base", "dim_v", "dim_w", "rho_v", "psi_v", "rho_w", "psi_w",
-                 "alpha", "beta", "_report")
+                 "alpha", "beta", "_alpha_cols", "_beta_cols", "_report", "_integral")
 
     def __init__(self, base: MatchedPair, dim_v: int, dim_w: int,
                  rho_v, psi_v, rho_w, psi_w, alpha, beta):
@@ -66,7 +68,9 @@ class MPRepresentation:
         self.psi_w = dense(psi_w, n, dim_w, dim_w, "psi_W")
         self.alpha = dense(alpha, dim_v, n, dim_w, "alpha")
         self.beta = dense(beta, dim_w, m, dim_v, "beta")
-        self._report = None
+        self._alpha_cols = [[row[a] for row in self.alpha] for a in range(n)]
+        self._beta_cols = [[row[i] for row in self.beta] for i in range(m)]
+        self._report = self._integral = None
 
     @classmethod
     def from_sparse(cls, base, dims, rho_v=None, psi_v=None, rho_w=None,
@@ -104,7 +108,7 @@ class MPRepresentation:
 
     def pair_alpha(self, v, a):
         """alpha_v h_a for a coefficient vector v in V."""
-        return vcombine(v, [row[a] for row in self.alpha], self.dim_w)
+        return vcombine(v, self._alpha_cols[a], self.dim_w)
 
     def pair_alpha_vec(self, v, h_vec):
         images = [self.pair_alpha(v, a) if c else None for a, c in enumerate(h_vec)]
@@ -112,7 +116,7 @@ class MPRepresentation:
 
     def pair_beta(self, w, i):
         """beta_w x_i for a coefficient vector w in W."""
-        return vcombine(w, [row[i] for row in self.beta], self.dim_v)
+        return vcombine(w, self._beta_cols[i], self.dim_v)
 
     def flipped(self) -> "MPRepresentation":
         """The representation of the flipped pair on (W, V): rho_V' = psi_W,
@@ -122,6 +126,18 @@ class MPRepresentation:
             self.base.flipped(), self.dim_w, self.dim_v,
             self.psi_w, self.rho_w, self.psi_v, self.rho_v, self.beta, self.alpha,
         )
+
+    def integral(self) -> "MPRepresentation":
+        """The integral image over the base pair's kept image, built once
+        and kept; self when nothing changes."""
+        if self._integral is None:
+            base = self.base.integral()
+            tensors = (self.rho_v, self.psi_v, self.rho_w, self.psi_w, self.alpha, self.beta)
+            images = [integral_tensor(t) for t in tensors]
+            same = base is self.base and all(a is b for a, b in zip(images, tensors))
+            self._integral = (self if same else
+                              MPRepresentation(base, self.dim_v, self.dim_w, *images))
+        return self._integral
 
     def rho_v_rep(self):
         return LieRep(self.base.g, self.dim_v, self.rho_v)
@@ -160,10 +176,13 @@ def adjoint_representation(mp: MatchedPair) -> MPRepresentation:
 def validate_mp_representation(r: MPRepresentation) -> ValidationReport:
     """Four action laws plus the six pairing identities, with witnesses.
 
-    The report is computed once per representation and kept on it.
+    The report is computed once per representation and kept on it
+    (``report.checked_on_image``).
     """
-    if r._report is not None:
-        return r._report
+    return checked_on_image(r, _mp_representation_report)
+
+
+def _mp_representation_report(r: MPRepresentation) -> ValidationReport:
     report = ValidationReport("matched-pair representation")
 
     for name, rep in (
@@ -181,8 +200,6 @@ def validate_mp_representation(r: MPRepresentation) -> ValidationReport:
         ("pairing(5)", _pairing_3, flipped), ("pairing(6)", _pairing_4, flipped),
     ):
         group(data, report.new_check(name))
-
-    r._report = report
     return report
 
 

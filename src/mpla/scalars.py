@@ -9,6 +9,15 @@ The ground field is the rationals, represented by ``fractions.Fraction``
 All axiom checkers in this package use only ring operations (+, -, *),
 so they run unchanged over either scalar type.
 
+``integral`` and ``integral_tensor`` give a structure's integral image:
+every Fraction of denominator 1 becomes the equal int, in DualNumber
+components too, and every other scalar stays as it is.  Values are
+unchanged, so every zero test and every sum of an exact check decides
+alike on the image, in int arithmetic (tens of nanoseconds an operation,
+against microseconds for Fraction).  Types are not unchanged: ``0`` and
+``Fraction(0, 1)`` print differently, so residuals a report prints are
+computed from the structure itself.
+
 ``LinearForm`` is a sparse linear form sum_j c_j x_j.  The coboundary
 formulas are linear and use only +, -, scalar * and truthiness, so one run
 on a cochain whose coordinates are the variables x_0, ..., x_{N-1} gives
@@ -62,13 +71,17 @@ def format_rational(x) -> str | int:
 
 
 class DualNumber:
-    """Element a + b*t of the ring k[t]/(t^2) over exact rationals."""
+    """Element a + b*t of the ring k[t]/(t^2) over exact rationals.
+
+    Int and Fraction components keep their type (so an integral image
+    computes in ints); any other input is read by ``Fraction``.
+    """
 
     __slots__ = ("a", "b")
 
     def __init__(self, a=0, b=0):
-        self.a = Fraction(a)
-        self.b = Fraction(b)
+        self.a = a if type(a) is int or type(a) is Fraction else Fraction(a)
+        self.b = b if type(b) is int or type(b) is Fraction else Fraction(b)
 
     @classmethod
     def promote(cls, x) -> "DualNumber":
@@ -185,6 +198,26 @@ class LinearForm:
 
     def __repr__(self):
         return f"LinearForm({self.terms})"
+
+
+def integral(x):
+    """x with a Fraction of denominator 1 replaced by the equal int, in a
+    DualNumber's components too; x itself when nothing changes."""
+    if type(x) is Fraction:
+        return x.numerator if x.denominator == 1 else x
+    if type(x) is DualNumber:
+        a, b = integral(x.a), integral(x.b)
+        return x if a is x.a and b is x.b else DualNumber(a, b)
+    return x
+
+
+def integral_tensor(t):
+    """``integral`` applied to every scalar of nested lists; t itself (the
+    same object) when nothing changes."""
+    if type(t) is not list:
+        return integral(t)
+    out = [integral_tensor(x) for x in t]
+    return t if all(a is b for a, b in zip(out, t)) else out
 
 
 # -- ring-generic vector helpers (plain lists of scalars) --
