@@ -56,6 +56,7 @@ _EXPORTS = {
                  "skeletal_to_triple", "triple_to_skeletal",
                  "validate_skeletal_matched_pair", "validate_skeletal_rep",
                  "validate_two_term"),
+    "stencil": ("ce_stencil",),
 }
 
 _SUBMODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -47,7 +47,22 @@ pairs, so no choice of degree-0 map into C^1 squares to zero.  The
 C^0 -> C^1, making H^0 = dim(V + W); all higher differentials are the
 genuine ones and square to zero exactly.
 
-Integral images.  ``delta_matrix`` and ``liebi_matrix`` probe the
+Matrices.  The explicit route of ``delta_matrix`` and ``liebi_matrix``
+is assembled from the integer stencil of the ``stencil`` module: the
+parts of delta^{mu x rho} are Chevalley-Eilenberg stencils of g with
+coefficients in L^l h* (x) V and in L^(l+1) h* (x) W, delta^{psi x nu} is
+the same on the flipped pair conjugated by the signed flip permutation,
+and the bialgebra complex is the stencil of g on L^q g plus that of the
+dual algebra on L^p g*, re-indexed by the transposition.  Each matrix
+keeps one common denominator D of its constants and its integer columns
+(the integer form of ``linalg``), so ``mpl_cohomology_dims`` checks and
+ranks every delta without building a Fraction; the {column: Fraction}
+rows are built on their first read.  The cochain-level formulas stay as
+they are, and the graded-bracket route (``route="adjoint"``) still runs
+once on a probe cochain of linear forms, so the two routes are two
+independent implementations.
+
+Integral images.  The stencils and the graded-bracket probe read the
 integral images of their structures (``scalars.integral``), and the
 chain-law sweeps ``phi_chain_check`` and ``psi_compare`` compute their
 difference on the images of the structures and of the cochain.  Values
@@ -65,13 +80,14 @@ from math import comb
 
 from .bigraded import BidegreeMap, StructureElement, decompose, embed
 from .errors import (CoefficientMismatch, DimensionMismatch, ShapeMismatch)
-from .lie import ce_coboundary, wedge_basis, wedge_rep
+from .lie import ce_coboundary, wedge_basis
 from .linalg import Matrix, cohomology_dims, operator_matrix
 from .matched import LieBialgebra, MatchedPair, bialgebra_to_matched_pair
 from .multimap import SkewMultiMap, nr_bracket
 from .report import ValidationReport
 from .reps import MPRepresentation, adjoint_representation
-from .scalars import integral_tensor, vaccum, vaccum_at, vis_zero, vzero
+from .scalars import common_denominator, integral_tensor, vaccum, vaccum_at, vis_zero, vzero
+from .stencil import ce_stencil, ce_tables, coeff_columns, drop_zeros
 
 
 def cochain_space_dim(mp_dims, rep_dims, degree: int) -> int:
@@ -428,6 +444,14 @@ def _delta_mu_rho(mp: MatchedPair, rep: MPRepresentation, fr: BidegreeMap,
     return out
 
 
+def _require_over(mp: MatchedPair, rep: MPRepresentation):
+    if rep.base is not mp and not (
+        rep.base.g == mp.g and rep.base.h == mp.h
+        and rep.base.rho == mp.rho and rep.base.psi == mp.psi
+    ):
+        raise ShapeMismatch("representation is not over this matched pair")
+
+
 def delta_mpl_coeff(mp: MatchedPair, rep: MPRepresentation, F: MPCochain) -> MPCochain:
     """Coboundary with coefficients in an arbitrary representation.
 
@@ -439,11 +463,7 @@ def delta_mpl_coeff(mp: MatchedPair, rep: MPRepresentation, F: MPCochain) -> MPC
         raise DimensionMismatch("cochain does not live over this matched pair")
     if (F.dim_v, F.dim_w) != rep.dims:
         raise ShapeMismatch("cochain coefficients do not match the representation")
-    if rep.base is not mp and not (
-        rep.base.g == mp.g and rep.base.h == mp.h
-        and rep.base.rho == mp.rho and rep.base.psi == mp.psi
-    ):
-        raise ShapeMismatch("representation is not over this matched pair")
+    _require_over(mp, rep)
     if F.degree == 0:
         return _degree0_delta(mp, rep, F.vec)
     n = F.degree
@@ -468,11 +488,13 @@ def delta_matrix(mp: MatchedPair, rep: MPRepresentation, degree: int,
                  route: str = "coeff") -> Matrix:
     """Matrix of the degree-d differential of the complex.
 
-    Degree 0 is the augmentation zero map (module docstring); higher
-    degrees apply the requested route once, to a probe cochain of linear
-    forms (``linalg.operator_matrix``), over the integral images of mp and
-    rep.  The adjoint route needs ``rep`` to be the adjoint representation
-    of ``mp``.
+    Degree 0 is the augmentation zero map (module docstring).  The
+    explicit route (``coeff``) builds higher degrees from the stencil of
+    the integral images of mp and rep, in integer form (``linalg``): its
+    public rows are built on their first read.  The adjoint route applies
+    the graded bracket once, to a probe cochain of linear forms
+    (``linalg.operator_matrix``); it needs ``rep`` to be the adjoint
+    representation of ``mp``.
     """
     mp, rep = mp.integral(), rep.integral()
     if route == "adjoint":
@@ -488,12 +510,15 @@ def delta_matrix(mp: MatchedPair, rep: MPRepresentation, degree: int,
     n_cols = cochain_space_dim(mp_dims, rep_dims, degree)
     if degree == 0:
         return Matrix.zero(n_rows, n_cols)
+    if degree < 0:
+        raise ShapeMismatch(f"degree-{degree} cochain needs {degree} components")
+    if route == "coeff":
+        _require_over(mp, rep)
+        return Matrix.from_integer_columns(n_rows, n_cols, *coeff_columns(rep, degree))
 
     def image(coords):
         F = cochain_from_coords(mp_dims, rep_dims, degree, coords)
-        if route == "adjoint":
-            return _coords(delta_mpl_adjoint(mp, F))
-        return _coords(delta_mpl_coeff(mp, rep, F))
+        return _coords(delta_mpl_adjoint(mp, F))
 
     return operator_matrix(image, n_rows, n_cols)
 
@@ -688,14 +713,13 @@ def _transpose_hom(xi: SkewMultiMap, dim: int, p: int, q: int) -> SkewMultiMap:
 
 def delta_g_side(b: LieBialgebra, xi_r: SkewMultiMap, p: int, q: int) -> SkewMultiMap:
     """Coboundary of g with coefficients in L^q g applied to xi_r."""
-    return ce_coboundary(wedge_rep(b.g, q), xi_r, p)
+    return ce_coboundary(b.wedge_module(q), xi_r, p)
 
 
 def delta_dual_side(b: LieBialgebra, xi_r: SkewMultiMap, p: int, q: int) -> SkewMultiMap:
     """Transpose-conjugated coboundary of the dual algebra, L^p g* coefficients."""
-    dual = b.dual_algebra()
     transposed = _transpose_hom(xi_r, b.g.dim, p, q)
-    image = ce_coboundary(wedge_rep(dual, p), transposed, q)
+    image = ce_coboundary(b.wedge_module(p, dual=True), transposed, q)
     back = _transpose_hom(image, b.g.dim, q + 1, p)
     return back.scale(_DUAL_TWIST(p, q))
 
@@ -718,14 +742,52 @@ def liebi_coboundary(b: LieBialgebra, xi: LieBiCochain) -> LieBiCochain:
 
 
 def liebi_matrix(b: LieBialgebra, degree: int) -> Matrix:
-    """Matrix of the degree-n bialgebra coboundary, probed on the integral
-    image of b."""
+    """Matrix of the degree-n bialgebra coboundary from the stencil of the
+    integral image of b, in integer form.
+
+    Block r of C^n (xi_r: L^p g -> L^q g, p = n - r + 1, q = r) is the
+    ``ce_basis`` of g in degree p with coefficients in L^q g, so delta_g is
+    the stencil (``stencil.ce_stencil``) of ``b.wedge_module(q)`` placed at
+    the block's offsets.
+    The dual side is the stencil of the dual algebra in degree q with
+    coefficients in L^p g* (``b.wedge_module(p, dual=True)``), re-indexed
+    by ``_transpose_hom`` on both sides and twisted by ``_DUAL_TWIST``.
+    """
     b = b.integral()
+    if degree < 0:
+        raise ShapeMismatch(f"degree-{degree} cochain needs {degree} components")
     dim = b.g.dim
-    return operator_matrix(
-        lambda coords: _liebi_coords(liebi_coboundary(b, liebi_from_coords(dim, degree, coords))),
-        liebi_space_dim(dim, degree + 1), liebi_space_dim(dim, degree),
-    )
+    scale = common_denominator(b.g.c, b.dual_algebra().c)
+
+    def starts(d):
+        out = [0]
+        for r in range(1, d + 1):
+            out.append(out[-1] + comb(dim, d - r + 1) * comb(dim, r))
+        return out
+
+    cols, rows = starts(degree), starts(degree + 1)
+    columns = []
+    for r in range(1, degree + 1):
+        p, q = degree - r + 1, r
+        bracket, action, _ = ce_tables(b.wedge_module(q), scale)
+        columns += ce_stencil(dim, bracket, action, comb(dim, q), p, rows[r - 1])
+    for r in range(2, degree + 2):
+        p, q = degree - r + 2, r - 1
+        size_p, size_q, size_out = comb(dim, p), comb(dim, q), comb(dim, q + 1)
+        twist = _DUAL_TWIST(p, q)
+        bracket, action, _ = ce_tables(b.wedge_module(p, dual=True), scale)
+        dual = ce_stencil(dim, bracket, action, size_p, q)
+        # dual column (q-key t, p-coordinate s) is our column (p-key s, t);
+        # dual row (q+1-key t, p-coordinate s) is our row (p-key s, t)
+        for j, mirror in enumerate(dual):
+            t, s = divmod(j, size_p)
+            column = columns[cols[r - 2] + s * size_q + t]
+            for y, c in mirror.items():
+                t_out, s_out = divmod(y, size_p)
+                i = rows[r - 1] + s_out * size_out + t_out
+                column[i] = column.get(i, 0) + twist * c
+    return Matrix.from_integer_columns(liebi_space_dim(dim, degree + 1), len(columns),
+                                       scale, drop_zeros(columns))
 
 
 def _contract_last(dim: int, q: int, vec, fixed) -> list:

@@ -14,8 +14,12 @@ Conventions:
                           + sum_{i<j} (-1)^{i+j} f([x_i,x_j], .. x_i^ .. x_j^ ..).
 
 All arithmetic is ring-generic: entries may be ints, Fractions or
-DualNumbers.  ``ce_matrix`` runs its probe on the representation's
-integral image.
+DualNumbers.
+
+``ce_matrix`` is the integer stencil of ``stencil.ce_stencil``, which
+builds every explicit coboundary matrix; it keeps the least common
+denominator D of the constants and the integer columns as the matrix's
+integer form (``linalg``), and the stencil's tables on the representation.
 """
 
 from __future__ import annotations
@@ -26,11 +30,10 @@ from itertools import combinations
 from math import comb
 
 from .errors import ArityMismatch, MalformedTensor
-from .linalg import Matrix, cohomology_dims, operator_matrix
+from .linalg import Matrix, cohomology_dims
 from .multimap import SkewMultiMap, nr_bracket, sort_sign
 from .report import ValidationReport, checked_on_image
-from .scalars import (integral_tensor, vaccum, vaccum_at, vbasis, vcombine, vis_zero,
-                      vzero)
+from .scalars import integral_tensor, vaccum, vaccum_at, vbasis, vcombine, vis_zero, vzero
 
 
 def _dense_tensor(dim, codim, pairs, skew: bool, what: str):
@@ -130,7 +133,7 @@ class LieAlgebra:
 class LieRep:
     """Representation of a LieAlgebra on a coefficient space."""
 
-    __slots__ = ("algebra", "space_dim", "a", "_report", "_integral")
+    __slots__ = ("algebra", "space_dim", "a", "_report", "_integral", "_stencil")
 
     def __init__(self, algebra: LieAlgebra, space_dim: int, a):
         self.algebra = algebra
@@ -142,7 +145,7 @@ class LieRep:
             for v in row:
                 if len(v) != space_dim:
                     raise MalformedTensor("action value has wrong length")
-        self._report = self._integral = None
+        self._report = self._integral = self._stencil = None
 
     @classmethod
     def zero(cls, algebra: LieAlgebra, space_dim: int) -> "LieRep":
@@ -307,22 +310,19 @@ def ce_basis(dim: int, space_dim: int, n: int):
 
 
 def ce_matrix(r: LieRep, n: int) -> Matrix:
-    """Matrix of the degree-n coboundary in the monomial basis, probed on
-    the integral image of r."""
+    """Matrix of the degree-n coboundary in the monomial basis: the stencil
+    of the integral image of r (``stencil.ce_stencil``), kept in integer
+    form with the least common denominator D of its constants."""
+    # imported here: a process that loads lie only to validate does not
+    # compile the stencil
+    from .stencil import ce_stencil, ce_tables, drop_zeros
+
     r = r.integral()
-    g = r.algebra
-    s = r.space_dim
-    domain = list(combinations(range(g.dim), n))
-    target = list(combinations(range(g.dim), n + 1))
-    zero = vzero(s)
-
-    def image(coords):
-        f = SkewMultiMap(n, g.dim, s, {key: coords[t * s:(t + 1) * s]
-                                       for t, key in enumerate(domain)})
-        out = ce_coboundary(r, f, n).coeffs
-        return [x for key in target for x in out.get(key, zero)]
-
-    return operator_matrix(image, len(target) * s, len(domain) * s)
+    dim, s = r.algebra.dim, r.space_dim
+    bracket, action, scale = ce_tables(r)
+    columns = ce_stencil(dim, bracket, action, s, n)
+    return Matrix.from_integer_columns(comb(dim, n + 1) * s, len(columns), scale,
+                                       drop_zeros(columns))
 
 
 def ce_cohomology_dims(r: LieRep, max_degree: int) -> list[int]:

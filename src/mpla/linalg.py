@@ -6,17 +6,25 @@ entries, and nothing else is stored.  Every operation reads stored
 entries only, so its cost follows the nonzeros, not rows x cols.
 ``Matrix.entries`` is a dense view, built afresh on each access, for
 callers that want rows of Fractions; writing into it changes nothing.
-``operator_matrix`` turns a ring-generic linear map into its matrix by
-running it once on a probe vector of linear forms; callers run it on the
-integral image of their structure (``scalars.integral``), so the probe
-computes in ints, and it stores each coefficient as a Fraction.
 
-Products are taken in integers: each factor's rows are scaled by the
-least common denominator of its entries, one kernel
-(``_product_rows``) multiplies the integer rows, and ``Matrix.mul``
-divides each nonzero entry of the result by the product of the two
-scales, one Fraction per stored entry.  The delta o delta = 0 check of
-``cohomology_dims`` runs the same kernel and builds no Fraction.
+A matrix may also hold an *integer form*: a positive integer D and one
+``{row: int}`` dict per column, the nonzero entries of D times the
+matrix.  The coboundary stencils (``stencil.ce_stencil``) build their
+matrices in that form (``Matrix.from_integer_columns``), and so does
+``Matrix.mul``; such a matrix builds its public rows (``data``,
+``entries``) on their first read, one Fraction per stored entry, and
+never before.  ``rank``, ``kernel_basis``, ``Matrix.mul`` and the
+delta o delta = 0 check of ``cohomology_dims`` read the integer form;
+for any other matrix ``_scaled_rows`` derives it from the rows, scaled
+by the least common denominator of their entries, and is the one place
+that does.  ``operator_matrix`` turns a ring-generic linear map into its
+matrix by running it once on a probe vector of linear forms (the
+graded-bracket route of ``cohomology.delta_matrix``).
+
+Products are taken in integers: one kernel (``_product_rows``)
+multiplies the integer columns, and the product keeps D_a * D_b and its
+integer columns; the delta o delta = 0 check runs the same kernel and
+builds no Fraction.
 
 One sparse elimination kernel serves ``rank``, ``kernel_basis``,
 ``solve`` and ``invert``.  Each nonzero row becomes a sparse integer
@@ -70,28 +78,55 @@ class Matrix:
     """Immutable-by-convention sparse matrix of Fractions.
 
     ``data[i]`` is the {column: Fraction} dict of the nonzero entries of
-    row i.  ``Matrix(rows, cols, entries)`` reads dense rows.
+    row i.  ``Matrix(rows, cols, entries)`` reads dense rows.  A matrix
+    built in integer form (``from_integer_columns``) builds ``data`` on
+    its first read.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "_data", "_scale", "_columns")
 
     def __init__(self, rows: int, cols: int, entries=None):
         self.rows = rows
         self.cols = cols
+        self._scale = self._columns = None
         if entries is None:
-            self.data = [{} for _ in range(rows)]
+            self._data = [{} for _ in range(rows)]
             return
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise DimensionMismatch(f"entries do not fill a {rows}x{cols} matrix")
-        self.data = [_sparse_row(r) for r in entries]
+        self._data = [_sparse_row(r) for r in entries]
 
     @classmethod
     def from_sparse(cls, rows: int, cols: int, data) -> "Matrix":
         """The matrix whose row i holds data[i], a {column: Fraction} dict of
         nonzero entries; the dicts are taken over, not copied or checked."""
         m = cls.__new__(cls)
-        m.rows, m.cols, m.data = rows, cols, data
+        m.rows, m.cols, m._data = rows, cols, data
+        m._scale = m._columns = None
         return m
+
+    @classmethod
+    def from_integer_columns(cls, rows: int, cols: int, scale: int, columns) -> "Matrix":
+        """The matrix whose column j is columns[j] / scale, columns[j] being a
+        {row: int} dict of nonzero entries and scale a positive int; the
+        dicts are taken over, not copied or checked."""
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._data = rows, cols, None
+        m._scale, m._columns = scale, columns
+        return m
+
+    @property
+    def data(self) -> list[dict]:
+        """One {column: Fraction} dict per row; a matrix in integer form
+        builds them on the first read and keeps them."""
+        if self._data is None:
+            data = [{} for _ in range(self.rows)]
+            scale = self._scale
+            for j, column in enumerate(self._columns):
+                for i, x in column.items():
+                    data[i][j] = Fraction(x, scale)
+            self._data = data
+        return self._data
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Matrix":
@@ -128,23 +163,17 @@ class Matrix:
         return [row.get(j, _ZERO) for row in self.data]
 
     def transpose(self) -> "Matrix":
-        out = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self.data):
-            for j, x in row.items():
-                out[j][i] = x
-        return Matrix.from_sparse(self.cols, self.rows, out)
+        return Matrix.from_sparse(self.cols, self.rows, _transposed(self.data, self.cols))
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise DimensionMismatch(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        scale_a, a_rows = _scaled_rows(self)
-        scale_b, b_rows = _scaled_rows(other)
-        scale = scale_a * scale_b
-        out = [{j: Fraction(x, scale) for j, x in acc.items() if x}
-               for acc in _product_rows(a_rows, b_rows)]
-        return Matrix.from_sparse(self.rows, other.cols, out)
+        scale_a, a_cols = _scaled_columns(self)
+        scale_b, b_cols = _scaled_columns(other)
+        out = [{i: x for i, x in acc.items() if x} for acc in _product_rows(b_cols, a_cols)]
+        return Matrix.from_integer_columns(self.rows, other.cols, scale_a * scale_b, out)
 
     def mul_vec(self, v):
         if len(v) != self.cols:
@@ -160,7 +189,9 @@ class Matrix:
         return out
 
     def is_zero(self) -> bool:
-        return not any(self.data)
+        if self._columns is not None:
+            return not any(self._columns)
+        return not any(self._data)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -202,15 +233,20 @@ def operator_matrix(image, n_rows: int, n_cols: int) -> Matrix:
 
 
 def _integer_row(row: dict) -> dict:
-    """{column: int} proportional to a sparse rational row, with content 1."""
+    """{column: int} proportional to a sparse rational row, by its least
+    common denominator."""
     if not row:
         return {}
     scale = lcm(*(x.denominator for x in row.values()))
-    out = {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
-    content = gcd(*out.values())
+    return {j: x.numerator * (scale // x.denominator) for j, x in row.items()}
+
+
+def _primitive(row: dict) -> dict:
+    """A sparse integer row divided by its content."""
+    content = gcd(*row.values())
     if content > 1:
-        out = {j: v // content for j, v in out.items()}
-    return out
+        return {j: v // content for j, v in row.items()}
+    return row
 
 
 def _eliminate(row: dict, pivot_row: dict, c: int) -> dict:
@@ -219,31 +255,33 @@ def _eliminate(row: dict, pivot_row: dict, c: int) -> dict:
     a, b = pivot_row[c], row[c]
     g = gcd(a, b)
     a, b = a // g, b // g
+    if a < 0:
+        # the negated combination cancels column c as well; a unit pivot
+        # then leaves row unscaled
+        a, b = -a, -b
     out = {j: a * v for j, v in row.items()} if a != 1 else dict(row)
+    get = out.get
     for j, v in pivot_row.items():
-        total = out.get(j, 0) - b * v
+        total = get(j, 0) - b * v
         if total:
             out[j] = total
         else:
             del out[j]
-    content = gcd(*out.values()) if out else 1
-    if content > 1:
-        out = {j: v // content for j, v in out.items()}
-    return out
+    return _primitive(out) if out else out
 
 
 def _echelon(rows, reduce: bool = False) -> list[tuple[int, dict]]:
     """(pivot column, integer row) pairs of a row echelon form, in column order.
 
-    ``rows`` are sparse rational rows ({column: Fraction or int} dicts of
-    nonzero entries).  With ``reduce`` the rows
+    ``rows`` are sparse integer rows ({column: int} dicts of nonzero
+    entries); they are read, not changed.  With ``reduce`` the rows
     are back-substituted: each then holds its pivot and free columns only,
     and dividing it by its pivot entry gives the reduced row echelon form.
     """
     by_lead = {}
     for row in rows:
-        row = _integer_row(row)
         if row:
+            row = _primitive(row)
             by_lead.setdefault(min(row), []).append(row)
     heap = list(by_lead)
     heapify(heap)
@@ -275,7 +313,8 @@ def _echelon(rows, reduce: bool = False) -> list[tuple[int, dict]]:
 
 
 def _rref(rows) -> list[tuple[int, dict]]:
-    """(pivot column, {column: Fraction}) rows of the reduced row echelon form."""
+    """(pivot column, {column: Fraction}) rows of the reduced row echelon
+    form of sparse integer rows."""
     out = []
     for c, row in _echelon(rows, reduce=True):
         lead = row[c]
@@ -284,7 +323,7 @@ def _rref(rows) -> list[tuple[int, dict]]:
 
 
 def rank(m: Matrix, clear=None, pivots=None) -> int:
-    """Rank over the rationals.
+    """Rank over the rationals, read from the integer form of m.
 
     Called with m alone, eliminates the rows of m or of its transpose,
     whichever are fewer: fewer rows means fewer rows to reduce to zero,
@@ -296,9 +335,10 @@ def rank(m: Matrix, clear=None, pivots=None) -> int:
     indices of m) of that elimination.
     """
     if clear is None:
-        return len(_echelon(m.data if m.rows <= m.cols else m.transpose().data))
-    kept = (col for j, col in enumerate(m.transpose().data) if j not in clear)
-    echelon = _echelon(kept)
+        _, lines = _scaled_rows(m) if m.rows <= m.cols else _scaled_columns(m)
+        return len(_echelon(lines))
+    _, columns = _scaled_columns(m)
+    echelon = _echelon(col for j, col in enumerate(columns) if j not in clear)
     if pivots is not None:
         pivots.update(c for c, _ in echelon)
     return len(echelon)
@@ -308,21 +348,47 @@ def kernel_dim(m: Matrix) -> int:
     return m.cols - rank(m)
 
 
+def _transposed(lines, n: int) -> list[dict]:
+    """The n {index: value} dicts of the transpose of sparse lines."""
+    out = [{} for _ in range(n)]
+    for i, line in enumerate(lines):
+        for j, x in line.items():
+            out[j][i] = x
+    return out
+
+
 def _scaled_rows(m: Matrix) -> tuple[int, list]:
-    """(c, rows): the least integer c > 0 that clears every denominator of
-    m, and the nonzero entries of each row of c*m as (column, int) pairs."""
+    """(c, rows): a positive integer c with c*m integral, and each row of
+    c*m as a {column: int} dict of its nonzero entries.
+
+    A matrix in integer form gives its own c and the transpose of its
+    columns; for any other matrix c is the least common denominator of
+    its entries, derived here and nowhere else.
+    """
+    if m._columns is not None:
+        return m._scale, _transposed(m._columns, m.rows)
     scale = lcm(*(x.denominator for row in m.data for x in row.values()))
-    return scale, [[(j, x.numerator * (scale // x.denominator)) for j, x in row.items()]
+    return scale, [{j: x.numerator * (scale // x.denominator) for j, x in row.items()}
                    for row in m.data]
+
+
+def _scaled_columns(m: Matrix) -> tuple[int, list]:
+    """(c, columns): the integer form of m, each column of c*m as a
+    {row: int} dict; a matrix in integer form gives its own."""
+    if m._columns is not None:
+        return m._scale, m._columns
+    scale, rows = _scaled_rows(m)
+    return scale, _transposed(rows, m.cols)
 
 
 def _product_rows(a_rows, b_rows):
     """Each row of a * b as a {column: int} dict, zero sums included, for
-    a and b given as their rows' nonzero integer entries."""
+    a and b given as their rows' nonzero integer entries ({column: int}
+    dicts); given the columns of b and of a, it yields the columns of a * b."""
     for row in a_rows:
         acc = {}
-        for k, x in row:
-            for j, y in b_rows[k]:
+        for k, x in row.items():
+            for j, y in b_rows[k].items():
                 acc[j] = acc.get(j, 0) + x * y
         yield acc
 
@@ -339,29 +405,32 @@ def cohomology_dims(delta, max_degree: int) -> list[int]:
     rank delta(d - 1).  Each differential is ranked once, after
     delta(d) * delta(d - 1) = 0 has been checked, and its rank is taken
     with the pivot coordinates of delta(d - 1) cleared (see the module
-    docstring).  Raises InputError on a negative degree,
-    DimensionMismatch if the shapes do not chain and NotAComplex if
-    some delta(d) * delta(d - 1) != 0.
+    docstring).  Both read the integer form of each matrix, so the
+    stencil-built coboundaries are ranked without building a Fraction.
+    Raises InputError on a negative degree, DimensionMismatch if the
+    shapes do not chain and NotAComplex if some
+    delta(d) * delta(d - 1) != 0.
     """
     if max_degree < 0:
         raise InputError(f"max_degree must be nonnegative, got {max_degree}",
                          field="max_degree")
     dims = []
-    prev_rows, prev_rank, prev_pivots = None, 0, set()
+    prev_columns, prev_rows, prev_rank, prev_pivots = None, 0, 0, set()
     for d in range(max_degree + 1):
         m = delta(d)
-        _, rows = _scaled_rows(m)
-        if prev_rows is not None:
-            if m.cols != len(prev_rows):
+        _, columns = _scaled_columns(m)
+        if prev_columns is not None:
+            if m.cols != prev_rows:
                 raise DimensionMismatch(
-                    f"d_out has {m.cols} columns but d_in has {len(prev_rows)} rows"
+                    f"d_out has {m.cols} columns but d_in has {prev_rows} rows"
                 )
-            if not _product_is_zero(rows, prev_rows):
+            # the columns of delta(d) * delta(d - 1)
+            if not _product_is_zero(prev_columns, columns):
                 raise NotAComplex("d_out * d_in != 0")
         pivots = set()
         r = rank(m, prev_pivots, pivots)
         dims.append(m.cols - r - prev_rank)
-        prev_rows, prev_rank, prev_pivots = rows, r, pivots
+        prev_columns, prev_rows, prev_rank, prev_pivots = columns, m.rows, r, pivots
     return dims
 
 
@@ -380,7 +449,7 @@ def kernel_basis(m: Matrix) -> list[list[Fraction]]:
     The vector of free column f has 1 at f, minus the reduced row echelon
     entries of column f at the pivot columns, and 0 elsewhere.
     """
-    pivots = _rref(m.data)
+    pivots = _rref(_scaled_rows(m)[1])
     pivot_cols = {c for c, _ in pivots}
     free = [j for j in range(m.cols) if j not in pivot_cols]
     slot = {j: t for t, j in enumerate(free)}
@@ -405,7 +474,7 @@ def solve(m: Matrix, b) -> list[Fraction] | None:
     for row, bi in zip(m.data, b):
         bi = Fraction(bi)
         rows.append({**row, n: bi} if bi else row)
-    pivots = _rref(rows)
+    pivots = _rref(map(_integer_row, rows))
     x = [Fraction(0)] * n
     for c, row in pivots:
         if c == n:
@@ -419,7 +488,7 @@ def invert(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise DimensionMismatch("only square matrices can be inverted")
     n = m.rows
-    pivots = _rref([{**row, n + i: 1} for i, row in enumerate(m.data)])
+    pivots = _rref(_integer_row({**row, n + i: 1}) for i, row in enumerate(m.data))
     if [c for c, _ in pivots[:n]] != list(range(n)):
         raise DimensionMismatch("matrix is singular")
     return Matrix.from_sparse(n, n, [{j - n: x for j, x in row.items() if j >= n}

@@ -231,7 +231,7 @@ class MPMorphism:
         return cls(Matrix.identity(mp.dim_g), Matrix.identity(mp.dim_h))
 
 
-def _is_hom(alg_src: LieAlgebra, alg_dst: LieAlgebra, f: Matrix, check, label):
+def _is_hom(alg_src: LieAlgebra, alg_dst: LieAlgebra, f, check, label):
     for i in range(alg_src.dim):
         for j in range(i + 1, alg_src.dim):
             lhs = f.mul_vec(alg_src.c[i][j])
@@ -241,8 +241,31 @@ def _is_hom(alg_src: LieAlgebra, alg_dst: LieAlgebra, f: Matrix, check, label):
                 check.add((label, i, j), residual)
 
 
+class _IntegralColumns:
+    """A Matrix read as the integral images of its dense columns
+    (``scalars.integral``), with the ``column`` and ``mul_vec`` of a Matrix
+    computed in ints where its entries are integers."""
+
+    __slots__ = ("rows", "columns")
+
+    def __init__(self, m: Matrix):
+        self.rows = m.rows
+        self.columns = [integral_tensor(m.column(j)) for j in range(m.cols)]
+
+    def column(self, j: int):
+        return self.columns[j]
+
+    def mul_vec(self, v):
+        return vcombine(v, self.columns, self.rows)
+
+
 def check_morphism(src: MatchedPair, dst: MatchedPair, phi: MPMorphism) -> ValidationReport:
-    """Homomorphism + intertwining checks, plus the equivalent combined-product criterion."""
+    """Homomorphism + intertwining checks, plus the equivalent combined-product criterion.
+
+    Decided on the integral images of both pairs and of both maps, in
+    ints; a failing check is run again on the inputs, whose scalar types
+    its witnesses show (as ``report.checked_on_image`` does).
+    """
     src.require_valid()
     dst.require_valid()
     f, gm = phi.f, phi.g_map
@@ -250,6 +273,19 @@ def check_morphism(src: MatchedPair, dst: MatchedPair, phi: MPMorphism) -> Valid
         raise DimensionMismatch("f has the wrong shape")
     if gm.cols != src.dim_h or gm.rows != dst.dim_h:
         raise DimensionMismatch("g_map has the wrong shape")
+    shift = src.dim_g
+    blocks = Matrix.from_sparse(
+        dst.dim_g + dst.dim_h, src.dim_g + src.dim_h,
+        f.data + [{shift + b: x for b, x in row.items()} for row in gm.data],
+    )
+    report = _morphism_report(src.integral(), dst.integral(), _IntegralColumns(f),
+                              _IntegralColumns(gm), _IntegralColumns(blocks))
+    return report if report.ok else _morphism_report(src, dst, f, gm, blocks)
+
+
+def _morphism_report(src: MatchedPair, dst: MatchedPair, f, gm, blocks) -> ValidationReport:
+    """The checks of ``check_morphism``; f, gm and blocks (the two maps as one
+    on g + h) need only ``column`` and ``mul_vec``."""
     report = ValidationReport("matched-pair morphism")
 
     hom_f = report.new_check("homomorphism(f)")
@@ -276,14 +312,7 @@ def check_morphism(src: MatchedPair, dst: MatchedPair, phi: MPMorphism) -> Valid
                 inter_psi.add((a, i), residual)
 
     combined = report.new_check("combined-product homomorphism")
-    big_src = bicrossed_product(src)
-    big_dst = bicrossed_product(dst)
-    shift = src.dim_g
-    blocks = Matrix.from_sparse(
-        dst.dim_g + dst.dim_h, src.dim_g + src.dim_h,
-        f.data + [{shift + b: x for b, x in row.items()} for row in gm.data],
-    )
-    _is_hom(big_src, big_dst, blocks, combined, "g+h")
+    _is_hom(bicrossed_product(src), bicrossed_product(dst), blocks, combined, "g+h")
     return report
 
 
@@ -381,7 +410,7 @@ class LieBialgebra:
     [t^a, t^b]* = sum_k cobracket[k][(a, b)] t^k.
     """
 
-    __slots__ = ("g", "cobracket", "_integral", "_pair")
+    __slots__ = ("g", "cobracket", "_integral", "_pair", "_dual", "_wedge")
 
     def __init__(self, g: LieAlgebra, cobracket):
         self.g = g
@@ -398,7 +427,8 @@ class LieBialgebra:
                 if coeff:
                     clean[(i, j)] = coeff
             self.cobracket.append(clean)
-        self._integral = self._pair = None
+        self._integral = self._pair = self._dual = None
+        self._wedge = {}
 
     def integral(self) -> "LieBialgebra":
         """The integral image over g's kept image, built once and kept."""
@@ -411,13 +441,24 @@ class LieBialgebra:
         return self._integral
 
     def dual_algebra(self) -> LieAlgebra:
-        m = self.g.dim
-        c = [[vzero(m) for _ in range(m)] for _ in range(m)]
-        for k, table in enumerate(self.cobracket):
-            for (a, b), coeff in table.items():
-                c[a][b][k] = c[a][b][k] + coeff
-                c[b][a][k] = c[b][a][k] - coeff
-        return LieAlgebra(m, c)
+        """The Lie algebra on the dual space, built once and kept."""
+        if self._dual is None:
+            m = self.g.dim
+            c = [[vzero(m) for _ in range(m)] for _ in range(m)]
+            for k, table in enumerate(self.cobracket):
+                for (a, b), coeff in table.items():
+                    c[a][b][k] = c[a][b][k] + coeff
+                    c[b][a][k] = c[b][a][k] - coeff
+            self._dual = LieAlgebra(m, c)
+        return self._dual
+
+    def wedge_module(self, q: int, dual: bool = False) -> LieRep:
+        """``wedge_rep`` of g, or of the dual algebra, on its q-th exterior
+        power, built once and kept."""
+        rep = self._wedge.get((q, dual))
+        if rep is None:
+            rep = self._wedge[(q, dual)] = wedge_rep(self.dual_algebra() if dual else self.g, q)
+        return rep
 
     def cobracket_map(self) -> SkewMultiMap:
         """delta as an arity-1 map into the wedge-square coefficients."""

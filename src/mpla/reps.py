@@ -14,7 +14,9 @@ Tensors are stored with the acting index first:
   rho_W[i][w], psi_W[a][w] : vectors in W,
   alpha[u][a] : vector in W,   beta[w][i] : vector in V.
 The pairings are also kept by column, _alpha_cols[a][u] = alpha[u][a] and
-_beta_cols[i][w] = beta[w][i], for ``pair_alpha`` and ``pair_beta``.
+_beta_cols[i][w] = beta[w][i], for ``pair_alpha`` and ``pair_beta``, and
+the coboundary stencil keeps its action tables on the representation
+(``stencil.mu_rho_tables``) once it has built them.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ class MPRepresentation:
     """Representation data of a matched pair on a pair of spaces (V, W)."""
 
     __slots__ = ("base", "dim_v", "dim_w", "rho_v", "psi_v", "rho_w", "psi_w",
-                 "alpha", "beta", "_alpha_cols", "_beta_cols", "_report", "_integral")
+                 "alpha", "beta", "_alpha_cols", "_beta_cols", "_report", "_integral",
+                 "_stencil")
 
     def __init__(self, base: MatchedPair, dim_v: int, dim_w: int,
                  rho_v, psi_v, rho_w, psi_w, alpha, beta):
@@ -70,7 +73,7 @@ class MPRepresentation:
         self.beta = dense(beta, dim_w, m, dim_v, "beta")
         self._alpha_cols = [[row[a] for row in self.alpha] for a in range(n)]
         self._beta_cols = [[row[i] for row in self.beta] for i in range(m)]
-        self._report = self._integral = None
+        self._report = self._integral = self._stencil = None
 
     @classmethod
     def from_sparse(cls, base, dims, rho_v=None, psi_v=None, rho_w=None,

@@ -22,12 +22,16 @@ computed from the structure itself.
 formulas are linear and use only +, -, scalar * and truthiness, so one run
 on a cochain whose coordinates are the variables x_0, ..., x_{N-1} gives
 every coordinate of the image as a form: the rows of the matrix
-(``linalg.operator_matrix``).
+(``linalg.operator_matrix``).  The graded-bracket route of
+``cohomology.delta_matrix`` is built that way; the explicit coboundaries
+come from an integer stencil instead (``stencil.ce_stencil``), whose tables
+``common_denominator`` and ``scaled_int`` put in ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import MalformedTensor
 
@@ -218,6 +222,28 @@ def integral_tensor(t):
         return integral(t)
     out = [integral_tensor(x) for x in t]
     return t if all(a is b for a, b in zip(out, t)) else out
+
+
+def common_denominator(*tensors) -> int:
+    """The least common denominator of every scalar of nested lists of
+    ints and Fractions (1 when all are ints)."""
+    out = 1
+    stack = list(tensors)
+    while stack:
+        t = stack.pop()
+        if type(t) is list:
+            stack.extend(t)
+        elif type(t) is not int:
+            out = lcm(out, t.denominator)
+    return out
+
+
+def scaled_int(x, scale: int) -> int:
+    """x * scale as an int, for an int or Fraction x whose denominator
+    divides scale."""
+    if type(x) is int:
+        return x * scale
+    return x.numerator * (scale // x.denominator)
 
 
 # -- ring-generic vector helpers (plain lists of scalars) --

@@ -233,6 +233,28 @@ def percolumn_delta_matrix(mp, rep, degree, route="coeff"):
     return Matrix.from_columns(columns)
 
 
+def probe_delta_matrix(mp, rep, degree):
+    """δ_d of the explicit formulas, by one run of ``delta_mpl_coeff`` on a
+    probe cochain of linear forms (``linalg.operator_matrix``) over the
+    integral images of mp and rep."""
+    from mpla import Matrix, cochain_from_coords, delta_mpl_coeff
+    from mpla.cohomology import _coords
+    from mpla.linalg import operator_matrix
+
+    mp, rep = mp.integral(), rep.integral()
+    mp_dims = (mp.dim_g, mp.dim_h)
+    n_rows = cochain_space_dim(mp_dims, rep.dims, degree + 1)
+    n_cols = cochain_space_dim(mp_dims, rep.dims, degree)
+    if degree == 0:
+        return Matrix.zero(n_rows, n_cols)
+
+    def image(coords):
+        F = cochain_from_coords(mp_dims, rep.dims, degree, coords)
+        return _coords(delta_mpl_coeff(mp, rep, F))
+
+    return operator_matrix(image, n_rows, n_cols)
+
+
 def pull_ce_coboundary(r, f, n=None):
     """The CE coboundary by its defining formula: every (n+1)-key of the
     algebra pulls the action and bracket terms from f, whatever f's

@@ -7,8 +7,8 @@ from fractions import Fraction
 import pytest
 
 from mpla import (DeformationCandidate, LieAlgebra, LieBialgebra, LieRep, Matrix, MatchedPair,
-                  MPRepresentation, adjoint_representation, basis_cochain,
-                  bialgebra_aff1, bicrossed_product, coadjoint_representation,
+                  MPMorphism, MPRepresentation, adjoint_representation, basis_cochain,
+                  bialgebra_aff1, check_morphism, bicrossed_product, coadjoint_representation,
                   cochain_basis, deformation_check, delta_matrix, delta_mpl_adjoint,
                   kernel_basis, liebi_from_coords, liebi_matrix, liebi_space_dim,
                   phi_chain_check, psi_compare, validate_matched_pair,
@@ -279,3 +279,67 @@ def test_sweep_structures_are_built_once(monkeypatch):
             coords = [int(i == j) for j in range(liebi_space_dim(2, degree))]
             assert psi_compare(b, liebi_from_coords(2, degree, coords)).ok
     assert validated == [b]
+
+
+def test_bialgebra_keeps_its_dual_algebra_and_wedge_modules(monkeypatch):
+    built = []
+    wedge_rep = matched.wedge_rep
+    monkeypatch.setattr(matched, "wedge_rep", lambda g, q: built.append(q) or wedge_rep(g, q))
+    b = bialgebra_aff1()
+    for _ in range(3):
+        for degree in (1, 2, 3):
+            for i in range(liebi_space_dim(2, degree)):
+                coords = [int(i == j) for j in range(liebi_space_dim(2, degree))]
+                assert psi_compare(b, liebi_from_coords(2, degree, coords)).ok
+            liebi_matrix(b, degree)
+    image = b.integral()
+    assert image.dual_algebra() is image.dual_algebra()
+    assert image.wedge_module(2, dual=True) is image.wedge_module(2, dual=True)
+    # Lambda^1..3 of g and of its dual on the image, once each, and Lambda^2 g
+    # for the cocycle check of the one validation of b
+    assert sorted(built) == [1, 1, 2, 2, 2, 3, 3]
+
+
+def _morphism_cases():
+    """(src, dst, phi): identities, scalings and random maps with integral
+    Fractions and proper fractions between catalog pairs, many failing."""
+    rng = random.Random(124)
+    cases = []
+    for src, dst in ((mp_double(), mp_double()), (mp_direct(sl2(), aff1()),) * 2):
+        cases.append((src, dst, MPMorphism.identity(src)))
+        for _ in range(6):
+            f = Matrix.from_rows([[Fraction(rng.randint(-2, 2), rng.choice((1, 1, 2)))
+                                   for _ in range(src.dim_g)] for _ in range(dst.dim_g)])
+            g = Matrix.from_rows([[Fraction(rng.randint(-2, 2))
+                                   for _ in range(src.dim_h)] for _ in range(dst.dim_h)])
+            cases.append((src, dst, MPMorphism(f, g)))
+    return cases
+
+
+def test_check_morphism_decides_on_the_images_as_on_the_inputs():
+    failing = 0
+    for src, dst, phi in _morphism_cases():
+        shift = src.dim_g
+        blocks = Matrix.from_sparse(
+            dst.dim_g + dst.dim_h, src.dim_g + src.dim_h,
+            phi.f.data + [{shift + b: x for b, x in row.items()} for row in phi.g_map.data])
+        expected = repr(matched._morphism_report(src, dst, phi.f, phi.g_map, blocks))
+        assert repr(check_morphism(src, dst, phi)) == expected
+        failing += "Witness" in expected
+    assert failing >= 6
+
+
+def test_passing_check_morphism_does_no_fraction_arithmetic(monkeypatch):
+    cases = [(src, dst, phi) for src, dst, phi in _morphism_cases()
+             if phi.f == Matrix.identity(src.dim_g)]
+    for src, dst, _ in cases:
+        check_morphism(src, dst, MPMorphism.identity(src))
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        original = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name,
+                            lambda *args, _f=original: calls.append(1) or _f(*args))
+    for src, dst, _ in cases:
+        assert check_morphism(src, dst, MPMorphism.identity(src)).ok
+    monkeypatch.undo()
+    assert len(cases) == 2 and calls == []

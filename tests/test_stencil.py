@@ -1,0 +1,204 @@
+"""The integer stencil behind every explicit coboundary matrix.
+
+``delta_matrix(route="coeff")``, ``ce_matrix`` and ``liebi_matrix`` are
+built by ``stencil.ce_stencil`` in integer form; ``cohomology_dims`` ranks and
+checks them in ints.  The oracles are independent: one run of the
+cochain-level formula on a probe of linear forms, the per-column builders,
+and the graded-bracket route.
+"""
+
+import random
+from fractions import Fraction
+from itertools import combinations
+
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
+
+from mpla import (LieAlgebra, LieBialgebra, MatchedPair, MPRepresentation,
+                  adjoint_representation, bicrossed_product, coadjoint_representation,
+                  delta_matrix, liebi_matrix, mpl_cohomology_dims)
+from mpla.catalog import (aff1, bialgebra_aff1, mp_direct, mp_semidirect_double, sl2)
+from mpla.lie import ce_matrix
+from mpla.linalg import Matrix, cohomology_dims
+from mpla.scalars import common_denominator
+
+from helpers import (percolumn_ce_matrix, percolumn_delta_matrix, percolumn_liebi_matrix,
+                     probe_delta_matrix, rand_invertible)
+from test_cohomology import conjugate_pair
+
+
+def assert_integer_form(m: Matrix):
+    """m holds D and its integer columns, D * data equals them, and data
+    stores nonzero Fractions only."""
+    scale, columns = m._scale, m._columns
+    assert type(scale) is int and scale > 0 and len(columns) == m.cols
+    assert all(type(x) is int and x for column in columns for x in column.values())
+    stored = [x for row in m.data for x in row.values()]
+    assert all(type(x) is Fraction and x for x in stored)
+    assert len(stored) == sum(len(column) for column in columns)
+    for j, column in enumerate(columns):
+        for i, x in column.items():
+            assert scale * m.data[i][j] == x
+
+
+def _value(rng, proper):
+    """Mostly zeros and small integers, as ints and as Fractions; with
+    ``proper`` also proper fractions."""
+    choices = [0, 0, 0, 1, -1, 2, Fraction(1), Fraction(-2)]
+    if proper:
+        choices += [Fraction(1, 2), Fraction(-2, 3)]
+    return rng.choice(choices)
+
+
+def _tensor(rng, rows, cols, size, proper):
+    if rng.random() < 0.25:
+        return {}
+    return {(i, j): [_value(rng, proper) for _ in range(size)]
+            for i in range(rows) for j in range(cols)}
+
+
+def rand_pair_and_rep(rng, m, n, p, q, proper):
+    """A random, mostly invalid pair and representation."""
+    g = LieAlgebra.from_brackets(m, {key: [_value(rng, proper) for _ in range(m)]
+                                     for key in combinations(range(m), 2)})
+    h = LieAlgebra.from_brackets(n, {key: [_value(rng, proper) for _ in range(n)]
+                                     for key in combinations(range(n), 2)})
+    mp = MatchedPair.from_sparse(g, h, _tensor(rng, m, n, n, proper),
+                                 _tensor(rng, n, m, m, proper))
+    rep = MPRepresentation.from_sparse(
+        mp, (p, q), rho_v=_tensor(rng, m, p, p, proper), psi_v=_tensor(rng, n, p, p, proper),
+        rho_w=_tensor(rng, m, q, q, proper), psi_w=_tensor(rng, n, q, q, proper),
+        alpha=_tensor(rng, p, n, q, proper), beta=_tensor(rng, q, m, p, proper))
+    return mp, rep
+
+
+@seed(12)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from([(1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 2)]),
+       st.sampled_from([(1, 2), (2, 1), (1, 3), (2, 2)]), st.booleans(), st.booleans())
+def test_stencil_matches_the_probe_and_the_percolumn_oracle(state, dims, rep_dims, proper, flip):
+    rng = random.Random(state)
+    mp, rep = rand_pair_and_rep(rng, *dims, *rep_dims, proper)
+    if flip:
+        rep = rep.flipped()
+        mp = rep.base
+    constants = [mp.g.c, mp.h.c, mp.rho, mp.psi, rep.rho_v, rep.psi_v, rep.rho_w,
+                 rep.psi_w, rep.alpha, rep.beta]
+    for degree in range(1, min(sum(dims), 4) + 1):
+        got = delta_matrix(mp, rep, degree)
+        assert got == probe_delta_matrix(mp, rep, degree)
+        assert got == percolumn_delta_matrix(mp, rep, degree)
+        assert_integer_form(got)
+        # one D per matrix, derived from the input's constants
+        assert got._scale == common_denominator(*constants)
+
+
+def test_stencil_matches_the_bracket_route_and_keeps_its_form_on_conjugates():
+    rng = random.Random(121)
+    s33 = mp_direct(sl2(), sl2())
+    conj = conjugate_pair(s33, rand_invertible(rng, 3), rand_invertible(rng, 3))
+    assert conj.integral() is not conj
+    for mp in (s33, conj):
+        adj = adjoint_representation(mp)
+        for degree in range(1, 4):
+            got = delta_matrix(mp, adj, degree)
+            assert got == delta_matrix(mp, adj, degree, "adjoint")
+            assert_integer_form(got)
+            assert_integer_form(got.mul(delta_matrix(mp, adj, degree - 1)))
+    assert delta_matrix(conj, adjoint_representation(conj), 2)._scale > 1
+
+
+def test_ce_and_liebi_stencils_keep_their_integer_form():
+    rng = random.Random(122)
+    conj = conjugate_pair(mp_direct(sl2(), aff1()), rand_invertible(rng, 3),
+                          rand_invertible(rng, 2))
+    big = bicrossed_product(conj).adjoint()
+    for n in range(4):
+        got = ce_matrix(big, n)
+        assert got == percolumn_ce_matrix(big, n)
+        assert_integer_form(got)
+    thirds = LieBialgebra(LieAlgebra.abelian(2), [{}, {(0, 1): Fraction(1, 3)}])
+    for b in (bialgebra_aff1(), thirds):
+        for degree in range(4):
+            got = liebi_matrix(b, degree)
+            assert got == percolumn_liebi_matrix(b, degree)
+            assert_integer_form(got)
+    assert liebi_matrix(thirds, 1)._scale == 3
+
+
+def test_data_is_built_on_the_first_read_only():
+    mp = mp_semidirect_double()
+    m = delta_matrix(mp, adjoint_representation(mp), 2)
+    assert m._data is None
+    assert mpl_cohomology_dims(mp, adjoint_representation(mp), 2) == [8, 3, 7]
+    data = m.data
+    assert m.data is data and m.entries[0] == [data[0].get(j, 0) for j in range(m.cols)]
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        m = fn(*args, **kwargs)
+    except Exception as exc:  # the type and message are what is pinned
+        return type(exc).__name__, str(exc)
+    return m.rows, m.cols
+
+
+def test_builders_raise_as_before_at_every_degree():
+    mp = mp_semidirect_double()
+    adj, co = adjoint_representation(mp), coadjoint_representation(mp)
+    other = adjoint_representation(mp_direct(sl2(), sl2()))
+    negative = {d: ("ShapeMismatch", f"degree-{d} cochain needs {d} components")
+                for d in (-2, -1)}
+    not_over = ("ShapeMismatch", "representation is not over this matched pair")
+    adjoint_only = ("CoefficientMismatch",
+                    "the adjoint route needs the adjoint representation of the pair")
+    unknown = ("ValueError", "unknown route 'bracket'")
+    shapes = {0: (32, 8), 1: (176, 32), 2: (416, 176)}
+    for d in (-2, -1, 0, 1, 2):
+        expected = negative.get(d, shapes.get(d))
+        assert _outcome(delta_matrix, mp, adj, d) == expected
+        assert _outcome(delta_matrix, mp, adj, d, "adjoint") == expected
+        assert _outcome(delta_matrix, mp, adj, d, "bracket") == unknown
+        assert _outcome(delta_matrix, mp, co, d, "adjoint") == adjoint_only
+        assert _outcome(delta_matrix, mp, other, d, "adjoint") == adjoint_only
+        assert _outcome(delta_matrix, mp, other, d) == negative.get(d, (24, 6) if d == 0
+                                                                    else not_over)
+        assert _outcome(ce_matrix, aff1().adjoint(), d) == \
+            (("ValueError", "r must be non-negative") if d < 0 else {0: (4, 2), 1: (2, 4),
+                                                                       2: (0, 2)}[d])
+        assert _outcome(liebi_matrix, bialgebra_aff1(), d) == \
+            negative.get(d, {0: (4, 0), 1: (4, 4), 2: (1, 4)}.get(d))
+    # an equal pair that is another object is accepted
+    twin = MatchedPair(mp.g, mp.h, mp.rho, mp.psi)
+    assert delta_matrix(twin, adj, 1) == delta_matrix(mp, adj, 1)
+    assert _outcome(mpl_cohomology_dims, mp, adj, -1) == \
+        ("InputError", "max_degree must be nonnegative, got -1 (field=max_degree)")
+    assert _outcome(cohomology_dims, lambda d: Matrix.zero(2, 3), 1)[0] == "DimensionMismatch"
+
+
+def test_cohomology_dims_build_no_fraction():
+    """Assembling, checking and ranking δ_0..δ_2 of the 4+4 pair and of a
+    conjugate with proper fractions builds a bounded number of Fractions,
+    not one per stored entry as a round trip through ``Matrix.data`` would."""
+    rng = random.Random(123)
+    base = mp_semidirect_double()
+    conj = conjugate_pair(base, rand_invertible(rng, 4), rand_invertible(rng, 4))
+    raw = Fraction.__dict__["__new__"]
+    for mp in (base, conj):
+        rep = adjoint_representation(mp)
+        mp.require_valid()
+        rep.require_valid()
+        built = []
+
+        def counting(cls, *args, **kwargs):
+            built.append(1)
+            return raw.__func__(cls, *args, **kwargs)
+
+        Fraction.__new__ = staticmethod(counting)
+        try:
+            dims = mpl_cohomology_dims(mp, rep, 2)
+        finally:
+            Fraction.__new__ = raw
+        assert dims == [8, 3, 7]
+        stored = sum(len(row) for d in (1, 2) for row in delta_matrix(mp, rep, d).data)
+        assert stored > 1000 and len(built) <= 16, (stored, len(built))
