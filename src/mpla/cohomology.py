@@ -81,7 +81,7 @@ from math import comb
 from .bigraded import BidegreeMap, StructureElement, decompose, embed
 from .errors import (CoefficientMismatch, DimensionMismatch, ShapeMismatch)
 from .lie import ce_coboundary, wedge_basis
-from .linalg import Matrix, cohomology_dims, operator_matrix
+from .linalg import Matrix, cohomology_dims, operator_matrix, require_degree
 from .matched import LieBialgebra, MatchedPair, bialgebra_to_matched_pair
 from .multimap import SkewMultiMap, nr_bracket
 from .report import ValidationReport
@@ -494,7 +494,8 @@ def delta_matrix(mp: MatchedPair, rep: MPRepresentation, degree: int,
     public rows are built on their first read.  The adjoint route applies
     the graded bracket once, to a probe cochain of linear forms
     (``linalg.operator_matrix``); it needs ``rep`` to be the adjoint
-    representation of ``mp``.
+    representation of ``mp``.  A negative degree raises InputError, and a
+    ``rep`` over another pair ShapeMismatch at every degree.
     """
     mp, rep = mp.integral(), rep.integral()
     if route == "adjoint":
@@ -504,16 +505,16 @@ def delta_matrix(mp: MatchedPair, rep: MPRepresentation, degree: int,
             )
     elif route != "coeff":
         raise ValueError(f"unknown route {route!r}")
+    require_degree(degree)
+    if route == "coeff":
+        _require_over(mp, rep)
     mp_dims = (mp.dim_g, mp.dim_h)
     rep_dims = rep.dims
     n_rows = cochain_space_dim(mp_dims, rep_dims, degree + 1)
     n_cols = cochain_space_dim(mp_dims, rep_dims, degree)
     if degree == 0:
         return Matrix.zero(n_rows, n_cols)
-    if degree < 0:
-        raise ShapeMismatch(f"degree-{degree} cochain needs {degree} components")
     if route == "coeff":
-        _require_over(mp, rep)
         return Matrix.from_integer_columns(n_rows, n_cols, *coeff_columns(rep, degree))
 
     def image(coords):
@@ -753,9 +754,8 @@ def liebi_matrix(b: LieBialgebra, degree: int) -> Matrix:
     coefficients in L^p g* (``b.wedge_module(p, dual=True)``), re-indexed
     by ``_transpose_hom`` on both sides and twisted by ``_DUAL_TWIST``.
     """
+    require_degree(degree)
     b = b.integral()
-    if degree < 0:
-        raise ShapeMismatch(f"degree-{degree} cochain needs {degree} components")
     dim = b.g.dim
     scale = common_denominator(b.g.c, b.dual_algebra().c)
 

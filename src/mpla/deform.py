@@ -21,7 +21,7 @@ from fractions import Fraction
 from .cohomology import MPCochain, delta_mpl_coeff
 from .errors import (DimensionMismatch, InvalidInput, MalformedTensor,
                      NotACocycle, NotASection, ShapeMismatch)
-from .lie import LieAlgebra
+from .lie import LieAlgebra, dense_tensor
 from .linalg import Matrix
 from .matched import MatchedPair, MPMorphism, check_morphism, validate_matched_pair
 from .report import ValidationReport
@@ -52,17 +52,10 @@ class DeformationCandidate:
 
     @classmethod
     def from_sparse(cls, dim_g, dim_h, mu1=None, nu1=None, rho1=None, psi1=None):
-        from .lie import _dense_tensor
-
-        mu = _dense_tensor(dim_g, dim_g, dict(mu1 or {}), True, "mu1")
-        nu = _dense_tensor(dim_h, dim_h, dict(nu1 or {}), True, "nu1")
-        rho = [[vzero(dim_h) for _ in range(dim_h)] for _ in range(dim_g)]
-        for (i, a), vec in dict(rho1 or {}).items():
-            rho[i][a] = list(vec)
-        psi = [[vzero(dim_g) for _ in range(dim_g)] for _ in range(dim_h)]
-        for (a, i), vec in dict(psi1 or {}).items():
-            psi[a][i] = list(vec)
-        return cls(dim_g, dim_h, mu, nu, rho, psi)
+        m, n = dim_g, dim_h
+        return cls(m, n, dense_tensor((m, m, m), mu1, "mu1", skew=True),
+                   dense_tensor((n, n, n), nu1, "nu1", skew=True),
+                   dense_tensor((m, n, n), rho1, "rho1"), dense_tensor((n, m, m), psi1, "psi1"))
 
     @classmethod
     def zero(cls, mp: MatchedPair):

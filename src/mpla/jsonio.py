@@ -1,7 +1,11 @@
 """JSON parsing and serialization for every structure the tool exchanges.
 
-Scalars travel as "p/q" strings or bare integers.  Tensor entries are
-sparse rows [indices..., coefficient]:
+Scalars travel as "p/q" strings or bare integers.  Every dense tensor
+field is a list of sparse rows [indices..., coefficient], read by
+``_tensor`` and written by ``_rows``, the one place that knows this row
+format.  Entries with the same indices add up.  A skew field lists only
+the entries whose first two (three) indices increase and stands for its
+skew-symmetric completion:
 
   lie algebra   {"dim": n, "bracket": [[i, j, k, c], ...]}        with i < j
   action        {"space_dim": n, "action": [[i, p, q, c], ...]}
@@ -13,15 +17,18 @@ sparse rows [indices..., coefficient]:
   cochain       {"degree": n, "components": [{"r": r,
                   "part_V": [[gtuple, htuple, idx, c], ...],
                   "part_W": ...}]}; degree 0 uses {"degree": 0, "vector": [...]}
-  deformation   {"mu1": ..., "nu1": ..., "rho1": ..., "psi1": ...}
+  deformation   {"mu1": ..., "nu1": ..., "rho1": ..., "psi1": ...}  mu1, nu1 with i < j
   bialgebra     {"g": ..., "cobracket": [[k, i, j, c], ...]}      with i < j
   two-term      {"dim0": a, "dim1": b, "mu1": [[p, i, c], ...],
                  "bracket00": [[i, j, k, c], ...], "bracket01": [[i, p, q, c], ...],
-                 "mu3": [[i, j, k, idx, c], ...]}                 with i < j < k
+                 "mu3": [[i, j, k, idx, c], ...]}  bracket00 with i < j, mu3 with i < j < k
   skeletal pair {"G": ..., "H": ..., "rho2": {"g0h0": ..., "g0h1": ..., "g1h0": ...},
                  "rho3": [[i, j, a, idx, c], ...], "psi2": ..., "psi3": ...} with i < j
   extension     {"total": matched pair, "base": matched pair,
                  "rep": representation, "split": [m, p, n, q]}
+
+The cobracket (one dict per basis vector) and cochains (keyed by index
+tuples) are not dense tensors and keep readers of their own.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from .errors import InputError, MplaError
 from .lie import LieAlgebra, LieRep
 from .linalg import Matrix
 from .matched import LieBialgebra, MatchedPair
-from .scalars import format_rational, parse_rational, vzero
+from .scalars import format_rational, parse_rational, vzero, zero_tensor
 
 # The readers of representations, cochains, deformations, extensions and
 # skeletal structures import their class when called, so that a command
@@ -112,51 +119,70 @@ def _entries(rows, field, bounds, path):
     return out
 
 
+# the permutations of the first 0, 2 or 3 indices of an entry, with their signs
+_SIGNED = {0: [((), 1)], 2: [((0, 1), 1), ((1, 0), -1)],
+           3: [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+               ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1)]}
+
+
+def _tensor(data, field, shape, path, skew=0, required=False):
+    """The dense tensor of ``shape`` whose entries ``data[field]`` lists.
+
+    Int zeros, plus each entry at its indices; the first ``skew`` indices
+    of an entry must increase strictly, and the entry is added at every
+    permutation of them with its sign.  An absent field is zero unless
+    ``required``.
+    """
+    entries = (_sparse_entries(data, field, shape, path)
+               if required or field in data else [])
+    for idx, _ in entries:
+        if any(a >= b for a, b in zip(idx[:skew], idx[1:skew])):
+            _fail(f"{field} entry ({', '.join(map(str, idx[:skew]))}) needs "
+                  f"{' < '.join('ijk'[:skew])}", path, field)
+    tensor = zero_tensor(shape)
+    for idx, coeff in entries:
+        for perm, sign in _SIGNED[skew]:
+            *head, last = [idx[t] for t in perm] + list(idx[skew:])
+            cell = tensor
+            for i in head:
+                cell = cell[i]
+            cell[last] = cell[last] + sign * coeff
+    return tensor
+
+
+def _rows(tensor, skew=0, head=()):
+    """The sparse rows of a dense tensor: its nonzero entries in index order,
+    the first ``skew`` indices increasing."""
+    rows = []
+    for i in range(head[-1] + 1 if 0 < len(head) < skew else 0, len(tensor)):
+        x = tensor[i]
+        if isinstance(x, list):
+            rows += _rows(x, skew, head + (i,))
+        elif x:
+            rows.append([*head, i, format_rational(x)])
+    return rows
+
+
 # -- Lie algebras and plain representations ---------------------------------
 
 
 def lie_algebra_from_json(data, path=None) -> LieAlgebra:
     dim = _expect(data, "dim", int, path, 0)
-    entries = _sparse_entries(data, "bracket", (dim, dim, dim), path)
-    table = {}
-    for (i, j, k), coeff in entries:
-        if not i < j:
-            _fail(f"bracket entry ({i}, {j}) needs i < j", path, "bracket")
-        vec = table.setdefault((i, j), vzero(dim))
-        vec[k] = vec[k] + coeff
-    try:
-        return LieAlgebra.from_brackets(dim, table)
-    except MplaError as exc:
-        _fail(str(exc), path, "bracket")
+    return LieAlgebra(dim, _tensor(data, "bracket", (dim,) * 3, path, 2, required=True))
 
 
 def lie_algebra_to_json(g: LieAlgebra) -> dict:
-    rows = []
-    for i in range(g.dim):
-        for j in range(i + 1, g.dim):
-            for k, c in enumerate(g.c[i][j]):
-                if c:
-                    rows.append([i, j, k, format_rational(c)])
-    return {"dim": g.dim, "bracket": rows}
+    return {"dim": g.dim, "bracket": _rows(g.c, 2)}
 
 
 def lie_rep_from_json(data, algebra: LieAlgebra, path=None) -> LieRep:
     space_dim = _expect(data, "space_dim", int, path, 0)
-    entries = _sparse_entries(data, "action", (algebra.dim, space_dim, space_dim), path)
-    a = [[vzero(space_dim) for _ in range(space_dim)] for _ in range(algebra.dim)]
-    for (i, p, q), coeff in entries:
-        a[i][p][q] = a[i][p][q] + coeff
-    return LieRep(algebra, space_dim, a)
+    return LieRep(algebra, space_dim, _tensor(
+        data, "action", (algebra.dim, space_dim, space_dim), path, required=True))
 
 
 def lie_rep_to_json(r: LieRep) -> dict:
-    rows = []
-    for i in range(r.algebra.dim):
-        for p in range(r.space_dim):
-            for q, c in enumerate(r.a[i][p]):
-                if c:
-                    rows.append([i, p, q, format_rational(c)])
-    return {"space_dim": r.space_dim, "action": rows}
+    return {"space_dim": r.space_dim, "action": _rows(r.a)}
 
 
 # -- matched pairs -----------------------------------------------------------
@@ -165,40 +191,17 @@ def lie_rep_to_json(r: LieRep) -> dict:
 def matched_pair_from_json(data, path=None) -> MatchedPair:
     g = lie_algebra_from_json(_expect(data, "g", dict, path), path)
     h = lie_algebra_from_json(_expect(data, "h", dict, path), path)
-    rho = {}
-    for (i, a, b), coeff in (_sparse_entries(data, "rho", (g.dim, h.dim, h.dim), path)
-                             if "rho" in data else []):
-        vec = rho.setdefault((i, a), vzero(h.dim))
-        vec[b] = vec[b] + coeff
-    psi = {}
-    for (a, i, j), coeff in (_sparse_entries(data, "psi", (h.dim, g.dim, g.dim), path)
-                             if "psi" in data else []):
-        vec = psi.setdefault((a, i), vzero(g.dim))
-        vec[j] = vec[j] + coeff
-    try:
-        return MatchedPair.from_sparse(g, h, rho, psi)
-    except MplaError as exc:
-        _fail(str(exc), path, "rho/psi")
+    m, n = g.dim, h.dim
+    return MatchedPair(g, h, _tensor(data, "rho", (m, n, n), path),
+                       _tensor(data, "psi", (n, m, m), path))
 
 
 def matched_pair_to_json(mp: MatchedPair) -> dict:
-    rho_rows = []
-    for i in range(mp.dim_g):
-        for a in range(mp.dim_h):
-            for b, c in enumerate(mp.rho[i][a]):
-                if c:
-                    rho_rows.append([i, a, b, format_rational(c)])
-    psi_rows = []
-    for a in range(mp.dim_h):
-        for i in range(mp.dim_g):
-            for j, c in enumerate(mp.psi[a][i]):
-                if c:
-                    psi_rows.append([a, i, j, format_rational(c)])
     return {
         "g": lie_algebra_to_json(mp.g),
         "h": lie_algebra_to_json(mp.h),
-        "rho": rho_rows,
-        "psi": psi_rows,
+        "rho": _rows(mp.rho),
+        "psi": _rows(mp.psi),
     }
 
 
@@ -212,46 +215,17 @@ def mp_representation_from_json(data, base: MatchedPair, path=None) -> MPReprese
     if len(dims) != 2 or not all(type(x) is int and x >= 0 for x in dims):
         _fail("dims must be [p, q] with p, q >= 0", path, "dims")
     p, q = dims
-
-    def fetch(field, rows, cols, veclen):
-        table = {}
-        if field in data:
-            for (i, j, k), coeff in _sparse_entries(data, field, (rows, cols, veclen), path):
-                vec = table.setdefault((i, j), vzero(veclen))
-                vec[k] = vec[k] + coeff
-        return table
-
     m, n = base.dim_g, base.dim_h
-    return MPRepresentation.from_sparse(
-        base, (p, q),
-        rho_v=fetch("rho_V", m, p, p),
-        psi_v=fetch("psi_V", n, p, p),
-        rho_w=fetch("rho_W", m, q, q),
-        psi_w=fetch("psi_W", n, q, q),
-        alpha=fetch("alpha", p, n, q),
-        beta=fetch("beta", q, m, p),
-    )
+    return MPRepresentation(base, p, q, *(
+        _tensor(data, field, shape, path) for field, shape in (
+            ("rho_V", (m, p, p)), ("psi_V", (n, p, p)), ("rho_W", (m, q, q)),
+            ("psi_W", (n, q, q)), ("alpha", (p, n, q)), ("beta", (q, m, p)))))
 
 
 def mp_representation_to_json(r: MPRepresentation) -> dict:
-    def rows(tensor):
-        out = []
-        for i, row in enumerate(tensor):
-            for j, vec in enumerate(row):
-                for k, c in enumerate(vec):
-                    if c:
-                        out.append([i, j, k, format_rational(c)])
-        return out
-
-    return {
-        "dims": [r.dim_v, r.dim_w],
-        "rho_V": rows(r.rho_v),
-        "psi_V": rows(r.psi_v),
-        "rho_W": rows(r.rho_w),
-        "psi_W": rows(r.psi_w),
-        "alpha": rows(r.alpha),
-        "beta": rows(r.beta),
-    }
+    return {"dims": [r.dim_v, r.dim_w], "rho_V": _rows(r.rho_v), "psi_V": _rows(r.psi_v),
+            "rho_W": _rows(r.rho_w), "psi_W": _rows(r.psi_w), "alpha": _rows(r.alpha),
+            "beta": _rows(r.beta)}
 
 
 # -- cochains ----------------------------------------------------------------
@@ -353,44 +327,18 @@ def deformation_from_json(data, mp: MatchedPair, path=None) -> DeformationCandid
 
     require_object(data, path)
     m, n = mp.dim_g, mp.dim_h
-
-    def fetch(field, rows, cols, veclen, skew):
-        table = {}
-        if field in data:
-            for (i, j, k), coeff in _sparse_entries(data, field, (rows, cols, veclen), path):
-                if skew and not i < j:
-                    _fail(f"{field} entry ({i}, {j}) needs i < j", path, field)
-                vec = table.setdefault((i, j), vzero(veclen))
-                vec[k] = vec[k] + coeff
-        return table
-
-    return DeformationCandidate.from_sparse(
+    return DeformationCandidate(
         m, n,
-        mu1=fetch("mu1", m, m, m, True),
-        nu1=fetch("nu1", n, n, n, True),
-        rho1=fetch("rho1", m, n, n, False),
-        psi1=fetch("psi1", n, m, m, False),
+        _tensor(data, "mu1", (m, m, m), path, 2),
+        _tensor(data, "nu1", (n, n, n), path, 2),
+        _tensor(data, "rho1", (m, n, n), path),
+        _tensor(data, "psi1", (n, m, m), path),
     )
 
 
 def deformation_to_json(d: DeformationCandidate) -> dict:
-    def rows(tensor, skew):
-        out = []
-        for i, row in enumerate(tensor):
-            for j, vec in enumerate(row):
-                if skew and not i < j:
-                    continue
-                for k, c in enumerate(vec):
-                    if c:
-                        out.append([i, j, k, format_rational(c)])
-        return out
-
-    return {
-        "mu1": rows(d.mu1, True),
-        "nu1": rows(d.nu1, True),
-        "rho1": rows(d.rho1, False),
-        "psi1": rows(d.psi1, False),
-    }
+    return {"mu1": _rows(d.mu1, 2), "nu1": _rows(d.nu1, 2), "rho1": _rows(d.rho1),
+            "psi1": _rows(d.psi1)}
 
 
 # -- bialgebras ----------------------------------------------------------------
@@ -403,10 +351,7 @@ def bialgebra_from_json(data, path=None) -> LieBialgebra:
         if not i < j:
             _fail(f"cobracket entry ({i}, {j}) needs i < j", path, "cobracket")
         cobracket[k][(i, j)] = cobracket[k].get((i, j), 0) + coeff
-    try:
-        return LieBialgebra(g, cobracket)
-    except MplaError as exc:
-        _fail(str(exc), path, "cobracket")
+    return LieBialgebra(g, cobracket)
 
 
 def bialgebra_to_json(b: LieBialgebra) -> dict:
@@ -425,63 +370,19 @@ def two_term_from_json(data, path=None) -> TwoTermLInfinity:
 
     dim0 = _expect(data, "dim0", int, path, 0)
     dim1 = _expect(data, "dim1", int, path, 0)
-    mu1 = {}
-    if "mu1" in data:
-        for (p, i), coeff in _sparse_entries(data, "mu1", (dim1, dim0), path):
-            vec = mu1.setdefault(p, vzero(dim0))
-            vec[i] = vec[i] + coeff
-    b00 = {}
-    if "bracket00" in data:
-        for (i, j, k), coeff in _sparse_entries(data, "bracket00", (dim0,) * 3, path):
-            if not i < j:
-                _fail(f"bracket00 entry ({i}, {j}) needs i < j", path, "bracket00")
-            vec = b00.setdefault((i, j), vzero(dim0))
-            vec[k] = vec[k] + coeff
-    b01 = {}
-    if "bracket01" in data:
-        for (i, p, q), coeff in _sparse_entries(data, "bracket01", (dim0, dim1, dim1), path):
-            vec = b01.setdefault((i, p), vzero(dim1))
-            vec[q] = vec[q] + coeff
-    mu3 = {}
-    if "mu3" in data:
-        for (i, j, k, idx), coeff in _sparse_entries(data, "mu3", (dim0,) * 3 + (dim1,), path):
-            if not i < j < k:
-                _fail(f"mu3 entry ({i}, {j}, {k}) needs i < j < k", path, "mu3")
-            vec = mu3.setdefault((i, j, k), vzero(dim1))
-            vec[idx] = vec[idx] + coeff
-    try:
-        return TwoTermLInfinity.from_sparse(dim0, dim1, mu1, b00, b01, mu3)
-    except MplaError as exc:
-        _fail(str(exc), path, "two-term data")
+    return TwoTermLInfinity(
+        dim0, dim1,
+        _tensor(data, "mu1", (dim1, dim0), path),
+        _tensor(data, "bracket00", (dim0,) * 3, path, 2),
+        _tensor(data, "bracket01", (dim0, dim1, dim1), path),
+        _tensor(data, "mu3", (dim0,) * 3 + (dim1,), path, 3),
+    )
 
 
 def two_term_to_json(t: TwoTermLInfinity) -> dict:
-    mu1 = []
-    for p, vec in enumerate(t.mu1):
-        for i, c in enumerate(vec):
-            if c:
-                mu1.append([p, i, format_rational(c)])
-    b00 = []
-    for i in range(t.dim0):
-        for j in range(i + 1, t.dim0):
-            for k, c in enumerate(t.bracket00[i][j]):
-                if c:
-                    b00.append([i, j, k, format_rational(c)])
-    b01 = []
-    for i in range(t.dim0):
-        for p in range(t.dim1):
-            for q, c in enumerate(t.bracket01[i][p]):
-                if c:
-                    b01.append([i, p, q, format_rational(c)])
-    mu3 = []
-    for i in range(t.dim0):
-        for j in range(i + 1, t.dim0):
-            for k in range(j + 1, t.dim0):
-                for idx, c in enumerate(t.mu3[i][j][k]):
-                    if c:
-                        mu3.append([i, j, k, idx, format_rational(c)])
-    return {"dim0": t.dim0, "dim1": t.dim1, "mu1": mu1,
-            "bracket00": b00, "bracket01": b01, "mu3": mu3}
+    return {"dim0": t.dim0, "dim1": t.dim1, "mu1": _rows(t.mu1),
+            "bracket00": _rows(t.bracket00, 2), "bracket01": _rows(t.bracket01),
+            "mu3": _rows(t.mu3, 3)}
 
 
 # -- skeletal matched pairs ----------------------------------------------------
@@ -496,74 +397,28 @@ def skeletal_pair_from_json(data, path=None) -> SkeletalMatchedPair:
     p, q = G.dim1, H.dim1
 
     def blocks(field, shapes):
+        # the blocks of the group data[field], as fields named "field.block"
         group = _expect(data, field, dict, path) if field in data else {}
-        out = []
-        for block, shape in shapes.items():
-            rows, cols, veclen = shape
-            tensor = [[vzero(veclen) for _ in range(cols)] for _ in range(rows)]
-            if block in group:
-                for (i, j, k), coeff in _entries(group[block], f"{field}.{block}",
-                                                 shape, path):
-                    tensor[i][j][k] = tensor[i][j][k] + coeff
-            out.append(tensor)
-        return out
+        named = {f"{field}.{block}": rows for block, rows in group.items()}
+        return [_tensor(named, f"{field}.{block}", shape, path) for block, shape in shapes]
 
-    rho_blocks = blocks("rho2", {"g0h0": (m, n, n), "g0h1": (m, q, q), "g1h0": (p, n, q)})
-    psi_blocks = blocks("psi2", {"h0g0": (n, m, m), "h0g1": (n, p, p), "h1g0": (q, m, p)})
-
-    def trilinear(field, d1, d2, cols, veclen):
-        tensor = [
-            [[vzero(veclen) for _ in range(cols)] for _ in range(d2)]
-            for _ in range(d1)
-        ]
-        if field in data:
-            for (i, j, a, idx), coeff in _sparse_entries(data, field,
-                                                         (d1, d2, cols, veclen), path):
-                if not i < j:
-                    _fail(f"{field} entry ({i}, {j}) needs i < j", path, field)
-                tensor[i][j][a][idx] = tensor[i][j][a][idx] + coeff
-                tensor[j][i][a][idx] = tensor[j][i][a][idx] - coeff
-        return tensor
-
-    rho3 = trilinear("rho3", m, m, n, q)
-    psi3 = trilinear("psi3", n, n, m, p)
-    return SkeletalMatchedPair(
-        G, H, rho_blocks[0], rho_blocks[1], rho_blocks[2], rho3,
-        psi_blocks[0], psi_blocks[1], psi_blocks[2], psi3,
-    )
+    rho2 = blocks("rho2", (("g0h0", (m, n, n)), ("g0h1", (m, q, q)), ("g1h0", (p, n, q))))
+    psi2 = blocks("psi2", (("h0g0", (n, m, m)), ("h0g1", (n, p, p)), ("h1g0", (q, m, p))))
+    rho3 = _tensor(data, "rho3", (m, m, n, q), path, 2)
+    psi3 = _tensor(data, "psi3", (n, n, m, p), path, 2)
+    return SkeletalMatchedPair(G, H, *rho2, rho3, *psi2, psi3)
 
 
 def skeletal_pair_to_json(s: SkeletalMatchedPair) -> dict:
-    def block_rows(tensor):
-        out = []
-        for i, row in enumerate(tensor):
-            for j, vec in enumerate(row):
-                for k, c in enumerate(vec):
-                    if c:
-                        out.append([i, j, k, format_rational(c)])
-        return out
-
-    def tri_rows(tensor):
-        out = []
-        for i, plane in enumerate(tensor):
-            for j, row in enumerate(plane):
-                if not i < j:
-                    continue
-                for a, vec in enumerate(row):
-                    for idx, c in enumerate(vec):
-                        if c:
-                            out.append([i, j, a, idx, format_rational(c)])
-        return out
-
     return {
         "G": two_term_to_json(s.G),
         "H": two_term_to_json(s.H),
-        "rho2": {"g0h0": block_rows(s.rho2_00), "g0h1": block_rows(s.rho2_01),
-                 "g1h0": block_rows(s.rho2_10)},
-        "rho3": tri_rows(s.rho3),
-        "psi2": {"h0g0": block_rows(s.psi2_00), "h0g1": block_rows(s.psi2_01),
-                 "h1g0": block_rows(s.psi2_10)},
-        "psi3": tri_rows(s.psi3),
+        "rho2": {"g0h0": _rows(s.rho2_00), "g0h1": _rows(s.rho2_01),
+                 "g1h0": _rows(s.rho2_10)},
+        "rho3": _rows(s.rho3, 2),
+        "psi2": {"h0g0": _rows(s.psi2_00), "h0g1": _rows(s.psi2_01),
+                 "h1g0": _rows(s.psi2_10)},
+        "psi3": _rows(s.psi3, 2),
     }
 
 

@@ -30,26 +30,39 @@ from itertools import combinations
 from math import comb
 
 from .errors import ArityMismatch, MalformedTensor
-from .linalg import Matrix, cohomology_dims
+from .linalg import Matrix, cohomology_dims, require_degree
 from .multimap import SkewMultiMap, nr_bracket, sort_sign
 from .report import ValidationReport, checked_on_image
-from .scalars import integral_tensor, vaccum, vaccum_at, vbasis, vcombine, vis_zero, vzero
+from .scalars import (integral_tensor, vaccum, vaccum_at, vbasis, vcombine, vis_zero, vzero,
+                      zero_tensor)
 
 
-def _dense_tensor(dim, codim, pairs, skew: bool, what: str):
-    """Dense tensor t[i][j] = vec from {(i, j): vec} sparse data."""
-    t = [[vzero(codim) for _ in range(dim)] for _ in range(dim)]
-    for (i, j), vec in pairs.items():
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise MalformedTensor(f"{what}: index ({i}, {j}) out of range")
-        if skew and i >= j:
+def dense_tensor(shape, data, what: str, skew: bool = False):
+    """Dense tensor of ``shape`` from sparse data {key: vector}.
+
+    Keys are index tuples within ``shape[:-1]`` (an int for one index); the
+    tensor holds ``list(vector)`` at each key and int zeros elsewhere.  With
+    ``skew``, keys need i < j and t[j][i] = -vector.
+    """
+    *bounds, veclen = shape
+    t = zero_tensor(shape)
+    for key, vec in dict(data or {}).items():
+        idx = key if isinstance(key, tuple) else (key,)
+        at = ", ".join(map(str, idx))
+        if len(idx) != len(bounds) or not all(0 <= i < b for i, b in zip(idx, bounds)):
+            raise MalformedTensor(f"{what}: index ({at}) out of range")
+        if skew and idx[0] >= idx[1]:
             raise MalformedTensor(f"{what}: only i < j entries may be given")
         vec = list(vec)
-        if len(vec) != codim:
-            raise MalformedTensor(f"{what}: value at ({i}, {j}) has wrong length")
-        t[i][j] = vec
+        if len(vec) != veclen:
+            raise MalformedTensor(f"{what}: value at ({at}) has wrong length")
+        *head, last = idx
+        row = t
+        for i in head:
+            row = row[i]
+        row[last] = vec
         if skew:
-            t[j][i] = [-x for x in vec]
+            t[idx[1]][idx[0]] = [-x for x in vec]
     return t
 
 
@@ -72,7 +85,7 @@ class LieAlgebra:
     @classmethod
     def from_brackets(cls, dim: int, brackets=None) -> "LieAlgebra":
         """Build from {(i, j): vector} with i < j; skew completion is implicit."""
-        return cls(dim, _dense_tensor(dim, dim, dict(brackets or {}), True, "bracket"))
+        return cls(dim, dense_tensor((dim, dim, dim), brackets, "bracket", skew=True))
 
     @classmethod
     def abelian(cls, dim: int) -> "LieAlgebra":
@@ -317,6 +330,7 @@ def ce_matrix(r: LieRep, n: int) -> Matrix:
     # compile the stencil
     from .stencil import ce_stencil, ce_tables, drop_zeros
 
+    require_degree(n)
     r = r.integral()
     dim, s = r.algebra.dim, r.space_dim
     bracket, action, scale = ce_tables(r)

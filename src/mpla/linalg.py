@@ -398,6 +398,12 @@ def _product_is_zero(a_rows, b_rows) -> bool:
     return not any(any(acc.values()) for acc in _product_rows(a_rows, b_rows))
 
 
+def require_degree(value: int, field: str = "degree") -> None:
+    """Raise InputError naming ``field`` unless the degree ``value`` is >= 0."""
+    if value < 0:
+        raise InputError(f"{field} must be nonnegative, got {value}", field=field)
+
+
 def cohomology_dims(delta, max_degree: int) -> list[int]:
     """dim H^0 .. dim H^max_degree of the complex with differentials delta(d).
 
@@ -411,9 +417,7 @@ def cohomology_dims(delta, max_degree: int) -> list[int]:
     shapes do not chain and NotAComplex if some
     delta(d) * delta(d - 1) != 0.
     """
-    if max_degree < 0:
-        raise InputError(f"max_degree must be nonnegative, got {max_degree}",
-                         field="max_degree")
+    require_degree(max_degree, "max_degree")
     dims = []
     prev_columns, prev_rows, prev_rank, prev_pivots = None, 0, 0, set()
     for d in range(max_degree + 1):

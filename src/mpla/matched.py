@@ -23,25 +23,13 @@ from itertools import combinations
 
 from .errors import (DimensionMismatch, InvalidInput, MalformedTensor,
                      NotRotaBaxter)
-from .lie import (LieAlgebra, LieRep, ce_coboundary, validate_lie_algebra,
+from .lie import (LieAlgebra, LieRep, ce_coboundary, dense_tensor, validate_lie_algebra,
                   validate_representation, wedge_basis, wedge_rep)
 from .linalg import Matrix, invert, rank
 from .multimap import SkewMultiMap
 from .report import ValidationReport, checked_on_image
 from .scalars import (integral, integral_tensor, vaccum, vbasis, vcombine, vis_zero, vneg,
                       vzero)
-
-
-def _action_tensor(dim_act, dim_space, data, what):
-    t = [[vzero(dim_space) for _ in range(dim_space)] for _ in range(dim_act)]
-    for (i, a), vec in data.items():
-        if not (0 <= i < dim_act and 0 <= a < dim_space):
-            raise MalformedTensor(f"{what}: index ({i}, {a}) out of range")
-        vec = list(vec)
-        if len(vec) != dim_space:
-            raise MalformedTensor(f"{what}: value at ({i}, {a}) has wrong length")
-        t[i][a] = vec
-    return t
 
 
 class MatchedPair:
@@ -72,8 +60,8 @@ class MatchedPair:
     def from_sparse(cls, g: LieAlgebra, h: LieAlgebra, rho=None, psi=None):
         return cls(
             g, h,
-            _action_tensor(g.dim, h.dim, dict(rho or {}), "rho"),
-            _action_tensor(h.dim, g.dim, dict(psi or {}), "psi"),
+            dense_tensor((g.dim, h.dim, h.dim), rho, "rho"),
+            dense_tensor((h.dim, g.dim, g.dim), psi, "psi"),
         )
 
     @property

@@ -23,22 +23,10 @@ from __future__ import annotations
 
 from .errors import (DimensionMismatch, InvalidInput, MalformedTensor,
                      NotRestrictable)
-from .lie import LieAlgebra, LieRep, validate_representation
+from .lie import LieAlgebra, LieRep, dense_tensor, validate_representation
 from .matched import MatchedPair, bicrossed_product
 from .report import ValidationReport, checked_on_image
 from .scalars import integral_tensor, vaccum, vbasis, vcombine, vis_zero, vneg, vzero
-
-
-def _tensor(rows, cols, veclen, data, what):
-    t = [[vzero(veclen) for _ in range(cols)] for _ in range(rows)]
-    for (i, j), vec in dict(data or {}).items():
-        if not (0 <= i < rows and 0 <= j < cols):
-            raise MalformedTensor(f"{what}: index ({i}, {j}) out of range")
-        vec = list(vec)
-        if len(vec) != veclen:
-            raise MalformedTensor(f"{what}: value at ({i}, {j}) has wrong length")
-        t[i][j] = vec
-    return t
 
 
 class MPRepresentation:
@@ -82,12 +70,12 @@ class MPRepresentation:
         m, n = base.dim_g, base.dim_h
         return cls(
             base, p, q,
-            _tensor(m, p, p, rho_v, "rho_V"),
-            _tensor(n, p, p, psi_v, "psi_V"),
-            _tensor(m, q, q, rho_w, "rho_W"),
-            _tensor(n, q, q, psi_w, "psi_W"),
-            _tensor(p, n, q, alpha, "alpha"),
-            _tensor(q, m, p, beta, "beta"),
+            dense_tensor((m, p, p), rho_v, "rho_V"),
+            dense_tensor((n, p, p), psi_v, "psi_V"),
+            dense_tensor((m, q, q), rho_w, "rho_W"),
+            dense_tensor((n, q, q), psi_w, "psi_W"),
+            dense_tensor((p, n, q), alpha, "alpha"),
+            dense_tensor((q, m, p), beta, "beta"),
         )
 
     @classmethod

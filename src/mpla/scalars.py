@@ -253,6 +253,13 @@ def vzero(n):
     return [0] * n
 
 
+def zero_tensor(shape):
+    """Nested lists of int zeros of the given shape."""
+    if len(shape) == 1:
+        return [0] * shape[0]
+    return [zero_tensor(shape[1:]) for _ in range(shape[0])]
+
+
 def vbasis(n, i):
     """The i-th standard basis vector of length n."""
     v = vzero(n)

@@ -24,7 +24,7 @@ from itertools import combinations
 from .cohomology import MPCochain, delta_mpl_coeff
 from .errors import (InvalidInput, MalformedTensor, NonzeroMiddleComponent,
                      NotACocycle, ShapeMismatch)
-from .lie import LieAlgebra
+from .lie import LieAlgebra, dense_tensor
 from .matched import MatchedPair
 from .report import ValidationReport
 from .reps import MPRepresentation
@@ -73,18 +73,14 @@ class TwoTermLInfinity:
                     mu3=None):
         """mu1: {p: vec}; bracket00: {(i<j): vec}; bracket01: {(i,p): vec};
         mu3: {(i<j<k): vec}; skew completions implicit."""
-        m1 = [vzero(dim0) for _ in range(dim1)]
-        for p, vec in dict(mu1 or {}).items():
-            m1[p] = list(vec)
+        m1 = dense_tensor((dim1, dim0), mu1, "mu1")
         b00 = [[vzero(dim0) for _ in range(dim0)] for _ in range(dim0)]
         for (i, j), vec in dict(bracket00 or {}).items():
             if not i < j:
                 raise MalformedTensor("bracket00 keys need i < j")
             b00[i][j] = list(vec)
             b00[j][i] = vneg(vec)
-        b01 = [[vzero(dim1) for _ in range(dim1)] for _ in range(dim0)]
-        for (i, p), vec in dict(bracket01 or {}).items():
-            b01[i][p] = list(vec)
+        b01 = dense_tensor((dim0, dim1, dim1), bracket01, "bracket01")
         m3 = [
             [[vzero(dim1) for _ in range(dim0)] for _ in range(dim0)]
             for _ in range(dim0)

@@ -51,7 +51,7 @@ def _load(name):
     return json.loads((DATA / name).read_text())
 
 
-def _extension():
+def abelian_extension():
     """The abelian extension of a nonzero degree-2 cocycle of the action pair."""
     mp = mp_action_pair()
     rep = adjoint_representation(mp)
@@ -123,7 +123,7 @@ def formats():
             ("double-zero", jsonio.skeletal_pair_to_json(triple_to_skeletal(zero_triple))),
         ]),
         "extension": (jsonio.extension_from_json, jsonio.extension_to_json, [
-            ("action-pair", jsonio.extension_to_json(_extension())),
+            ("action-pair", jsonio.extension_to_json(abelian_extension())),
         ]),
         "matrix": (lambda doc, path: jsonio.matrix_from_json(doc, "f", path), matrix_to_json, [
             ("f", {"f": [[1, "1/2"], [0, -1]]}),

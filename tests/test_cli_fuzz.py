@@ -18,7 +18,7 @@ from mpla.linalg import kernel_basis
 from mpla.reps import adjoint_representation
 from mpla.skeletal import SkeletalTriple, triple_to_skeletal
 
-from reader_corpus import DATA, _extension, mutate
+from reader_corpus import DATA, abelian_extension, mutate
 
 # {name: argv}; "{x}" stands for the path of input file x
 VERBS = {
@@ -65,7 +65,7 @@ def _inputs():
         "bialgebra": jsonio.bialgebra_to_json(bialgebra_aff1()),
         "two_term": skeletal["G"],
         "skeletal": jsonio.skeletal_pair_to_json(triple_to_skeletal(zero_triple)),
-        "extension": jsonio.extension_to_json(_extension()),
+        "extension": jsonio.extension_to_json(abelian_extension()),
         "candidate": {"mu1": [[0, 1, 1, "1/2"]], "nu1": [[0, 1, 0, -1]],
                       "rho1": [[1, 0, 1, 2]], "psi1": [[0, 1, 0, 1]]},
         "maps": {"f": [[1, 0], [0, 1]], "g": [[1, 0], [0, 1]]},

@@ -247,3 +247,45 @@ def test_bad_section_rejected():
     s1 = Matrix.from_rows(s1_rows)
     with pytest.raises(NotASection):
         extension_to_cocycle(ext, (s1, s2))
+
+
+def test_from_sparse_constructors_reject_bad_keys():
+    """Every from_sparse constructor builds its dense tensors alike: a key out
+    of range (negative ones included) or a vector of the wrong length raises
+    MalformedTensor, and the stored vectors are the given ones, types kept."""
+    from mpla import MalformedTensor, TwoTermLInfinity
+
+    cases = [
+        (lambda: TwoTermLInfinity.from_sparse(2, 1, mu1={-1: [1, 0]}),
+         "mu1: index (-1) out of range"),
+        (lambda: TwoTermLInfinity.from_sparse(2, 1, mu1={1: [1, 0]}),
+         "mu1: index (1) out of range"),
+        (lambda: TwoTermLInfinity.from_sparse(2, 1, mu1={0: [1]}),
+         "mu1: value at (0) has wrong length"),
+        (lambda: TwoTermLInfinity.from_sparse(2, 1, bracket01={(0, 1): [1]}),
+         "bracket01: index (0, 1) out of range"),
+        (lambda: DeformationCandidate.from_sparse(1, 1, rho1={(-1, 0): [1]}),
+         "rho1: index (-1, 0) out of range"),
+        (lambda: DeformationCandidate.from_sparse(1, 1, psi1={(0, 1): [1]}),
+         "psi1: index (0, 1) out of range"),
+        (lambda: DeformationCandidate.from_sparse(1, 1, rho1={(0, 0): [1, 2]}),
+         "rho1: value at (0, 0) has wrong length"),
+        (lambda: DeformationCandidate.from_sparse(2, 1, mu1={(1, 0): [1, 0]}),
+         "mu1: only i < j entries may be given"),
+        (lambda: LieAlgebra.from_brackets(2, {(0, 2): [1, 0]}),
+         "bracket: index (0, 2) out of range"),
+        (lambda: MatchedPair.from_sparse(LieAlgebra.abelian(1), LieAlgebra.abelian(1),
+                                         psi={(0, 0): [1, 1]}),
+         "psi: value at (0, 0) has wrong length"),
+    ]
+    for build, message in cases:
+        with pytest.raises(MalformedTensor) as info:
+            build()
+        assert str(info.value) == message
+    t = TwoTermLInfinity.from_sparse(2, 1, mu1={0: [Fraction(1), 0]},
+                                     bracket01={(1, 0): [2]})
+    assert t.mu1 == [[Fraction(1), 0]] and type(t.mu1[0][1]) is int
+    assert type(t.mu1[0][0]) is Fraction and type(t.bracket01[1][0][0]) is int
+    d = DeformationCandidate.from_sparse(2, 1, mu1={(0, 1): [Fraction(1), 0]},
+                                         psi1={(0, 1): [0, Fraction(1, 2)]})
+    assert d.mu1[1][0] == [-1, 0] and d.psi1 == [[[0, 0], [0, Fraction(1, 2)]]]
