@@ -62,10 +62,11 @@ they are, and the graded-bracket route (``route="adjoint"``) still runs
 once on a probe cochain of linear forms, so the two routes are two
 independent implementations.
 
-Integral images.  The stencils and the graded-bracket probe read the
-integral images of their structures (``scalars.integral``), and the
-chain-law sweeps ``phi_chain_check`` and ``psi_compare`` compute their
-difference on the images of the structures and of the cochain.  Values
+Integral images.  ``delta_matrix`` reads mp and rep as given (its
+stencil scales them to ints), ``liebi_matrix`` the integral image of the
+bialgebra (``scalars.integral``), and the chain-law sweeps
+``phi_chain_check`` and ``psi_compare`` compute their difference on the
+images of the structures and of the cochain.  Values
 are those of the inputs, so matrices and verdicts are too; a nonzero
 difference is computed again from the inputs, whose scalar types its
 witnesses show.
@@ -86,7 +87,8 @@ from .matched import LieBialgebra, MatchedPair, bialgebra_to_matched_pair
 from .multimap import SkewMultiMap, nr_bracket
 from .report import ValidationReport
 from .reps import MPRepresentation, adjoint_representation
-from .scalars import common_denominator, integral_tensor, vaccum, vaccum_at, vis_zero, vzero
+from .scalars import (common_denominator, integral_tensor, scaled_int, vaccum, vaccum_at, vis_zero,
+                      vzero)
 from .stencil import ce_stencil, ce_tables, coeff_columns, drop_zeros
 
 
@@ -96,11 +98,8 @@ def cochain_space_dim(mp_dims, rep_dims, degree: int) -> int:
     p, q = rep_dims
     if degree == 0:
         return p + q
-    total = 0
-    for r in range(1, degree + 1):
-        total += p * comb(m, degree - r + 1) * comb(n, r - 1)
-        total += q * comb(m, degree - r) * comb(n, r)
-    return total
+    return sum(p * comb(m, degree - r + 1) * comb(n, r - 1) + q * comb(m, degree - r) * comb(n, r)
+               for r in range(1, degree + 1))
 
 
 class MPCochain:
@@ -320,15 +319,17 @@ def _degree0_delta(mp, rep, vec) -> MPCochain:
     return out
 
 
-def _integral_cochain(F: MPCochain) -> MPCochain:
-    """F with every value replaced by its ``scalars.integral``."""
+def _integral_cochain(F: MPCochain, scale: int = 0) -> MPCochain:
+    """F with every value replaced by its ``scalars.integral``, or, given a
+    scale that every denominator divides, by the int scale * value."""
+    image = (lambda vec: [scaled_int(x, scale) for x in vec]) if scale else integral_tensor
     if F.degree == 0:
-        return MPCochain(0, F.dim_g, F.dim_h, F.dim_v, F.dim_w, vec=integral_tensor(F.vec))
+        return MPCochain(0, F.dim_g, F.dim_h, F.dim_v, F.dim_w, vec=image(F.vec))
     components = []
     for part in F.components:
         out = BidegreeMap(*part.shape())
-        out.part_v = {key: integral_tensor(vec) for key, vec in part.part_v.items()}
-        out.part_w = {key: integral_tensor(vec) for key, vec in part.part_w.items()}
+        out.part_v = {key: image(vec) for key, vec in part.part_v.items()}
+        out.part_w = {key: image(vec) for key, vec in part.part_w.items()}
         components.append(out)
     return MPCochain(F.degree, F.dim_g, F.dim_h, F.dim_v, F.dim_w, components=components)
 
@@ -490,14 +491,13 @@ def delta_matrix(mp: MatchedPair, rep: MPRepresentation, degree: int,
 
     Degree 0 is the augmentation zero map (module docstring).  The
     explicit route (``coeff``) builds higher degrees from the stencil of
-    the integral images of mp and rep, in integer form (``linalg``): its
-    public rows are built on their first read.  The adjoint route applies
-    the graded bracket once, to a probe cochain of linear forms
+    mp and rep, in integer form (``linalg``): its public rows are built on
+    their first read.  The adjoint route applies the graded bracket once,
+    to a probe cochain of linear forms
     (``linalg.operator_matrix``); it needs ``rep`` to be the adjoint
     representation of ``mp``.  A negative degree raises InputError, and a
     ``rep`` over another pair ShapeMismatch at every degree.
     """
-    mp, rep = mp.integral(), rep.integral()
     if route == "adjoint":
         if not rep.tensors_equal(adjoint_representation(mp)):
             raise CoefficientMismatch(

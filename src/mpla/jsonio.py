@@ -37,7 +37,7 @@ import json
 from typing import TYPE_CHECKING
 
 from .errors import InputError, MplaError
-from .lie import LieAlgebra, LieRep
+from .lie import SIGNED, LieAlgebra, LieRep
 from .linalg import Matrix
 from .matched import LieBialgebra, MatchedPair
 from .scalars import format_rational, parse_rational, vzero, zero_tensor
@@ -119,12 +119,6 @@ def _entries(rows, field, bounds, path):
     return out
 
 
-# the permutations of the first 0, 2 or 3 indices of an entry, with their signs
-_SIGNED = {0: [((), 1)], 2: [((0, 1), 1), ((1, 0), -1)],
-           3: [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-               ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1)]}
-
-
 def _tensor(data, field, shape, path, skew=0, required=False):
     """The dense tensor of ``shape`` whose entries ``data[field]`` lists.
 
@@ -141,7 +135,7 @@ def _tensor(data, field, shape, path, skew=0, required=False):
                   f"{' < '.join('ijk'[:skew])}", path, field)
     tensor = zero_tensor(shape)
     for idx, coeff in entries:
-        for perm, sign in _SIGNED[skew]:
+        for perm, sign in SIGNED[skew]:
             *head, last = [idx[t] for t in perm] + list(idx[skew:])
             cell = tensor
             for i in head:

@@ -2,10 +2,7 @@
 
 Conventions:
   * a LieAlgebra of dimension m stores c[i][j] = coefficient vector of
-    [e_i, e_j]; skewness and the Jacobi identity are checked by
-    ``validate_lie_algebra``, whose report is kept on the object (values
-    are immutable after construction, so each object is checked once),
-    and decided on the integral image ``integral()``, also kept;
+    [e_i, e_j];
   * a LieRep stores a[i][p] = coefficient vector of the action of e_i on
     the p-th basis vector of the module;
   * the coboundary on Hom(Lambda^n g, V) is
@@ -15,6 +12,12 @@ Conventions:
 
 All arithmetic is ring-generic: entries may be ints, Fractions or
 DualNumbers.
+
+Every structure law says that a bracket table is a Lie algebra: its
+own, g x| V (``LieRep``), g |x| h (``matched``) or g+V |x| h+W (``reps``).
+The integer Jacobiator kernel ``lie_table_holds`` decides it, and
+``decided`` keeps a report on the structure (values are immutable after
+construction): the passing one, or else the ring-generic witnesses.
 
 ``ce_matrix`` is the integer stencil of ``stencil.ce_stencil``, which
 builds every explicit coboundary matrix; it keeps the least common
@@ -32,17 +35,23 @@ from math import comb
 from .errors import ArityMismatch, MalformedTensor
 from .linalg import Matrix, cohomology_dims, require_degree
 from .multimap import SkewMultiMap, nr_bracket, sort_sign
-from .report import ValidationReport, checked_on_image
-from .scalars import (integral_tensor, vaccum, vaccum_at, vbasis, vcombine, vis_zero, vzero,
-                      zero_tensor)
+from .report import ValidationReport
+from .scalars import (DualNumber, common_denominator, integral_tensor, scaled_int, vaccum,
+                      vaccum_at, vbasis, vcombine, vis_zero, vneg, vzero, zero_tensor)
+
+# the permutations of the first 0, 2 or 3 indices of a key, with their signs
+SIGNED = {0: [((), 1)], 2: [((0, 1), 1), ((1, 0), -1)],
+          3: [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+              ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1)]}
 
 
-def dense_tensor(shape, data, what: str, skew: bool = False):
+def dense_tensor(shape, data, what: str, skew: int = 0):
     """Dense tensor of ``shape`` from sparse data {key: vector}.
 
     Keys are index tuples within ``shape[:-1]`` (an int for one index); the
     tensor holds ``list(vector)`` at each key and int zeros elsewhere.  With
-    ``skew``, keys need i < j and t[j][i] = -vector.
+    ``skew`` (2 or 3), the first ``skew`` indices of a key must increase
+    strictly, and each permutation of them holds the vector times its sign.
     """
     *bounds, veclen = shape
     t = zero_tensor(shape)
@@ -51,18 +60,17 @@ def dense_tensor(shape, data, what: str, skew: bool = False):
         at = ", ".join(map(str, idx))
         if len(idx) != len(bounds) or not all(0 <= i < b for i, b in zip(idx, bounds)):
             raise MalformedTensor(f"{what}: index ({at}) out of range")
-        if skew and idx[0] >= idx[1]:
-            raise MalformedTensor(f"{what}: only i < j entries may be given")
+        if any(a >= b for a, b in zip(idx[:skew], idx[1:skew])):
+            raise MalformedTensor(f"{what}: only {' < '.join('ijk'[:skew])} entries may be given")
         vec = list(vec)
         if len(vec) != veclen:
             raise MalformedTensor(f"{what}: value at ({at}) has wrong length")
-        *head, last = idx
-        row = t
-        for i in head:
-            row = row[i]
-        row[last] = vec
-        if skew:
-            t[idx[1]][idx[0]] = [-x for x in vec]
+        for perm, sign in SIGNED[skew]:
+            *head, last = [idx[q] for q in perm] + list(idx[skew:])
+            row = t
+            for i in head:
+                row = row[i]
+            row[last] = list(vec) if sign == 1 else vneg(vec)
     return t
 
 
@@ -85,7 +93,7 @@ class LieAlgebra:
     @classmethod
     def from_brackets(cls, dim: int, brackets=None) -> "LieAlgebra":
         """Build from {(i, j): vector} with i < j; skew completion is implicit."""
-        return cls(dim, dense_tensor((dim, dim, dim), brackets, "bracket", skew=True))
+        return cls(dim, dense_tensor((dim, dim, dim), brackets, "bracket", skew=2))
 
     @classmethod
     def abelian(cls, dim: int) -> "LieAlgebra":
@@ -183,10 +191,6 @@ class LieRep:
                 vaccum(out, ai, self.act(i, v))
         return out
 
-    def matrix(self, i: int) -> Matrix:
-        """Action of e_i as a space_dim x space_dim matrix (columns = images)."""
-        return Matrix.from_columns([self.a[i][p] for p in range(self.space_dim)])
-
     def integral(self) -> "LieRep":
         """The integral image over the algebra's, built once and kept."""
         if self._integral is None:
@@ -202,45 +206,113 @@ class LieRep:
             raise InvalidInput("representation fails validation")
 
 
-def validate_lie_algebra(g: LieAlgebra) -> ValidationReport:
-    """Check skewness and the Jacobi identity, with basis-triple witnesses.
+def jacobiator(t, f):
+    """The Jacobiator {(i, j, k): {l: int}} over i < j < k of a sparse
+    bracket table t read through f, None when t is not skew: t[i][j] lists
+    (k, x) over the nonzero coordinates x of [e_i, e_j], f maps x to an
+    int, and only stored nonzeros are summed."""
+    t = [[[(k, y) for k, x in e if (y := f(x))] for e in row] for row in t]
+    dim = len(t)
+    for i in range(dim):
+        if t[i][i] or any(t[j][i] != [(k, -x) for k, x in t[i][j]] for j in range(i)):
+            return None
+    out = {}
+    for i, j, k in combinations(range(dim), 3):
+        acc = {}
+        for p, q, r in ((i, j, k), (j, k, i), (k, i, j)):
+            for l, x in t[p][q]:
+                for s, y in t[l][r]:
+                    acc[s] = acc.get(s, 0) + x * y
+        if any(acc.values()):
+            out[(i, j, k)] = {s: y for s, y in acc.items() if y}
+    return out
 
-    The report is computed once per algebra and kept on it
-    (``report.checked_on_image``).
+
+def lie_table_holds(c) -> bool:
+    """Whether the bracket table c is skew and satisfies the Jacobi identity.
+
+    The Jacobiator Q is quadratic, Q(D c) = D^2 Q(c), so it is decided in
+    ints on c times the least common denominator D of its entries.  Over
+    k[t]/(t^2), by polarization Q(a + t b) = Q(a) + t [Q(a + b) - Q(a) - Q(b)]:
+    a and b must be skew, Q(a) = 0 and Q(a + b) = Q(b).
     """
-    return checked_on_image(g, _lie_algebra_report)
+    t = [[[(k, x) for k, x in enumerate(vec) if x] for vec in row] for row in c]
+    values = [x for row in t for e in row for _, x in e]
+    if all(type(x) is not DualNumber for x in values):
+        scale = common_denominator(values)
+        return jacobiator(t, lambda x: scaled_int(x, scale)) == {}
+    values = [DualNumber.promote(x) for x in values]
+    scale = common_denominator([x.a for x in values], [x.b for x in values])
+    a = lambda x: scaled_int(DualNumber.promote(x).a, scale)  # noqa: E731
+    b = lambda x: scaled_int(DualNumber.promote(x).b, scale)  # noqa: E731
+    qb = jacobiator(t, b) if jacobiator(t, a) == {} else None
+    return qb is not None and jacobiator(t, lambda x: a(x) + b(x)) == qb
 
 
-def _lie_algebra_report(g: LieAlgebra) -> ValidationReport:
-    report = ValidationReport("lie algebra")
-    skew = report.new_check("skew-symmetry")
+def bicrossed_table(gc, hc, rho, psi):
+    """The bracket table on g + h (g first), from gc and hc over i < j,
+    [(x,h),(y,k)] = ([x,y] + psi_h y - psi_k x, [h,k] + rho_x k - rho_y h)."""
+    m, n = len(gc), len(hc)
+    c = [[vzero(m + n) for _ in range(m + n)] for _ in range(m + n)]
+    for i, j, vec in ([(i, j, list(gc[i][j]) + vzero(n)) for i, j in combinations(range(m), 2)]
+                      + [(i, m + a, vneg(psi[a][i]) + list(rho[i][a]))
+                         for i in range(m) for a in range(n)]
+                      + [(m + a, m + b, vzero(m) + list(hc[a][b]))
+                         for a, b in combinations(range(n), 2)]):
+        c[i][j], c[j][i] = vec, vneg(vec)
+    return c
+
+
+def decided(obj, table, groups, check) -> ValidationReport:
+    """obj's report on groups = (subject, check names), decided once and
+    kept on obj: it passes when the kernel finds the bracket table
+    ``table()`` a Lie algebra; otherwise, or when ``table()`` is None, the
+    ring-generic ``check(obj, checks)`` adds the witnesses it finds on obj."""
+    if obj._report is None:
+        report = ValidationReport.of(*groups)
+        t = table()
+        if t is None or not lie_table_holds(t):
+            check(obj, report.checks)
+        obj._report = report
+    return obj._report
+
+
+LIE_GROUPS = ("lie algebra", ("skew-symmetry", "jacobi"))
+
+
+def validate_lie_algebra(g: LieAlgebra) -> ValidationReport:
+    """Check skewness and the Jacobi identity, with basis-triple witnesses;
+    the kernel decides g's own table (``decided``)."""
+    return decided(g, lambda: g.c, LIE_GROUPS, _lie_algebra_report)
+
+
+def _lie_algebra_report(g: LieAlgebra, checks):
+    skew, jacobi = checks
     for i in range(g.dim):
         for j in range(i, g.dim):
             residual = [a + b for a, b in zip(g.c[i][j], g.c[j][i])]
             if not vis_zero(residual):
                 skew.add((i, j), residual)
-    jacobi = report.new_check("jacobi")
     for i, j, k in combinations(range(g.dim), 3):
         residual = g.bracket_vec(g.c[i][j], vbasis(g.dim, k))
         vaccum(residual, 1, g.bracket_vec(g.c[j][k], vbasis(g.dim, i)))
         vaccum(residual, 1, g.bracket_vec(g.c[k][i], vbasis(g.dim, j)))
         if not vis_zero(residual):
             jacobi.add((i, j, k), residual)
-    return report
 
 
 def validate_representation(r: LieRep) -> ValidationReport:
-    """Check the action law rho_{[x,y]} = rho_x rho_y - rho_y rho_x.
+    """Check the action law rho_{[x,y]} = rho_x rho_y - rho_y rho_x; once g
+    is a Lie algebra, the kernel decides g x| V (V abelian, ``decided``)."""
+    g, s = r.algebra, r.space_dim
+    return decided(r, lambda: bicrossed_table(g.c, zero_tensor((s, s, s)), r.a,
+                                              zero_tensor((s, g.dim, g.dim)))
+                   if validate_lie_algebra(g).ok else None,
+                   ("representation", ("action law",)), _representation_report)
 
-    The report is computed once per representation and kept on it
-    (``report.checked_on_image``).
-    """
-    return checked_on_image(r, _representation_report)
 
-
-def _representation_report(r: LieRep) -> ValidationReport:
-    report = ValidationReport("representation")
-    law = report.new_check("action law")
+def _representation_report(r: LieRep, checks):
+    law, = checks
     g = r.algebra
     for i in range(g.dim):
         for j in range(i + 1, g.dim):
@@ -253,7 +325,6 @@ def _representation_report(r: LieRep) -> ValidationReport:
                 residual = [a - b for a, b in zip(lhs, rhs)]
                 if not vis_zero(residual):
                     law.add((i, j, p), residual)
-    return report
 
 
 def ce_coboundary(r: LieRep, f: SkewMultiMap, n: int | None = None) -> SkewMultiMap:

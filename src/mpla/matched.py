@@ -14,7 +14,7 @@ numbering, documented in the README.  (22) is (11) for the flipped pair
 (h, g, psi, rho), and the validator computes it that way.  All checks are
 ring-generic so they also run over k[t]/(t^2) for first-order
 perturbation tests.  A pair's integral image (``MatchedPair.integral``)
-is built over its algebras' kept images; the validator decides on it.
+is built over its algebras' kept images; ``check_morphism`` decides on it.
 """
 
 from __future__ import annotations
@@ -23,11 +23,12 @@ from itertools import combinations
 
 from .errors import (DimensionMismatch, InvalidInput, MalformedTensor,
                      NotRotaBaxter)
-from .lie import (LieAlgebra, LieRep, ce_coboundary, dense_tensor, validate_lie_algebra,
-                  validate_representation, wedge_basis, wedge_rep)
+from .lie import (LIE_GROUPS, LieAlgebra, LieRep, bicrossed_table, ce_coboundary, decided,
+                  dense_tensor, validate_lie_algebra, validate_representation,
+                  wedge_basis, wedge_rep)
 from .linalg import Matrix, invert, rank
 from .multimap import SkewMultiMap
-from .report import ValidationReport, checked_on_image
+from .report import ValidationReport
 from .scalars import (integral, integral_tensor, vaccum, vbasis, vcombine, vis_zero, vneg,
                       vzero)
 
@@ -94,6 +95,8 @@ class MatchedPair:
             rho, psi = integral_tensor(self.rho), integral_tensor(self.psi)
             same = g is self.g and h is self.h and rho is self.rho and psi is self.psi
             self._integral = self if same else MatchedPair(g, h, rho, psi)
+            if self.is_validated:  # equal values, the same verdict
+                self._integral._report = self._report
         return self._integral
 
     def flipped(self) -> "MatchedPair":
@@ -123,36 +126,37 @@ class MatchedPair:
         )
 
 
+PAIR_GROUPS = ("matched pair", ("jacobi(g)", "jacobi(h)", "representation(rho)",
+                                "representation(psi)", "compat(11)", "compat(22)"))
+
+
 def validate_matched_pair(mp: MatchedPair) -> ValidationReport:
     """Full axiom check with witnesses, grouped as in the module docstring.
 
-    The report is computed once per pair and kept on it
-    (``report.checked_on_image``); the Jacobi groups reuse the reports
-    kept on g and h.
+    g |x| h is a Lie algebra exactly when mp is a matched pair (Majid), so
+    once g and h are Lie algebras the kernel decides the table of g |x| h
+    (``lie.decided``), and keeps that algebra on mp for ``bicrossed_product``.
     """
-    return checked_on_image(mp, _matched_pair_report)
+    return decided(mp, lambda: _bicrossed(mp).c if validate_lie_algebra(mp.g).ok
+                   and validate_lie_algebra(mp.h).ok else None,
+                   PAIR_GROUPS, _matched_pair_report)
 
 
-def _matched_pair_report(mp: MatchedPair) -> ValidationReport:
-    report = ValidationReport("matched pair")
+def _bicrossed(mp: MatchedPair) -> LieAlgebra:
+    if mp._bicrossed is None:
+        mp._bicrossed = LieAlgebra(mp.dim_g + mp.dim_h,
+                                   bicrossed_table(mp.g.c, mp.h.c, mp.rho, mp.psi))
+    return mp._bicrossed
 
-    jac_g = report.new_check("jacobi(g)")
-    for w in validate_lie_algebra(mp.g).checks:
-        jac_g.witnesses.extend(w.witnesses)
-    jac_h = report.new_check("jacobi(h)")
-    for w in validate_lie_algebra(mp.h).checks:
-        jac_h.witnesses.extend(w.witnesses)
 
-    rep_rho = report.new_check("representation(rho)")
-    for w in validate_representation(mp.rho_rep()).checks:
-        rep_rho.witnesses.extend(w.witnesses)
-    rep_psi = report.new_check("representation(psi)")
-    for w in validate_representation(mp.psi_rep()).checks:
-        rep_psi.witnesses.extend(w.witnesses)
-
-    _compat_11(mp, report.new_check("compat(11)"))
-    _compat_11(mp.flipped(), report.new_check("compat(22)"))
-    return report
+def _matched_pair_report(mp: MatchedPair, checks):
+    reports = (validate_lie_algebra(mp.g), validate_lie_algebra(mp.h),
+               validate_representation(mp.rho_rep()), validate_representation(mp.psi_rep()))
+    for check, report in zip(checks, reports):
+        for c in report.checks:
+            check.witnesses.extend(c.witnesses)
+    _compat_11(mp, checks[4])
+    _compat_11(mp.flipped(), checks[5])
 
 
 def _compat_11(mp: MatchedPair, check):
@@ -172,37 +176,14 @@ def _compat_11(mp: MatchedPair, check):
 
 
 def bicrossed_product(mp: MatchedPair) -> LieAlgebra:
-    """The Lie algebra on g + h with bracket
-
-    [(x,h),(y,k)] = ([x,y] + psi_h y - psi_k x, [h,k] + rho_x k - rho_y h),
-
-    in the ordered basis g first, then h.  Built and validated once per
-    pair; later calls return the same algebra.
-    """
-    if mp._bicrossed is not None:
-        return mp._bicrossed
+    """The Lie algebra g |x| h on g + h (``lie.bicrossed_table``), built once,
+    when mp is validated, and decided with mp; later calls return the same
+    algebra."""
     mp.require_valid()
-    m, n = mp.dim_g, mp.dim_h
-    dim = m + n
-    c = [[vzero(dim) for _ in range(dim)] for _ in range(dim)]
-
-    def put(i, j, g_part, h_part):
-        c[i][j] = list(g_part) + list(h_part)
-        c[j][i] = vneg(c[i][j])
-
-    for i in range(m):
-        for j in range(i + 1, m):
-            put(i, j, mp.g.c[i][j], vzero(n))
-    for i in range(m):
-        for a in range(n):
-            put(i, m + a, vneg(mp.psi[a][i]), mp.rho[i][a])
-    for a in range(n):
-        for b in range(a + 1, n):
-            put(m + a, m + b, vzero(m), mp.h.c[a][b])
-    out = LieAlgebra(dim, c)
-    out.require_valid()
-    mp._bicrossed = out
-    return out
+    big = _bicrossed(mp)
+    if big._report is None:  # a Lie algebra, since mp is a matched pair
+        big._report = ValidationReport.of(*LIE_GROUPS)
+    return big
 
 
 class MPMorphism:

@@ -5,8 +5,10 @@ checks, each carrying the basis tuples where the axiom fails together
 with the residual value at that tuple.  An empty witness list in every
 group means the structure is valid.
 
-The structure validators decide on the structure's integral image
-(``scalars.integral``), in int arithmetic, through ``checked_on_image``.
+The four structure validators start from the passing report of their
+checks (``ValidationReport.of``) and fill in witnesses only when the
+integer Jacobiator kernel (``lie.lie_table_holds``) finds that a law fails
+(``lie.decided``).
 """
 
 from __future__ import annotations
@@ -40,6 +42,11 @@ class Check:
 class ValidationReport:
     subject: str
     checks: list[Check] = field(default_factory=list)
+
+    @classmethod
+    def of(cls, subject: str, names) -> "ValidationReport":
+        """The report on subject with the named checks and no witnesses."""
+        return cls(subject, [Check(name) for name in names])
 
     def new_check(self, name: str) -> Check:
         check = Check(name)
@@ -99,20 +106,3 @@ class ValidationReport:
             ],
         }
 
-
-def checked_on_image(obj, check) -> ValidationReport:
-    """The report of check on obj, computed once and kept on obj.
-
-    It is decided on ``obj.integral()``, which has obj's values, so the
-    image passes exactly when obj does, and a passing report (no
-    witnesses) is the same from either.  Witness residuals show scalar
-    types, so a failing structure is checked again on obj itself.
-    """
-    if obj._report is None:
-        image = obj.integral()
-        if image is obj:
-            obj._report = check(obj)
-        else:
-            report = checked_on_image(image, check)
-            obj._report = report if report.ok else check(obj)
-    return obj._report

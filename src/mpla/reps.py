@@ -23,9 +23,10 @@ from __future__ import annotations
 
 from .errors import (DimensionMismatch, InvalidInput, MalformedTensor,
                      NotRestrictable)
-from .lie import LieAlgebra, LieRep, dense_tensor, validate_representation
-from .matched import MatchedPair, bicrossed_product
-from .report import ValidationReport, checked_on_image
+from .lie import (LieAlgebra, LieRep, bicrossed_table, decided, dense_tensor,
+                  validate_representation)
+from .matched import MatchedPair, bicrossed_product, validate_matched_pair
+from .report import ValidationReport
 from .scalars import integral_tensor, vaccum, vbasis, vcombine, vis_zero, vneg, vzero
 
 
@@ -164,34 +165,33 @@ def adjoint_representation(mp: MatchedPair) -> MPRepresentation:
     )
 
 
+MP_REP_GROUPS = ("matched-pair representation",
+                 ("rep(rho_V)", "rep(psi_V)", "rep(rho_W)", "rep(psi_W)",
+                  *(f"pairing({k})" for k in range(1, 7))))
+
+
 def validate_mp_representation(r: MPRepresentation) -> ValidationReport:
     """Four action laws plus the six pairing identities, with witnesses.
 
-    The report is computed once per representation and kept on it
-    (``report.checked_on_image``).
+    The semidirect quadruple on (g + V, h + W) is a matched pair exactly
+    when the base pair is one and r is a representation of it, so once the
+    base pair is valid the kernel decides the table of g+V |x| h+W
+    (``lie.decided``).
     """
-    return checked_on_image(r, _mp_representation_report)
+    return decided(r, lambda: bicrossed_table(*semidirect_tensors(r))
+                   if validate_matched_pair(r.base).ok else None,
+                   MP_REP_GROUPS, _mp_representation_report)
 
 
-def _mp_representation_report(r: MPRepresentation) -> ValidationReport:
-    report = ValidationReport("matched-pair representation")
-
-    for name, rep in (
-        ("rep(rho_V)", r.rho_v_rep()), ("rep(psi_V)", r.psi_v_rep()),
-        ("rep(rho_W)", r.rho_w_rep()), ("rep(psi_W)", r.psi_w_rep()),
-    ):
-        check = report.new_check(name)
+def _mp_representation_report(r: MPRepresentation, checks):
+    for check, rep in zip(checks, (r.rho_v_rep(), r.psi_v_rep(), r.rho_w_rep(), r.psi_w_rep())):
         for c in validate_representation(rep).checks:
             check.witnesses.extend(c.witnesses)
-
     flipped = r.flipped()
-    for name, group, data in (
-        ("pairing(1)", _pairing_1, r), ("pairing(2)", _pairing_1, flipped),
-        ("pairing(3)", _pairing_3, r), ("pairing(4)", _pairing_4, r),
-        ("pairing(5)", _pairing_3, flipped), ("pairing(6)", _pairing_4, flipped),
-    ):
-        group(data, report.new_check(name))
-    return report
+    for check, group, data in zip(
+            checks[4:], (_pairing_1, _pairing_1, _pairing_3, _pairing_4, _pairing_3, _pairing_4),
+            (r, flipped, r, r, flipped, flipped)):
+        group(data, check)
 
 
 # pairing(2), pairing(5) and pairing(6) are pairing(1), pairing(3) and

@@ -267,20 +267,8 @@ def vbasis(n, i):
     return v
 
 
-def vadd(u, v):
-    return [a + b for a, b in zip(u, v)]
-
-
-def vsub(u, v):
-    return [a - b for a, b in zip(u, v)]
-
-
 def vneg(u):
     return [-a for a in u]
-
-
-def vscale(c, u):
-    return [c * a for a in u]
 
 
 def vaccum(acc, c, u):

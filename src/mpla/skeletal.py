@@ -73,28 +73,10 @@ class TwoTermLInfinity:
                     mu3=None):
         """mu1: {p: vec}; bracket00: {(i<j): vec}; bracket01: {(i,p): vec};
         mu3: {(i<j<k): vec}; skew completions implicit."""
-        m1 = dense_tensor((dim1, dim0), mu1, "mu1")
-        b00 = [[vzero(dim0) for _ in range(dim0)] for _ in range(dim0)]
-        for (i, j), vec in dict(bracket00 or {}).items():
-            if not i < j:
-                raise MalformedTensor("bracket00 keys need i < j")
-            b00[i][j] = list(vec)
-            b00[j][i] = vneg(vec)
-        b01 = dense_tensor((dim0, dim1, dim1), bracket01, "bracket01")
-        m3 = [
-            [[vzero(dim1) for _ in range(dim0)] for _ in range(dim0)]
-            for _ in range(dim0)
-        ]
-        for (i, j, k), vec in dict(mu3 or {}).items():
-            if not i < j < k:
-                raise MalformedTensor("mu3 keys need i < j < k")
-            vec = list(vec)
-            for (a, b, c), sign in (
-                ((i, j, k), 1), ((j, k, i), 1), ((k, i, j), 1),
-                ((j, i, k), -1), ((i, k, j), -1), ((k, j, i), -1),
-            ):
-                m3[a][b][c] = [sign * x for x in vec]
-        return cls(dim0, dim1, m1, b00, b01, m3)
+        return cls(dim0, dim1, dense_tensor((dim1, dim0), mu1, "mu1"),
+                   dense_tensor((dim0, dim0, dim0), bracket00, "bracket00", skew=2),
+                   dense_tensor((dim0, dim1, dim1), bracket01, "bracket01"),
+                   dense_tensor((dim0, dim0, dim0, dim1), mu3, "mu3", skew=3))
 
     @classmethod
     def from_lie_algebra(cls, g: LieAlgebra, dim1: int = 0) -> "TwoTermLInfinity":

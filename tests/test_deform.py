@@ -264,6 +264,20 @@ def test_from_sparse_constructors_reject_bad_keys():
          "mu1: value at (0) has wrong length"),
         (lambda: TwoTermLInfinity.from_sparse(2, 1, bracket01={(0, 1): [1]}),
          "bracket01: index (0, 1) out of range"),
+        (lambda: TwoTermLInfinity.from_sparse(2, 1, bracket00={(-1, 1): [1, 0]}),
+         "bracket00: index (-1, 1) out of range"),
+        (lambda: TwoTermLInfinity.from_sparse(2, 1, mu3={(-2, 0, 1): [1]}),
+         "mu3: index (-2, 0, 1) out of range"),
+        (lambda: TwoTermLInfinity.from_sparse(2, 1, bracket00={(0, 2): [1, 0]}),
+         "bracket00: index (0, 2) out of range"),
+        (lambda: TwoTermLInfinity.from_sparse(2, 1, mu3={(0, 1, 2): [1]}),
+         "mu3: index (0, 1, 2) out of range"),
+        (lambda: TwoTermLInfinity.from_sparse(2, 1, bracket00={(1, 0): [1, 0]}),
+         "bracket00: only i < j entries may be given"),
+        (lambda: TwoTermLInfinity.from_sparse(3, 1, mu3={(0, 0, 1): [1]}),
+         "mu3: only i < j < k entries may be given"),
+        (lambda: TwoTermLInfinity.from_sparse(2, 1, bracket00={(0, 1): [1]}),
+         "bracket00: value at (0, 1) has wrong length"),
         (lambda: DeformationCandidate.from_sparse(1, 1, rho1={(-1, 0): [1]}),
          "rho1: index (-1, 0) out of range"),
         (lambda: DeformationCandidate.from_sparse(1, 1, psi1={(0, 1): [1]}),
@@ -286,6 +300,14 @@ def test_from_sparse_constructors_reject_bad_keys():
                                      bracket01={(1, 0): [2]})
     assert t.mu1 == [[Fraction(1), 0]] and type(t.mu1[0][1]) is int
     assert type(t.mu1[0][0]) is Fraction and type(t.bracket01[1][0][0]) is int
+    # bracket00 and mu3 are completed by their signed permutations
+    t = TwoTermLInfinity.from_sparse(3, 1, bracket00={(0, 2): [1, 0, Fraction(1, 2)]},
+                                     mu3={(0, 1, 2): [Fraction(3)]})
+    assert t.bracket00[2][0] == [-1, 0, Fraction(-1, 2)] and t.bracket00[1][1] == [0, 0, 0]
+    for (i, j, k), sign in (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                            ((1, 0, 2), -1), ((0, 2, 1), -1), ((2, 1, 0), -1)):
+        assert t.mu3[i][j][k] == [sign * 3]
+    assert sum(v != [0] for plane in t.mu3 for row in plane for v in row) == 6
     d = DeformationCandidate.from_sparse(2, 1, mu1={(0, 1): [Fraction(1), 0]},
                                          psi1={(0, 1): [0, Fraction(1, 2)]})
     assert d.mu1[1][0] == [-1, 0] and d.psi1 == [[[0, 0], [0, Fraction(1, 2)]]]

@@ -13,7 +13,7 @@ from mpla import (DeformationCandidate, LieAlgebra, LieBialgebra, LieRep, Matrix
                   kernel_basis, liebi_from_coords, liebi_matrix, liebi_space_dim,
                   phi_chain_check, psi_compare, validate_matched_pair,
                   validate_mp_representation)
-from mpla import cohomology, matched
+from mpla import cohomology, lie, matched
 from mpla.cohomology import LieBiCochain, liebi_coboundary
 from mpla.bigraded import StructureElement
 from mpla.catalog import (aff1, mp_direct, mp_double, mp_semidirect_double, sl2,
@@ -121,19 +121,27 @@ def test_validators_decide_on_the_image_as_on_the_original():
     assert failing >= 6
 
 
-def test_failing_pair_with_integral_fractions_reports_as_the_original():
+def test_failing_pair_with_integral_fractions_reports_as_the_original(monkeypatch):
     one, zero = Fraction(1), Fraction(0)
     g = LieAlgebra.from_brackets(2, {(0, 1): [zero, one]})
     h = LieAlgebra.from_brackets(1, {})
     # rho_{e1} = 1 but rho_{[e0, e1]} = rho_{e1} != [rho_{e0}, rho_{e1}] = 0
     mp = MatchedPair.from_sparse(g, h, rho={(0, 0): [zero], (1, 0): [one]})
+    asked = []
+    holds = lie.lie_table_holds
+    monkeypatch.setattr(lie, "lie_table_holds",
+                        lambda c: asked.append((len(c), holds(c))) or asked[-1][1])
     report = validate_matched_pair(mp)
+    monkeypatch.undo()
     assert [c.name for c in report.failed_checks()] == ["representation(rho)"]
     assert repr(report) == on_originals(lambda: repr(validate_matched_pair(fresh(mp))))
     residuals = [x for c in report.checks for w in c.witnesses for x in w.residual]
     assert residuals and all(type(x) is Fraction for x in residuals)
-    # the image decided; its own report shows int residuals, so it is not the one kept
-    assert mp.integral() is not mp and repr(mp.integral()._report) != repr(report)
+    # the kernel decided, in ints: g and h pass, g |x| h fails, and so does
+    # g x| h for rho; the report kept is the one on mp itself, and the image
+    # took no verdict from it
+    assert asked[:4] == [(2, True), (1, True), (3, False), (3, False)]
+    assert mp.integral() is not mp and mp.integral()._report is None
     assert mp._report is report
 
 
@@ -203,6 +211,57 @@ def test_ring_route_matches_the_original():
         assert repr(report.cocycle_route) == repr(expected.cocycle_route)
         verdicts.add(report.ring_route.ok)
     assert verdicts == {True, False}
+
+
+def test_closedness_is_decided_in_ints(monkeypatch):
+    """cocycle_to_extension and the cocycle route of deformation_check decide
+    delta F = 0 on the integral images and on F times the common denominator
+    of its values: the verdicts and witnesses are those of delta_mpl_coeff
+    on the inputs, and a closed cochain with halves over a pair with
+    integral constants costs no Fraction arithmetic."""
+    from mpla import (NotACocycle, cochain_from_coords, cochain_space_dim,
+                      cochain_to_candidate, cocycle_to_extension, delta_mpl_coeff)
+    from mpla import deform
+
+    def halves(mp, rep_dims, degree):
+        size = cochain_space_dim((mp.dim_g, mp.dim_h), rep_dims, degree)
+        return cochain_from_coords((mp.dim_g, mp.dim_h), rep_dims, degree,
+                                   [Fraction(rng.randint(-3, 3), 2) for _ in range(size)])
+
+    rng = random.Random(1505)
+    verdicts = set()
+    for mp in valid_pairs()[-4:]:
+        for rep in (adjoint_representation(mp), coadjoint_representation(mp)):
+            for F in (halves(mp, rep.dims, 2),
+                      delta_mpl_coeff(mp, rep, halves(mp, rep.dims, 1))):
+                closed = delta_mpl_coeff(mp, rep, F).is_zero()
+                assert deform._is_closed(mp, rep, F) == closed
+                verdicts.add(closed)
+                if closed:
+                    cocycle_to_extension(mp, rep, F)
+                else:
+                    with pytest.raises(NotACocycle):
+                        cocycle_to_extension(mp, rep, F)
+                if rep.dims == (mp.dim_g, mp.dim_h) and rep.tensors_equal(
+                        adjoint_representation(mp)):
+                    d = cochain_to_candidate(F)
+                    report = repr(deformation_check(mp, d).cocycle_route)
+                    with pytest.MonkeyPatch.context() as m:
+                        m.setattr(deform, "_is_closed", lambda *args: False)
+                        assert report == repr(deformation_check(mp, d).cocycle_route)
+    assert verdicts == {True, False}
+    mp = mp_semidirect_double()
+    rep = adjoint_representation(mp)
+    F = delta_mpl_coeff(mp, rep, halves(mp, rep.dims, 1))
+    assert not F.is_zero() and mp.integral() is not mp
+    calls = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+        original = getattr(Fraction, name)
+        monkeypatch.setattr(Fraction, name,
+                            lambda *args, _f=original: calls.append(1) or _f(*args))
+    assert deform._is_closed(mp, rep, F)
+    monkeypatch.undo()
+    assert calls == []
 
 
 def test_matrix_mul_matches_dense_mul():

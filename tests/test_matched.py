@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import comb
 
 import pytest
 
@@ -13,6 +12,8 @@ from mpla import (InvalidInput, LieAlgebra, LieBialgebra, MatchedPair, Matrix,
 from mpla.catalog import (aff1, bialgebra_aff1, heisenberg3, mp_a,
                           mp_action_pair, mp_derivation_heisenberg, mp_direct,
                           mp_double, sl2, standard_fixtures)
+
+from mpla import lie
 
 from helpers import rand_lie_candidate, rand_mp_candidate
 
@@ -85,24 +86,29 @@ def test_bicrossed_product_is_built_once_per_pair():
 
 
 def test_each_structure_is_validated_once(monkeypatch):
-    calls = []
+    """One kernel question per structure: g, h and g |x| h on the first
+    validation, none on later ones, and only g |x| h for a second pair on
+    the same algebras; a valid pair runs no ring-generic check at all."""
+    calls, asked = [], []
     original = LieAlgebra.bracket_vec
     monkeypatch.setattr(LieAlgebra, "bracket_vec",
                         lambda self, u, v: calls.append(self) or original(self, u, v))
+    holds = lie.lie_table_holds
+    monkeypatch.setattr(lie, "lie_table_holds",
+                        lambda c: asked.append((len(c), holds(c))) or asked[-1][1])
     mp = mp_direct(sl2(), sl2())
     m, n = mp.dim_g, mp.dim_h
-    jacobi = 3 * comb(m, 3) + 3 * comb(n, 3)
-    compat = 2 * m * comb(n, 2) + 2 * n * comb(m, 2)   # compat(11) and compat(22)
     assert mp.is_validated is None
     report = validate_matched_pair(mp)
-    assert report.ok and len(calls) == jacobi + compat
+    assert report.ok and asked == [(m, True), (n, True), (m + n, True)]
     assert validate_matched_pair(mp) is report
     mp.require_valid()
-    assert len(calls) == jacobi + compat
+    bicrossed_product(mp)
+    assert len(asked) == 3
     # a second pair on the same algebras reuses their reports
     twin = MatchedPair(mp.g, mp.h, mp.rho, mp.psi)
     assert validate_matched_pair(twin).ok
-    assert len(calls) == jacobi + 2 * compat
+    assert asked[3:] == [(m + n, True)] and calls == []
 
 
 def test_invalid_pair_raises_on_every_call():
