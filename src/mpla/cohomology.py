@@ -62,12 +62,11 @@ they are, and the graded-bracket route (``route="adjoint"``) still runs
 once on a probe cochain of linear forms, so the two routes are two
 independent implementations.
 
-Integral images.  ``delta_matrix`` reads mp and rep as given (its
-stencil scales them to ints), ``liebi_matrix`` the integral image of the
-bialgebra (``scalars.integral``), and the chain-law sweeps
-``phi_chain_check`` and ``psi_compare`` compute their difference on the
-images of the structures and of the cochain.  Values
-are those of the inputs, so matrices and verdicts are too; a nonzero
+Exact decisions.  ``delta_matrix`` and ``liebi_matrix`` read their inputs
+as given: the stencil scales the constants to ints.  The chain law
+``phi_chain_check`` is linear in the cochain, so it is decided on the
+cochain times the least common denominator of its values, in ints
+(``_scaled_cochain``); ``psi_compare`` runs on its inputs.  A nonzero
 difference is computed again from the inputs, whose scalar types its
 witnesses show.
 """
@@ -87,8 +86,7 @@ from .matched import LieBialgebra, MatchedPair, bialgebra_to_matched_pair
 from .multimap import SkewMultiMap, nr_bracket
 from .report import ValidationReport
 from .reps import MPRepresentation, adjoint_representation
-from .scalars import (common_denominator, integral_tensor, scaled_int, vaccum, vaccum_at, vis_zero,
-                      vzero)
+from .scalars import common_denominator, scaled_int, vaccum, vaccum_at, vis_zero, vzero
 from .stencil import ce_stencil, ce_tables, coeff_columns, drop_zeros
 
 
@@ -319,17 +317,23 @@ def _degree0_delta(mp, rep, vec) -> MPCochain:
     return out
 
 
-def _integral_cochain(F: MPCochain, scale: int = 0) -> MPCochain:
-    """F with every value replaced by its ``scalars.integral``, or, given a
-    scale that every denominator divides, by the int scale * value."""
-    image = (lambda vec: [scaled_int(x, scale) for x in vec]) if scale else integral_tensor
+def _scaled_cochain(F: MPCochain) -> MPCochain:
+    """F times the least common denominator of its values, in ints; F
+    itself when a value is not rational (a DualNumber)."""
+    vectors = [F.vec] if F.degree == 0 else [
+        vec for part in F.components for table in (part.part_v, part.part_w)
+        for vec in table.values()]
+    if any(type(x) is not int and type(x) is not Fraction for vec in vectors for x in vec):
+        return F
+    scale = common_denominator(vectors)
     if F.degree == 0:
-        return MPCochain(0, F.dim_g, F.dim_h, F.dim_v, F.dim_w, vec=image(F.vec))
+        return MPCochain(0, F.dim_g, F.dim_h, F.dim_v, F.dim_w,
+                         vec=[scaled_int(x, scale) for x in F.vec])
     components = []
     for part in F.components:
         out = BidegreeMap(*part.shape())
-        out.part_v = {key: image(vec) for key, vec in part.part_v.items()}
-        out.part_w = {key: image(vec) for key, vec in part.part_w.items()}
+        out.part_v = {key: [scaled_int(x, scale) for x in vec] for key, vec in part.part_v.items()}
+        out.part_w = {key: [scaled_int(x, scale) for x in vec] for key, vec in part.part_w.items()}
         components.append(out)
     return MPCochain(F.degree, F.dim_g, F.dim_h, F.dim_v, F.dim_w, components=components)
 
@@ -499,7 +503,8 @@ def delta_matrix(mp: MatchedPair, rep: MPRepresentation, degree: int,
     ``rep`` over another pair ShapeMismatch at every degree.
     """
     if route == "adjoint":
-        if not rep.tensors_equal(adjoint_representation(mp)):
+        adjoint = adjoint_representation(mp)
+        if rep is not adjoint and not rep.tensors_equal(adjoint):
             raise CoefficientMismatch(
                 "the adjoint route needs the adjoint representation of the pair"
             )
@@ -572,7 +577,7 @@ def phi_chain_check(mp: MatchedPair, F: MPCochain) -> ValidationReport:
     from .matched import bicrossed_product
 
     big = bicrossed_product(mp).adjoint()
-    diff = _phi_difference(mp.integral(), big.integral(), _integral_cochain(F))
+    diff = _phi_difference(mp, big, _scaled_cochain(F))
     if not diff.is_zero():
         diff = _phi_difference(mp, big, F)
     report = ValidationReport("chain-map equation for the embedding")
@@ -688,14 +693,6 @@ def liebi_from_coords(dim, degree, coords) -> LieBiCochain:
     return xi
 
 
-def _integral_liebi(xi: LieBiCochain) -> LieBiCochain:
-    """xi with every value replaced by its ``scalars.integral``."""
-    return LieBiCochain(xi.degree, xi.dim, [
-        SkewMultiMap.from_canonical(part.arity, part.dim, part.codim,
-                                    {key: integral_tensor(vec) for key, vec in part.coeffs.items()})
-        for part in xi.components])
-
-
 def _transpose_hom(xi: SkewMultiMap, dim: int, p: int, q: int) -> SkewMultiMap:
     """Hom(L^p g, L^q g) -> Hom(L^q g*, L^p g*) in the monomial bases."""
     src = wedge_basis(dim, p)
@@ -743,8 +740,8 @@ def liebi_coboundary(b: LieBialgebra, xi: LieBiCochain) -> LieBiCochain:
 
 
 def liebi_matrix(b: LieBialgebra, degree: int) -> Matrix:
-    """Matrix of the degree-n bialgebra coboundary from the stencil of the
-    integral image of b, in integer form.
+    """Matrix of the degree-n bialgebra coboundary from the stencil of b, in
+    integer form.
 
     Block r of C^n (xi_r: L^p g -> L^q g, p = n - r + 1, q = r) is the
     ``ce_basis`` of g in degree p with coefficients in L^q g, so delta_g is
@@ -755,7 +752,6 @@ def liebi_matrix(b: LieBialgebra, degree: int) -> Matrix:
     by ``_transpose_hom`` on both sides and twisted by ``_DUAL_TWIST``.
     """
     require_degree(degree)
-    b = b.integral()
     dim = b.g.dim
     scale = common_denominator(b.g.c, b.dual_algebra().c)
 
@@ -856,9 +852,7 @@ def psi_map(b: LieBialgebra, xi: LieBiCochain) -> MPCochain:
 def psi_compare(b: LieBialgebra, xi: LieBiCochain) -> ValidationReport:
     """Chain law: comparison of psi(delta_liebi xi) with delta_mpl(psi xi)."""
     mp = bialgebra_to_matched_pair(b)
-    diff = _psi_difference(b.integral(), mp.integral(), _integral_liebi(xi))
-    if not diff.is_zero():
-        diff = _psi_difference(b, mp, xi)
+    diff = psi_map(b, liebi_coboundary(b, xi)) - delta_mpl_adjoint(mp, psi_map(b, xi))
     report = ValidationReport("chain-map equation for the bialgebra comparison")
     for r in range(1, diff.degree + 1):
         check = report.new_check(f"component {r}")
@@ -869,7 +863,3 @@ def psi_compare(b: LieBialgebra, xi: LieBiCochain) -> ValidationReport:
             check.add(("W",) + key, vec)
     return report
 
-
-def _psi_difference(b: LieBialgebra, mp: MatchedPair, xi: LieBiCochain) -> MPCochain:
-    """psi(delta_liebi xi) - delta_mpl(psi xi), mp being the pair of b."""
-    return psi_map(b, liebi_coboundary(b, xi)) - delta_mpl_adjoint(mp, psi_map(b, xi))

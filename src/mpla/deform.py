@@ -11,6 +11,10 @@ pair on (g + V, h + W) whose fiber blocks are abelian ideals and whose
 block projection is a morphism; closed degree-2 cochains with
 coefficients in (V, W) classify them up to the block-triangular
 isomorphisms implemented in ``extension_isomorphism_check``.
+
+Closedness, in the cocycle route and in ``cocycle_to_extension``, is
+decided in ints: the integer stencil of delta times the cochain's
+coordinates (``_is_closed``).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cohomology import MPCochain, _integral_cochain, delta_mpl_coeff
+from .cohomology import MPCochain, cochain_to_coords, delta_matrix, delta_mpl_coeff
 from .errors import (DimensionMismatch, InvalidInput, MalformedTensor,
                      NotACocycle, NotASection, ShapeMismatch)
 from .lie import LieAlgebra, dense_tensor
@@ -26,7 +30,7 @@ from .linalg import Matrix
 from .matched import MatchedPair, MPMorphism, check_morphism, validate_matched_pair
 from .report import ValidationReport
 from .reps import MPRepresentation, adjoint_representation, semidirect_tensors
-from .scalars import DualNumber, common_denominator, vaccum, vbasis, vis_zero, vneg, vzero
+from .scalars import DualNumber, vaccum, vbasis, vis_zero, vneg, vzero
 
 
 class DeformationCandidate:
@@ -165,12 +169,13 @@ class DeformReport:
 
 
 def _is_closed(mp: MatchedPair, rep: MPRepresentation, F: MPCochain) -> bool:
-    """Whether delta F = 0, decided in ints: on the integral images of mp and
-    rep and on F times the least common denominator of its values (delta is
-    linear)."""
-    scale = common_denominator(*(vec for part in F.components
-                                 for table in (part.part_v, part.part_w) for vec in table.values()))
-    return delta_mpl_coeff(mp.integral(), rep.integral(), _integral_cochain(F, scale)).is_zero()
+    """Whether delta F = 0, decided in ints: the integer stencil of delta
+    (``delta_matrix``) times F's coordinates, through the integer product
+    kernel of ``Matrix.mul``."""
+    if (F.dim_g, F.dim_h) != (mp.dim_g, mp.dim_h):
+        raise DimensionMismatch("cochain does not live over this matched pair")
+    coords = Matrix.from_columns([cochain_to_coords(F)])
+    return delta_matrix(mp, rep, F.degree).mul(coords).is_zero()
 
 
 def deformation_check(mp: MatchedPair, d: DeformationCandidate) -> DeformReport:

@@ -18,6 +18,8 @@ own, g x| V (``LieRep``), g |x| h (``matched``) or g+V |x| h+W (``reps``).
 The integer Jacobiator kernel ``lie_table_holds`` decides it, and
 ``decided`` keeps a report on the structure (values are immutable after
 construction): the passing one, or else the ring-generic witnesses.
+``homomorphism_holds`` decides a morphism of matched pairs the same way,
+as a homomorphism between g |x| h tables (``matched.check_morphism``).
 
 ``ce_matrix`` is the integer stencil of ``stencil.ce_stencil``, which
 builds every explicit coboundary matrix; it keeps the least common
@@ -33,11 +35,11 @@ from itertools import combinations
 from math import comb
 
 from .errors import ArityMismatch, MalformedTensor
-from .linalg import Matrix, cohomology_dims, require_degree
+from .linalg import Matrix, _scaled_columns, cohomology_dims, require_degree
 from .multimap import SkewMultiMap, nr_bracket, sort_sign
 from .report import ValidationReport
-from .scalars import (DualNumber, common_denominator, integral_tensor, scaled_int, vaccum,
-                      vaccum_at, vbasis, vcombine, vis_zero, vneg, vzero, zero_tensor)
+from .scalars import (DualNumber, common_denominator, scaled_int, vaccum, vaccum_at, vbasis,
+                      vcombine, vis_zero, vneg, vzero, zero_tensor)
 
 # the permutations of the first 0, 2 or 3 indices of a key, with their signs
 SIGNED = {0: [((), 1)], 2: [((0, 1), 1), ((1, 0), -1)],
@@ -77,7 +79,7 @@ def dense_tensor(shape, data, what: str, skew: int = 0):
 class LieAlgebra:
     """Finite-dimensional Lie algebra given by structure constants."""
 
-    __slots__ = ("dim", "c", "_report", "_integral", "_adjoint")
+    __slots__ = ("dim", "c", "_report", "_adjoint")
 
     def __init__(self, dim: int, c):
         self.dim = dim
@@ -88,7 +90,7 @@ class LieAlgebra:
             for v in row:
                 if len(v) != dim:
                     raise MalformedTensor("bracket value has wrong length")
-        self._report = self._integral = self._adjoint = None
+        self._report = self._adjoint = None
 
     @classmethod
     def from_brackets(cls, dim: int, brackets=None) -> "LieAlgebra":
@@ -127,14 +129,6 @@ class LieAlgebra:
             self._adjoint = LieRep(self, self.dim, self.c)
         return self._adjoint
 
-    def integral(self) -> "LieAlgebra":
-        """The integral image (``scalars.integral``), built once and kept;
-        self when every constant is already an int or a proper fraction."""
-        if self._integral is None:
-            c = integral_tensor(self.c)
-            self._integral = self if c is self.c else LieAlgebra(self.dim, c)
-        return self._integral
-
     @property
     def is_validated(self):
         return None if self._report is None else self._report.ok
@@ -154,7 +148,7 @@ class LieAlgebra:
 class LieRep:
     """Representation of a LieAlgebra on a coefficient space."""
 
-    __slots__ = ("algebra", "space_dim", "a", "_report", "_integral", "_stencil")
+    __slots__ = ("algebra", "space_dim", "a", "_report", "_stencil")
 
     def __init__(self, algebra: LieAlgebra, space_dim: int, a):
         self.algebra = algebra
@@ -166,7 +160,7 @@ class LieRep:
             for v in row:
                 if len(v) != space_dim:
                     raise MalformedTensor("action value has wrong length")
-        self._report = self._integral = self._stencil = None
+        self._report = self._stencil = None
 
     @classmethod
     def zero(cls, algebra: LieAlgebra, space_dim: int) -> "LieRep":
@@ -190,14 +184,6 @@ class LieRep:
             if ai:
                 vaccum(out, ai, self.act(i, v))
         return out
-
-    def integral(self) -> "LieRep":
-        """The integral image over the algebra's, built once and kept."""
-        if self._integral is None:
-            algebra, a = self.algebra.integral(), integral_tensor(self.a)
-            self._integral = (self if algebra is self.algebra and a is self.a
-                              else LieRep(algebra, self.space_dim, a))
-        return self._integral
 
     def require_valid(self):
         if not validate_representation(self).ok:
@@ -226,6 +212,41 @@ def jacobiator(t, f):
         if any(acc.values()):
             out[(i, j, k)] = {s: y for s, y in acc.items() if y}
     return out
+
+
+def homomorphism_holds(c, d, f) -> bool | None:
+    """Whether the ``linalg.Matrix`` f (rows index targets) maps the skew
+    bracket table c into the skew table d as a homomorphism: f [e_i, e_j] =
+    [f e_i, f e_j] for i < j; None when c or d holds a DualNumber.
+
+    Decided in ints over stored nonzeros: with c, d and f scaled by their
+    own least common denominators D_c, D_d and D_f, the law reads
+    D_d D_f (f c_ij) = D_c d(f e_i, f e_j), both sides being
+    D_c D_d D_f^2 times the two sides of the law.
+    """
+    s, t = ([[[(k, x) for k, x in enumerate(vec) if x] for vec in row] for row in table]
+            for table in (c, d))
+    values = [[x for row in table for e in row for _, x in e] for table in (s, t)]
+    if any(type(x) is DualNumber for v in values for x in v):
+        return None
+    dc, dd = common_denominator(values[0]), common_denominator(values[1])
+    df, columns = _scaled_columns(f)
+    columns = [list(column.items()) for column in columns]
+    t = [[[(l, scaled_int(z, dd)) for l, z in e] for e in row] for row in t]
+    for i, j in combinations(range(len(s)), 2):
+        acc = {}
+        for k, x in s[i][j]:
+            x = dd * df * scaled_int(x, dc)
+            for l, y in columns[k]:
+                acc[l] = acc.get(l, 0) + x * y
+        for p, x in columns[i]:
+            for q, y in columns[j]:
+                xy = dc * x * y
+                for l, z in t[p][q]:
+                    acc[l] = acc.get(l, 0) - xy * z
+        if any(acc.values()):
+            return False
+    return True
 
 
 def lie_table_holds(c) -> bool:
@@ -395,14 +416,13 @@ def ce_basis(dim: int, space_dim: int, n: int):
 
 def ce_matrix(r: LieRep, n: int) -> Matrix:
     """Matrix of the degree-n coboundary in the monomial basis: the stencil
-    of the integral image of r (``stencil.ce_stencil``), kept in integer
-    form with the least common denominator D of its constants."""
+    of r (``stencil.ce_stencil``), kept in integer form with the least
+    common denominator D of its constants."""
     # imported here: a process that loads lie only to validate does not
     # compile the stencil
     from .stencil import ce_stencil, ce_tables, drop_zeros
 
     require_degree(n)
-    r = r.integral()
     dim, s = r.algebra.dim, r.space_dim
     bracket, action, scale = ce_tables(r)
     columns = ce_stencil(dim, bracket, action, s, n)

@@ -13,8 +13,9 @@ two compatibilities); the tags (11) and (22) are this tool's axiom-group
 numbering, documented in the README.  (22) is (11) for the flipped pair
 (h, g, psi, rho), and the validator computes it that way.  All checks are
 ring-generic so they also run over k[t]/(t^2) for first-order
-perturbation tests.  A pair's integral image (``MatchedPair.integral``)
-is built over its algebras' kept images; ``check_morphism`` decides on it.
+perturbation tests.  ``check_morphism`` asks the integer kernel
+``lie.homomorphism_holds`` whether the two maps, as one map on g + h, are
+a homomorphism between the two pairs' g |x| h tables.
 """
 
 from __future__ import annotations
@@ -24,19 +25,18 @@ from itertools import combinations
 from .errors import (DimensionMismatch, InvalidInput, MalformedTensor,
                      NotRotaBaxter)
 from .lie import (LIE_GROUPS, LieAlgebra, LieRep, bicrossed_table, ce_coboundary, decided,
-                  dense_tensor, validate_lie_algebra, validate_representation,
-                  wedge_basis, wedge_rep)
+                  dense_tensor, homomorphism_holds, validate_lie_algebra,
+                  validate_representation, wedge_basis, wedge_rep)
 from .linalg import Matrix, invert, rank
 from .multimap import SkewMultiMap
 from .report import ValidationReport
-from .scalars import (integral, integral_tensor, vaccum, vbasis, vcombine, vis_zero, vneg,
-                      vzero)
+from .scalars import vaccum, vbasis, vcombine, vis_zero, vneg, vzero
 
 
 class MatchedPair:
     """Two Lie algebras with mutual actions; constructible unvalidated."""
 
-    __slots__ = ("g", "h", "rho", "psi", "_report", "_bicrossed", "_integral", "_structure")
+    __slots__ = ("g", "h", "rho", "psi", "_report", "_bicrossed", "_adjoint", "_structure")
 
     def __init__(self, g: LieAlgebra, h: LieAlgebra, rho, psi):
         self.g = g
@@ -55,7 +55,7 @@ class MatchedPair:
             for v in row:
                 if len(v) != g.dim:
                     raise MalformedTensor("psi value has wrong length")
-        self._report = self._bicrossed = self._integral = self._structure = None
+        self._report = self._bicrossed = self._adjoint = self._structure = None
 
     @classmethod
     def from_sparse(cls, g: LieAlgebra, h: LieAlgebra, rho=None, psi=None):
@@ -86,18 +86,6 @@ class MatchedPair:
     def psi_vec(self, h_vec, x_vec):
         images = [self.psi_act(a, x_vec) if c else None for a, c in enumerate(h_vec)]
         return vcombine(h_vec, images, self.dim_g)
-
-    def integral(self) -> "MatchedPair":
-        """The integral image over the algebras' kept images, built once and
-        kept; self when nothing changes."""
-        if self._integral is None:
-            g, h = self.g.integral(), self.h.integral()
-            rho, psi = integral_tensor(self.rho), integral_tensor(self.psi)
-            same = g is self.g and h is self.h and rho is self.rho and psi is self.psi
-            self._integral = self if same else MatchedPair(g, h, rho, psi)
-            if self.is_validated:  # equal values, the same verdict
-                self._integral._report = self._report
-        return self._integral
 
     def flipped(self) -> "MatchedPair":
         """The same pair with the two sides exchanged: (h, g, psi, rho)."""
@@ -210,30 +198,18 @@ def _is_hom(alg_src: LieAlgebra, alg_dst: LieAlgebra, f, check, label):
                 check.add((label, i, j), residual)
 
 
-class _IntegralColumns:
-    """A Matrix read as the integral images of its dense columns
-    (``scalars.integral``), with the ``column`` and ``mul_vec`` of a Matrix
-    computed in ints where its entries are integers."""
-
-    __slots__ = ("rows", "columns")
-
-    def __init__(self, m: Matrix):
-        self.rows = m.rows
-        self.columns = [integral_tensor(m.column(j)) for j in range(m.cols)]
-
-    def column(self, j: int):
-        return self.columns[j]
-
-    def mul_vec(self, v):
-        return vcombine(v, self.columns, self.rows)
+MORPHISM_GROUPS = ("matched-pair morphism",
+                   ("homomorphism(f)", "homomorphism(g)", "intertwine(rho)", "intertwine(psi)",
+                    "combined-product homomorphism"))
 
 
 def check_morphism(src: MatchedPair, dst: MatchedPair, phi: MPMorphism) -> ValidationReport:
     """Homomorphism + intertwining checks, plus the equivalent combined-product criterion.
 
-    Decided on the integral images of both pairs and of both maps, in
-    ints; a failing check is run again on the inputs, whose scalar types
-    its witnesses show (as ``report.checked_on_image`` does).
+    (f, g) is a morphism exactly when f + g is a homomorphism between the
+    g |x| h tables the validated pairs keep, which the integer kernel
+    ``lie.homomorphism_holds`` decides; when it does not hold, or over
+    k[t]/(t^2), the ring-generic checks run on the inputs for witnesses.
     """
     src.require_valid()
     dst.require_valid()
@@ -247,22 +223,19 @@ def check_morphism(src: MatchedPair, dst: MatchedPair, phi: MPMorphism) -> Valid
         dst.dim_g + dst.dim_h, src.dim_g + src.dim_h,
         f.data + [{shift + b: x for b, x in row.items()} for row in gm.data],
     )
-    report = _morphism_report(src.integral(), dst.integral(), _IntegralColumns(f),
-                              _IntegralColumns(gm), _IntegralColumns(blocks))
-    return report if report.ok else _morphism_report(src, dst, f, gm, blocks)
+    if homomorphism_holds(_bicrossed(src).c, _bicrossed(dst).c, blocks):
+        return ValidationReport.of(*MORPHISM_GROUPS)
+    return _morphism_report(src, dst, f, gm, blocks)
 
 
 def _morphism_report(src: MatchedPair, dst: MatchedPair, f, gm, blocks) -> ValidationReport:
-    """The checks of ``check_morphism``; f, gm and blocks (the two maps as one
-    on g + h) need only ``column`` and ``mul_vec``."""
-    report = ValidationReport("matched-pair morphism")
-
-    hom_f = report.new_check("homomorphism(f)")
+    """The ring-generic checks of ``check_morphism``; blocks is the two maps
+    as one on g + h."""
+    report = ValidationReport.of(*MORPHISM_GROUPS)
+    hom_f, hom_g, inter_rho, inter_psi, combined = report.checks
     _is_hom(src.g, dst.g, f, hom_f, "g")
-    hom_g = report.new_check("homomorphism(g)")
     _is_hom(src.h, dst.h, gm, hom_g, "h")
 
-    inter_rho = report.new_check("intertwine(rho)")
     for i in range(src.dim_g):
         for a in range(src.dim_h):
             lhs = gm.mul_vec(src.rho[i][a])
@@ -271,7 +244,6 @@ def _morphism_report(src: MatchedPair, dst: MatchedPair, f, gm, blocks) -> Valid
             if not vis_zero(residual):
                 inter_rho.add((i, a), residual)
 
-    inter_psi = report.new_check("intertwine(psi)")
     for a in range(src.dim_h):
         for i in range(src.dim_g):
             lhs = f.mul_vec(src.psi[a][i])
@@ -280,7 +252,6 @@ def _morphism_report(src: MatchedPair, dst: MatchedPair, f, gm, blocks) -> Valid
             if not vis_zero(residual):
                 inter_psi.add((a, i), residual)
 
-    combined = report.new_check("combined-product homomorphism")
     _is_hom(bicrossed_product(src), bicrossed_product(dst), blocks, combined, "g+h")
     return report
 
@@ -379,7 +350,7 @@ class LieBialgebra:
     [t^a, t^b]* = sum_k cobracket[k][(a, b)] t^k.
     """
 
-    __slots__ = ("g", "cobracket", "_integral", "_pair", "_dual", "_wedge")
+    __slots__ = ("g", "cobracket", "_pair", "_dual", "_wedge")
 
     def __init__(self, g: LieAlgebra, cobracket):
         self.g = g
@@ -396,18 +367,8 @@ class LieBialgebra:
                 if coeff:
                     clean[(i, j)] = coeff
             self.cobracket.append(clean)
-        self._integral = self._pair = self._dual = None
+        self._pair = self._dual = None
         self._wedge = {}
-
-    def integral(self) -> "LieBialgebra":
-        """The integral image over g's kept image, built once and kept."""
-        if self._integral is None:
-            g = self.g.integral()
-            same = g is self.g and all(integral(c) is c for table in self.cobracket
-                                       for c in table.values())
-            self._integral = self if same else LieBialgebra(
-                g, [{key: integral(c) for key, c in table.items()} for table in self.cobracket])
-        return self._integral
 
     def dual_algebra(self) -> LieAlgebra:
         """The Lie algebra on the dual space, built once and kept."""
@@ -458,7 +419,7 @@ def validate_bialgebra(b: LieBialgebra) -> ValidationReport:
 
     cocycle = report.new_check("cobracket 1-cocycle")
     if report.checks[0].ok:
-        image = ce_coboundary(wedge_rep(b.g, 2), b.cobracket_map(), 1)
+        image = ce_coboundary(b.wedge_module(2), b.cobracket_map(), 1)
         for key, vec in sorted(image.coeffs.items()):
             cocycle.add(key, vec)
     return report

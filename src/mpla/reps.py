@@ -27,15 +27,14 @@ from .lie import (LieAlgebra, LieRep, bicrossed_table, decided, dense_tensor,
                   validate_representation)
 from .matched import MatchedPair, bicrossed_product, validate_matched_pair
 from .report import ValidationReport
-from .scalars import integral_tensor, vaccum, vbasis, vcombine, vis_zero, vneg, vzero
+from .scalars import vaccum, vbasis, vcombine, vis_zero, vneg, vzero
 
 
 class MPRepresentation:
     """Representation data of a matched pair on a pair of spaces (V, W)."""
 
     __slots__ = ("base", "dim_v", "dim_w", "rho_v", "psi_v", "rho_w", "psi_w",
-                 "alpha", "beta", "_alpha_cols", "_beta_cols", "_report", "_integral",
-                 "_stencil")
+                 "alpha", "beta", "_alpha_cols", "_beta_cols", "_report", "_stencil")
 
     def __init__(self, base: MatchedPair, dim_v: int, dim_w: int,
                  rho_v, psi_v, rho_w, psi_w, alpha, beta):
@@ -62,7 +61,7 @@ class MPRepresentation:
         self.beta = dense(beta, dim_w, m, dim_v, "beta")
         self._alpha_cols = [[row[a] for row in self.alpha] for a in range(n)]
         self._beta_cols = [[row[i] for row in self.beta] for i in range(m)]
-        self._report = self._integral = self._stencil = None
+        self._report = self._stencil = None
 
     @classmethod
     def from_sparse(cls, base, dims, rho_v=None, psi_v=None, rho_w=None,
@@ -119,18 +118,6 @@ class MPRepresentation:
             self.psi_w, self.rho_w, self.psi_v, self.rho_v, self.beta, self.alpha,
         )
 
-    def integral(self) -> "MPRepresentation":
-        """The integral image over the base pair's kept image, built once
-        and kept; self when nothing changes."""
-        if self._integral is None:
-            base = self.base.integral()
-            tensors = (self.rho_v, self.psi_v, self.rho_w, self.psi_w, self.alpha, self.beta)
-            images = [integral_tensor(t) for t in tensors]
-            same = base is self.base and all(a is b for a, b in zip(images, tensors))
-            self._integral = (self if same else
-                              MPRepresentation(base, self.dim_v, self.dim_w, *images))
-        return self._integral
-
     def rho_v_rep(self):
         return LieRep(self.base.g, self.dim_v, self.rho_v)
 
@@ -157,12 +144,12 @@ class MPRepresentation:
 
 
 def adjoint_representation(mp: MatchedPair) -> MPRepresentation:
-    """(V, W) = (g, h) with the brackets and the two actions themselves."""
-    return MPRepresentation(
-        mp, mp.dim_g, mp.dim_h,
-        mp.g.c, mp.psi, mp.rho, mp.h.c,
-        mp.rho, mp.psi,
-    )
+    """(V, W) = (g, h) with the brackets and the two actions themselves,
+    built once and kept on the pair (with its stencil tables)."""
+    if mp._adjoint is None:
+        mp._adjoint = MPRepresentation(mp, mp.dim_g, mp.dim_h, mp.g.c, mp.psi, mp.rho,
+                                       mp.h.c, mp.rho, mp.psi)
+    return mp._adjoint
 
 
 MP_REP_GROUPS = ("matched-pair representation",

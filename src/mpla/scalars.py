@@ -9,14 +9,11 @@ The ground field is the rationals, represented by ``fractions.Fraction``
 All axiom checkers in this package use only ring operations (+, -, *),
 so they run unchanged over either scalar type.
 
-``integral`` and ``integral_tensor`` give a structure's integral image:
-every Fraction of denominator 1 becomes the equal int, in DualNumber
-components too, and every other scalar stays as it is.  Values are
-unchanged, so every zero test and every sum of an exact check decides
-alike on the image, in int arithmetic (tens of nanoseconds an operation,
-against microseconds for Fraction).  Types are not unchanged: ``0`` and
-``Fraction(0, 1)`` print differently, so residuals a report prints are
-computed from the structure itself.
+Exact decisions run in int arithmetic (tens of nanoseconds an operation,
+against microseconds for Fraction): ``common_denominator`` gives the least
+common denominator D of a tensor and ``scaled_int`` the int D * x, for the
+Jacobiator kernel (``lie``), the stencil (``stencil``) and a cochain under
+test.
 
 ``LinearForm`` is a sparse linear form sum_j c_j x_j.  The coboundary
 formulas are linear and use only +, -, scalar * and truthiness, so one run
@@ -24,8 +21,7 @@ on a cochain whose coordinates are the variables x_0, ..., x_{N-1} gives
 every coordinate of the image as a form: the rows of the matrix
 (``linalg.operator_matrix``).  The graded-bracket route of
 ``cohomology.delta_matrix`` is built that way; the explicit coboundaries
-come from an integer stencil instead (``stencil.ce_stencil``), whose tables
-``common_denominator`` and ``scaled_int`` put in ints.
+come from the integer stencil instead (``stencil.ce_stencil``).
 """
 
 from __future__ import annotations
@@ -77,8 +73,8 @@ def format_rational(x) -> str | int:
 class DualNumber:
     """Element a + b*t of the ring k[t]/(t^2) over exact rationals.
 
-    Int and Fraction components keep their type (so an integral image
-    computes in ints); any other input is read by ``Fraction``.
+    Int and Fraction components keep their type (int components compute
+    in ints); any other input is read by ``Fraction``.
     """
 
     __slots__ = ("a", "b")
@@ -202,26 +198,6 @@ class LinearForm:
 
     def __repr__(self):
         return f"LinearForm({self.terms})"
-
-
-def integral(x):
-    """x with a Fraction of denominator 1 replaced by the equal int, in a
-    DualNumber's components too; x itself when nothing changes."""
-    if type(x) is Fraction:
-        return x.numerator if x.denominator == 1 else x
-    if type(x) is DualNumber:
-        a, b = integral(x.a), integral(x.b)
-        return x if a is x.a and b is x.b else DualNumber(a, b)
-    return x
-
-
-def integral_tensor(t):
-    """``integral`` applied to every scalar of nested lists; t itself (the
-    same object) when nothing changes."""
-    if type(t) is not list:
-        return integral(t)
-    out = [integral_tensor(x) for x in t]
-    return t if all(a is b for a, b in zip(out, t)) else out
 
 
 def common_denominator(*tensors) -> int:

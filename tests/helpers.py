@@ -3,12 +3,38 @@
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from fractions import Fraction
+
+import pytest
 
 from mpla import (DeformationCandidate, LieAlgebra, MatchedPair,
                   MPRepresentation, SkewMultiMap, cochain_from_coords,
                   cochain_space_dim)
 from itertools import combinations
+
+FRACTION_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__")
+
+
+@contextmanager
+def fraction_calls(names=FRACTION_ARITHMETIC):
+    """Yield a list that gets one entry per call of the named Fraction
+    methods inside the block: by default its +, - and *, and with
+    ``("__new__",)`` every Fraction built."""
+    calls = []
+    with pytest.MonkeyPatch.context() as m:
+        for name in names:
+            original = Fraction.__dict__[name]
+            if name == "__new__":
+                def built(cls, *args, _f=original.__func__, **kwargs):
+                    calls.append(1)
+                    return _f(cls, *args, **kwargs)
+
+                m.setattr(Fraction, name, staticmethod(built))
+            else:
+                m.setattr(Fraction, name,
+                          lambda *args, _f=original: calls.append(1) or _f(*args))
+        yield calls
 
 
 def rand_fraction(rng: random.Random, lo=-3, hi=3) -> Fraction:
@@ -235,13 +261,12 @@ def percolumn_delta_matrix(mp, rep, degree, route="coeff"):
 
 def probe_delta_matrix(mp, rep, degree):
     """δ_d of the explicit formulas, by one run of ``delta_mpl_coeff`` on a
-    probe cochain of linear forms (``linalg.operator_matrix``) over the
-    integral images of mp and rep."""
+    probe cochain of linear forms (``linalg.operator_matrix``) over mp and
+    rep as given."""
     from mpla import Matrix, cochain_from_coords, delta_mpl_coeff
     from mpla.cohomology import _coords
     from mpla.linalg import operator_matrix
 
-    mp, rep = mp.integral(), rep.integral()
     mp_dims = (mp.dim_g, mp.dim_h)
     n_rows = cochain_space_dim(mp_dims, rep.dims, degree + 1)
     n_cols = cochain_space_dim(mp_dims, rep.dims, degree)

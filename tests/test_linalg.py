@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from mpla import (DimensionMismatch, InputError, Matrix, NotAComplex,
                   cohomology_dim, invert, kernel_basis, kernel_dim, rank, solve)
 from mpla.linalg import cohomology_dims, operator_matrix
-from mpla.scalars import LinearForm
+from mpla.scalars import DualNumber, LinearForm
 
 from helpers import (bareiss_rank, dense_invert, dense_kernel_basis, dense_mul,
                      dense_mul_vec, dense_rref, dense_solve, rand_fraction,
@@ -357,3 +357,42 @@ def test_cohomology_dims_of_complexes_with_known_cohomology(shape, seed):
     assert ranks == pieces
     assert lone == [deltas[d].cols - ranks[d] - (ranks[d - 1] if d else 0)
                     for d in range(top + 1)]
+
+
+def test_dual_number_keeps_its_components_type():
+    for a, b in ((1, 2), (Fraction(1), Fraction(2)), (1, Fraction(2)), (Fraction(1, 2), -3)):
+        x = DualNumber(a, b)
+        assert (type(x.a), type(x.b)) == (type(a), type(b))
+        coerced = DualNumber(Fraction(a), Fraction(b))
+        assert x == coerced and hash(x) == hash(coerced) and repr(x) == repr(coerced)
+    assert (DualNumber(1, 1) * DualNumber(2, 3)).b == 5
+    y = DualNumber("1/2", True)
+    assert (y.a, type(y.b)) == (Fraction(1, 2), Fraction)
+
+
+def test_matrix_mul_matches_dense_mul():
+    rng = random.Random(105)
+
+    def entry():
+        if rng.random() < 0.5:
+            return Fraction(0)
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 6)))
+
+    def rand_matrix(rows, cols):
+        return Matrix.from_rows([[entry() for _ in range(cols)] for _ in range(rows)])
+
+    zero_products = 0
+    for _ in range(60):
+        n, k, m = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
+        a = rand_matrix(n, k)
+        cases = [rand_matrix(k, m)]
+        kernel = kernel_basis(a)
+        if kernel:
+            cases.append(Matrix.from_columns(kernel))
+        for b in cases:
+            product = a.mul(b)
+            assert product == Matrix.from_rows(dense_mul(a, b))
+            stored = [x for row in product.data for x in row.values()]
+            assert all(type(x) is Fraction and x for x in stored)
+            zero_products += product.is_zero()
+    assert zero_products >= 20

@@ -22,8 +22,8 @@ from mpla.lie import ce_matrix
 from mpla.linalg import Matrix, cohomology_dims
 from mpla.scalars import common_denominator
 
-from helpers import (percolumn_ce_matrix, percolumn_delta_matrix, percolumn_liebi_matrix,
-                     probe_delta_matrix, rand_invertible)
+from helpers import (fraction_calls, percolumn_ce_matrix, percolumn_delta_matrix,
+                     percolumn_liebi_matrix, probe_delta_matrix, rand_invertible)
 from test_cohomology import conjugate_pair
 
 
@@ -97,7 +97,10 @@ def test_stencil_matches_the_bracket_route_and_keeps_its_form_on_conjugates():
     rng = random.Random(121)
     s33 = mp_direct(sl2(), sl2())
     conj = conjugate_pair(s33, rand_invertible(rng, 3), rand_invertible(rng, 3))
-    assert conj.integral() is not conj
+    # the conjugate holds integral Fractions beside its proper fractions
+    assert any(type(x) is Fraction and x.denominator == 1
+               for t in (conj.g.c, conj.h.c, conj.rho, conj.psi)
+               for row in t for vec in row for x in vec)
     for mp in (s33, conj):
         adj = adjoint_representation(mp)
         for degree in range(1, 4):
@@ -181,22 +184,32 @@ def test_cohomology_dims_build_no_fraction():
     rng = random.Random(123)
     base = mp_semidirect_double()
     conj = conjugate_pair(base, rand_invertible(rng, 4), rand_invertible(rng, 4))
-    raw = Fraction.__dict__["__new__"]
     for mp in (base, conj):
         rep = adjoint_representation(mp)
         mp.require_valid()
         rep.require_valid()
-        built = []
-
-        def counting(cls, *args, **kwargs):
-            built.append(1)
-            return raw.__func__(cls, *args, **kwargs)
-
-        Fraction.__new__ = staticmethod(counting)
-        try:
+        with fraction_calls(("__new__",)) as built:
             dims = mpl_cohomology_dims(mp, rep, 2)
-        finally:
-            Fraction.__new__ = raw
         assert dims == [8, 3, 7]
         stored = sum(len(row) for d in (1, 2) for row in delta_matrix(mp, rep, d).data)
         assert stored > 1000 and len(built) <= 16, (stored, len(built))
+
+
+def test_fraction_arithmetic_is_bounded_by_stored_entries():
+    """Assembling delta_1 and delta_2 of the 4+4 pair, whose constants are
+    integral Fractions, and multiplying them run in ints: the Fraction
+    +, - and * they do stay below the entries they store."""
+    mp = mp_semidirect_double()
+    rep = adjoint_representation(mp)
+    big = bicrossed_product(mp).adjoint()
+    with fraction_calls() as calls:
+        ce_matrix(big, 1)
+        d1, d2 = delta_matrix(mp, rep, 1), delta_matrix(mp, rep, 2)
+        assembly = len(calls)
+        product = d2.mul(d1)
+    stored = sum(len(row) for m in (d1, d2, product) for row in m.data)
+    assert product.is_zero() and stored > 1000
+    assert len(calls) <= stored
+    # the stencils scale the constants to ints, so assembly does no
+    # Fraction arithmetic
+    assert assembly == 0
