@@ -9,17 +9,15 @@ callers that want rows of Fractions; writing into it changes nothing.
 
 A matrix may also hold an *integer form*: a positive integer D and one
 ``{row: int}`` dict per column, the nonzero entries of D times the
-matrix.  The coboundary stencils (``stencil.ce_stencil``) build their
-matrices in that form (``Matrix.from_integer_columns``), and so does
-``Matrix.mul``; such a matrix builds its public rows (``data``,
-``entries``) on their first read, one Fraction per stored entry, and
-never before.  ``rank``, ``kernel_basis``, ``Matrix.mul`` and the
-delta o delta = 0 check of ``cohomology_dims`` read the integer form;
-for any other matrix ``_scaled_rows`` derives it from the rows, scaled
-by the least common denominator of their entries, and is the one place
-that does.  ``operator_matrix`` turns a ring-generic linear map into its
-matrix by running it once on a probe vector of linear forms (the
-graded-bracket route of ``cohomology.delta_matrix``).
+matrix.  The coboundary stencils (``stencil.ce_stencil``) and the
+bracket kernel (``bracket.minus_bracket``) build their matrices in that
+form (``Matrix.from_integer_columns``), and so does ``Matrix.mul``;
+such a matrix builds its public rows (``data``, ``entries``) on their
+first read, one Fraction per stored entry, and never before.  ``rank``,
+``kernel_basis``, ``Matrix.mul`` and the delta o delta = 0 check of
+``cohomology_dims`` read the integer form; for any other matrix
+``_scaled_rows`` derives it from the rows, scaled by the least common
+denominator of their entries, and is the one place that does.
 
 Products are taken in integers: one kernel (``_product_rows``)
 multiplies the integer columns, and the product keeps D_a * D_b and its
@@ -57,7 +55,6 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from .errors import DimensionMismatch, InputError, NotAComplex
-from .scalars import LinearForm
 
 # The value read for an entry that is not stored.
 _ZERO = Fraction(0)
@@ -204,29 +201,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
-
-
-def operator_matrix(image, n_rows: int, n_cols: int) -> Matrix:
-    """Matrix of a linear map given as a ring-generic function on coordinates.
-
-    ``image(coords)`` returns the n_rows coordinates of the image of the
-    vector with the n_cols coordinates ``coords``, using only +, -, scalar
-    * and truthiness on them.  It runs once, on the variables x_0 ... as
-    ``LinearForm``s; coordinate i of the result is row i of the matrix.
-    """
-    out = image([LinearForm.variable(j) for j in range(n_cols)])
-    if len(out) != n_rows:
-        raise DimensionMismatch(f"image has {len(out)} coordinates, expected {n_rows}")
-    data = []
-    for form in out:
-        if not form:
-            data.append({})
-            continue
-        if not isinstance(form, LinearForm):
-            raise TypeError(f"image coordinate {form!r} is not a linear form")
-        data.append({j: c if type(c) is Fraction else Fraction(c)
-                     for j, c in form.terms.items()})
-    return Matrix.from_sparse(n_rows, n_cols, data)
 
 
 # -- the elimination kernel --------------------------------------------------

@@ -36,7 +36,8 @@ from .scalars import vaccum, vbasis, vcombine, vis_zero, vneg, vzero
 class MatchedPair:
     """Two Lie algebras with mutual actions; constructible unvalidated."""
 
-    __slots__ = ("g", "h", "rho", "psi", "_report", "_bicrossed", "_adjoint", "_structure")
+    __slots__ = ("g", "h", "rho", "psi", "_report", "_bicrossed", "_adjoint", "_structure",
+                 "_insertion")
 
     def __init__(self, g: LieAlgebra, h: LieAlgebra, rho, psi):
         self.g = g
@@ -56,6 +57,7 @@ class MatchedPair:
                 if len(v) != g.dim:
                     raise MalformedTensor("psi value has wrong length")
         self._report = self._bicrossed = self._adjoint = self._structure = None
+        self._insertion = None
 
     @classmethod
     def from_sparse(cls, g: LieAlgebra, h: LieAlgebra, rho=None, psi=None):

@@ -20,10 +20,13 @@ the first slot of g, and i_g f of an arity-0 f is zero.
 
 ``insertion`` runs over the stored keys of g, with f's keys indexed by
 output index, so it costs the keys the two maps meet in, not every
-output key.  ``SkewMultiMap(...)`` checks each key and drops zero
-vectors; ``SkewMultiMap.from_canonical`` takes canonical keys and nonzero
-vectors over unchecked, for the builders here and in ``bigraded`` and
-``lie`` whose keys are canonical by construction.
+output key.  The walk at one key is ``meetings``: it splits the key into
+an index k and a tail, meets each indexed key, and takes the sign of
+sorting that key + tail; the integer insertion kernel of the ``bracket``
+module walks keys with it too.  ``SkewMultiMap(...)`` checks each key and
+drops zero vectors; ``SkewMultiMap.from_canonical`` takes canonical keys
+and nonzero vectors over unchecked, for the builders here and in
+``bigraded`` and ``lie`` whose keys are canonical by construction.
 """
 
 from __future__ import annotations
@@ -179,6 +182,21 @@ class SkewMultiMap:
         return f"SkewMultiMap(arity={self.arity}, dim={self.dim}, nonzero={len(self.coeffs)})"
 
 
+def meetings(key, by_output):
+    """The shuffle walk at one key: for each position pk of key, with
+    k = key[pk] and tail = key minus k, each (sub, c) in by_output.get(k)
+    disjoint from tail gives (sign, out_key, c), out_key being sorted(sub +
+    tail) and sign (-1)^pk times the sign of sorting sub + tail."""
+    for pk, k in enumerate(key):
+        subs = by_output.get(k)
+        if subs:
+            tail = key[:pk] + key[pk + 1:]
+            for sub, c in subs:
+                sgn, out_key = sort_sign(sub + tail)
+                if sgn:
+                    yield (-sgn if pk % 2 else sgn), out_key, c
+
+
 def insertion(f: SkewMultiMap, g: SkewMultiMap) -> SkewMultiMap:
     """i_f g: plug f into the first slot of g, summed over shuffles.
 
@@ -187,8 +205,8 @@ def insertion(f: SkewMultiMap, g: SkewMultiMap) -> SkewMultiMap:
     into k at position pk and tail = K minus k, and g((k,) + tail) is
     (-1)^pk g(K).  Each indexed key ``sub`` of f disjoint from tail meets
     tail in the output key sorted(sub + tail), and the shuffle that splits
-    that key into sub and tail has the sign of sorting sub + tail.  Output
-    keys are stored in increasing order.
+    that key into sub and tail has the sign of sorting sub + tail
+    (``meetings``).  Output keys are stored in increasing order.
     """
     if f.dim != g.dim:
         raise SpaceMismatch("insertion requires maps on the same space")
@@ -197,19 +215,15 @@ def insertion(f: SkewMultiMap, g: SkewMultiMap) -> SkewMultiMap:
     out_arity = f.arity + g.arity - 1
     if g.arity == 0 or out_arity < 0:
         return SkewMultiMap.zero(max(out_arity, 0), f.dim, g.codim)
-    by_output = [[] for _ in range(f.codim)]
+    by_output = {}
     for sub, vec in f.coeffs.items():
         for k, ck in enumerate(vec):
             if ck:
-                by_output[k].append((sub, ck))
+                by_output.setdefault(k, []).append((sub, ck))
     acc = {}
     for key, gvec in g.coeffs.items():
-        for pk, k in enumerate(key):
-            tail = key[:pk] + key[pk + 1:]
-            for sub, ck in by_output[k]:
-                sgn, out_key = sort_sign(sub + tail)
-                if sgn:
-                    vaccum_at(acc, out_key, -sgn * ck if pk % 2 else sgn * ck, gvec, g.codim)
+        for sign, out_key, ck in meetings(key, by_output):
+            vaccum_at(acc, out_key, sign * ck, gvec, g.codim)
     return SkewMultiMap.from_canonical(
         out_arity, f.dim, g.codim,
         {key: acc[key] for key in sorted(acc) if not vis_zero(acc[key])})

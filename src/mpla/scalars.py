@@ -12,16 +12,8 @@ so they run unchanged over either scalar type.
 Exact decisions run in int arithmetic (tens of nanoseconds an operation,
 against microseconds for Fraction): ``common_denominator`` gives the least
 common denominator D of a tensor and ``scaled_int`` the int D * x, for the
-Jacobiator kernel (``lie``), the stencil (``stencil``) and a cochain under
-test.
-
-``LinearForm`` is a sparse linear form sum_j c_j x_j.  The coboundary
-formulas are linear and use only +, -, scalar * and truthiness, so one run
-on a cochain whose coordinates are the variables x_0, ..., x_{N-1} gives
-every coordinate of the image as a form: the rows of the matrix
-(``linalg.operator_matrix``).  The graded-bracket route of
-``cohomology.delta_matrix`` is built that way; the explicit coboundaries
-come from the integer stencil instead (``stencil.ce_stencil``).
+Jacobiator kernel (``lie``), the stencil (``stencil``), the bracket kernel
+(``bracket``) and a cochain under test.
 """
 
 from __future__ import annotations
@@ -126,78 +118,6 @@ class DualNumber:
 
     def __repr__(self):
         return f"DualNumber({self.a}, {self.b})"
-
-
-class LinearForm:
-    """Sparse linear form {index: nonzero coefficient}, immutable by convention.
-
-    Only what keeps a map linear is defined: sums and differences of forms,
-    scalar multiples, and truthiness (a form is false when every coefficient
-    cancelled).  A product of two forms, or a nonzero constant added to a
-    form, raises TypeError, so a nonlinear formula fails loudly.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {} if terms is None else terms
-
-    @classmethod
-    def variable(cls, index: int) -> "LinearForm":
-        return cls({index: 1})
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __add__(self, other):
-        if isinstance(other, LinearForm):
-            big, small = self.terms, other.terms
-            if len(big) < len(small):
-                big, small = small, big
-            out = dict(big)
-            for j, c in small.items():
-                total = out.get(j, 0) + c
-                if total:
-                    out[j] = total
-                else:
-                    del out[j]
-            return LinearForm(out)
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        if other:
-            raise TypeError("a nonzero constant plus a linear form is not linear")
-        return self
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LinearForm({j: -c for j, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if isinstance(other, (LinearForm, int, Fraction)):
-            return self + -other
-        return NotImplemented
-
-    def __rsub__(self, other):
-        return -self + other
-
-    def __mul__(self, other):
-        if isinstance(other, LinearForm):
-            raise TypeError("the product of two linear forms is not linear")
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        if type(other) is Fraction and other.denominator == 1:
-            other = other.numerator  # int coefficients keep the sums in fast int arithmetic
-        if other == 1:
-            return self
-        if not other:
-            return LinearForm()
-        return LinearForm({j: c * other for j, c in self.terms.items()})
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"LinearForm({self.terms})"
 
 
 def common_denominator(*tensors) -> int:

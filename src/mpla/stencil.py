@@ -8,8 +8,9 @@ algebra g with coefficients in a module M is
 (Chevalley-Eilenberg, Trans. AMS 63, 1948): exterior combinatorics on
 the keys, tensored with the structure constants and the action matrices.
 ``ce_stencil`` emits its matrix column by column as {row: int} dicts,
-from integer tables of the bracket and of the action (``bracket_table``,
-``action_table``) scaled by one common denominator D of the constants.
+key by key (``ce_key_columns``), from integer tables of the bracket and
+of the action (``bracket_table``, ``action_table``) scaled by one common
+denominator D of the constants.
 
 Every explicit coboundary matrix is built from it:
 
@@ -27,6 +28,10 @@ Every explicit coboundary matrix is built from it:
   * ``cohomology.liebi_matrix`` is the stencil of g with coefficients in
     L^q g plus that of the dual algebra with coefficients in L^p g*,
     re-indexed by the transposition.
+
+The chain law ``cohomology.phi_chain_check`` reads only the columns of
+the CE stencil of g |x| h at the stored keys of the tested cochain
+(``ce_key_columns``).
 
 Callers keep D and the columns as the integer form of a ``linalg.Matrix``.
 Tables are built once per structure (and per D) and kept on it: on a
@@ -63,48 +68,59 @@ def action_table(a, scale: int = 1):
             for row in a]
 
 
-def ce_stencil(dim: int, bracket, action, space_dim: int, n: int,
-               row_offset: int = 0) -> list[dict]:
-    """Columns of the coboundary Hom(L^n g, M) -> Hom(L^(n+1) g, M), in ints.
+def ce_key_columns(dim: int, bracket, action, key, target, units) -> list[dict]:
+    """The stencil at one n-key: column (key, u) of the coboundary
+    Hom(L^n g, M) -> Hom(L^(n+1) g, M) for each u in ``units``, in ints.
 
     ``bracket`` and ``action`` are the tables of ``bracket_table`` and
-    ``action_table`` (M of dimension ``space_dim``).  Column (s, u), in
-    ``lie.ce_basis`` order, is one {row: int} dict: for each i not in s, the
-    key s + {i} takes e_i . m_u with the sign (-1)^(position of i); for
-    each k in s at position pk and each (a, b, c) in bracket[k] with a, b
-    not in rest = s - {k}, the key rest + {a, b} takes c m_u with the sign
-    (-1)^(pk + pa + pb + 1), pa and pb counting the indices of rest below
-    a and below b.  Rows are numbered as ``lie.ce_basis(dim, space_dim, n + 1)``,
-    plus ``row_offset``; an entry whose terms cancel is kept as a zero.
+    ``action_table``, and ``target`` maps each (n+1)-key to the row of its
+    module coordinate 0.  Column (key, u) is one {row: int} dict: for each
+    i not in key, the key key + {i} takes e_i . m_u with the sign
+    (-1)^(position of i); for each k in key at position pk and each
+    (a, b, c) in bracket[k] with a, b not in rest = key - {k}, the key
+    rest + {a, b} takes c m_u with the sign (-1)^(pk + pa + pb + 1), pa and
+    pb counting the indices of rest below a and below b.  An entry whose
+    terms cancel is kept as a zero.
     """
-    keys = combinations(range(dim), n)
-    s = space_dim
-    target = {key: row_offset + t * s
+    acts = []
+    for i in range(dim):
+        if i not in key:
+            pos = bisect_left(key, i)
+            acts.append((target[key[:pos] + (i,) + key[pos:]], pos % 2, action[i]))
+    brackets = {}
+    for pk, k in enumerate(key):
+        rest = key[:pk] + key[pk + 1:]
+        for a, b, c in bracket[k]:
+            if a not in rest and b not in rest:
+                pa, pb = bisect_left(rest, a), bisect_left(rest, b)
+                row = target[rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:]]
+                brackets[row] = brackets.get(row, 0) + (c if (pk + pa + pb) % 2 else -c)
+    brackets = [(row, c) for row, c in brackets.items() if c]
+    columns = []
+    for u in units:
+        # the action terms of distinct i land in distinct keys
+        column = {base + v: -c if odd else c
+                  for base, odd, act in acts for v, c in act[u]}
+        for row, c in brackets:
+            row += u
+            column[row] = column.get(row, 0) + c
+        columns.append(column)
+    return columns
+
+
+def ce_stencil(dim: int, bracket, action, space_dim: int, n: int,
+               row_offset: int = 0) -> list[dict]:
+    """Columns of the coboundary Hom(L^n g, M) -> Hom(L^(n+1) g, M), in ints:
+    ``ce_key_columns`` at each n-key, in ``lie.ce_basis`` order (M of
+    dimension ``space_dim``).  Rows are numbered as
+    ``lie.ce_basis(dim, space_dim, n + 1)``, plus ``row_offset``.
+    """
+    units = range(space_dim)
+    target = {key: row_offset + t * space_dim
               for t, key in enumerate(combinations(range(dim), n + 1))}
     columns = []
-    for key in keys:
-        acts = []
-        for i in range(dim):
-            if i not in key:
-                pos = bisect_left(key, i)
-                acts.append((target[key[:pos] + (i,) + key[pos:]], pos % 2, action[i]))
-        brackets = {}
-        for pk, k in enumerate(key):
-            rest = key[:pk] + key[pk + 1:]
-            for a, b, c in bracket[k]:
-                if a not in rest and b not in rest:
-                    pa, pb = bisect_left(rest, a), bisect_left(rest, b)
-                    row = target[rest[:pa] + (a,) + rest[pa:pb] + (b,) + rest[pb:]]
-                    brackets[row] = brackets.get(row, 0) + (c if (pk + pa + pb) % 2 else -c)
-        brackets = [(row, c) for row, c in brackets.items() if c]
-        for u in range(s):
-            # the action terms of distinct i land in distinct keys
-            column = {base + v: -c if odd else c
-                      for base, odd, act in acts for v, c in act[u]}
-            for row, c in brackets:
-                row += u
-                column[row] = column.get(row, 0) + c
-            columns.append(column)
+    for key in combinations(range(dim), n):
+        columns += ce_key_columns(dim, bracket, action, key, target, units)
     return columns
 
 

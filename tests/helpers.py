@@ -238,6 +238,108 @@ def dense_invert(m):
     return [row[n:] for row in aug]
 
 
+# -- linear forms: a ring-generic linear formula run once on a probe of
+# -- variables gives its matrix -----------------------------------------------
+
+
+class LinearForm:
+    """Sparse linear form {index: nonzero coefficient}, immutable by convention.
+
+    Only what keeps a map linear is defined: sums and differences of forms,
+    scalar multiples, and truthiness (a form is false when every coefficient
+    cancelled).  A product of two forms, or a nonzero constant added to a
+    form, raises TypeError, so a nonlinear formula fails loudly.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms = {} if terms is None else terms
+
+    @classmethod
+    def variable(cls, index: int) -> "LinearForm":
+        return cls({index: 1})
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __add__(self, other):
+        if isinstance(other, LinearForm):
+            big, small = self.terms, other.terms
+            if len(big) < len(small):
+                big, small = small, big
+            out = dict(big)
+            for j, c in small.items():
+                total = out.get(j, 0) + c
+                if total:
+                    out[j] = total
+                else:
+                    del out[j]
+            return LinearForm(out)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if other:
+            raise TypeError("a nonzero constant plus a linear form is not linear")
+        return self
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return LinearForm({j: -c for j, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if isinstance(other, (LinearForm, int, Fraction)):
+            return self + -other
+        return NotImplemented
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        if isinstance(other, LinearForm):
+            raise TypeError("the product of two linear forms is not linear")
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if type(other) is Fraction and other.denominator == 1:
+            other = other.numerator  # int coefficients keep the sums in fast int arithmetic
+        if other == 1:
+            return self
+        if not other:
+            return LinearForm()
+        return LinearForm({j: c * other for j, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __repr__(self):
+        return f"LinearForm({self.terms})"
+
+
+def operator_matrix(image, n_rows: int, n_cols: int):
+    """Matrix of a linear map given as a ring-generic function on coordinates.
+
+    ``image(coords)`` returns the n_rows coordinates of the image of the
+    vector with the n_cols coordinates ``coords``, using only +, -, scalar
+    * and truthiness on them.  It runs once, on the variables x_0 ... as
+    ``LinearForm``s; coordinate i of the result is row i of the matrix.
+    """
+    from mpla import Matrix
+    from mpla.errors import DimensionMismatch
+
+    out = image([LinearForm.variable(j) for j in range(n_cols)])
+    if len(out) != n_rows:
+        raise DimensionMismatch(f"image has {len(out)} coordinates, expected {n_rows}")
+    data = []
+    for form in out:
+        if not form:
+            data.append({})
+            continue
+        if not isinstance(form, LinearForm):
+            raise TypeError(f"image coordinate {form!r} is not a linear form")
+        data.append({j: c if type(c) is Fraction else Fraction(c)
+                     for j, c in form.terms.items()})
+    return Matrix.from_sparse(n_rows, n_cols, data)
+
+
 def percolumn_delta_matrix(mp, rep, degree, route="coeff"):
     """δ_d built by applying the route to every basis cochain."""
     from mpla import (Matrix, basis_cochain, cochain_basis, cochain_to_coords,
@@ -261,21 +363,34 @@ def percolumn_delta_matrix(mp, rep, degree, route="coeff"):
 
 def probe_delta_matrix(mp, rep, degree):
     """δ_d of the explicit formulas, by one run of ``delta_mpl_coeff`` on a
-    probe cochain of linear forms (``linalg.operator_matrix``) over mp and
-    rep as given."""
-    from mpla import Matrix, cochain_from_coords, delta_mpl_coeff
+    probe cochain of linear forms (``operator_matrix``) over mp and rep as
+    given."""
+    from mpla import delta_mpl_coeff
+
+    return _probe_matrix(mp, rep.dims, degree, lambda F: delta_mpl_coeff(mp, rep, F))
+
+
+def probe_graded_bracket_matrix(mp, degree):
+    """δ_d on adjoint coefficients as -[π, ·], by one run of the graded
+    bracket (``delta_mpl_adjoint``) on a probe cochain of linear forms."""
+    from mpla import delta_mpl_adjoint
+
+    dims = (mp.dim_g, mp.dim_h)
+    return _probe_matrix(mp, dims, degree, lambda F: delta_mpl_adjoint(mp, F))
+
+
+def _probe_matrix(mp, rep_dims, degree, delta):
+    from mpla import Matrix, cochain_from_coords
     from mpla.cohomology import _coords
-    from mpla.linalg import operator_matrix
 
     mp_dims = (mp.dim_g, mp.dim_h)
-    n_rows = cochain_space_dim(mp_dims, rep.dims, degree + 1)
-    n_cols = cochain_space_dim(mp_dims, rep.dims, degree)
+    n_rows = cochain_space_dim(mp_dims, rep_dims, degree + 1)
+    n_cols = cochain_space_dim(mp_dims, rep_dims, degree)
     if degree == 0:
         return Matrix.zero(n_rows, n_cols)
 
     def image(coords):
-        F = cochain_from_coords(mp_dims, rep.dims, degree, coords)
-        return _coords(delta_mpl_coeff(mp, rep, F))
+        return _coords(delta(cochain_from_coords(mp_dims, rep_dims, degree, coords)))
 
     return operator_matrix(image, n_rows, n_cols)
 

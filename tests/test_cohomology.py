@@ -24,12 +24,12 @@ from mpla.catalog import (aff1, mp_a, mp_direct, mp_double, small_fixtures,
 from mpla.cohomology import _delta_mu_rho
 from mpla.lie import ce_matrix
 from mpla.linalg import Matrix
-from mpla.scalars import DualNumber, LinearForm
+from mpla.scalars import DualNumber
 
-from helpers import (dense_rref, percolumn_ce_matrix, percolumn_delta_matrix,
-                     percolumn_liebi_matrix, pull_delta_mu_rho, rand_cochain,
-                     rand_fraction, rand_invertible, rand_mp_candidate,
-                     rand_mp_rep_candidate)
+from helpers import (LinearForm, dense_rref, percolumn_ce_matrix,
+                     percolumn_delta_matrix, percolumn_liebi_matrix,
+                     pull_delta_mu_rho, rand_cochain, rand_fraction,
+                     rand_invertible, rand_mp_candidate, rand_mp_rep_candidate)
 
 
 def test_cochain_space_dims():

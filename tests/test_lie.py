@@ -9,9 +9,9 @@ from mpla import (LieAlgebra, LieRep, SkewMultiMap, ce_cohomology_dims,
                   ce_coboundary, ce_matrix, nr_bracket, validate_lie_algebra,
                   validate_representation, wedge_rep)
 from mpla.catalog import aff1, heisenberg3, sl2
-from mpla.scalars import DualNumber, LinearForm
+from mpla.scalars import DualNumber
 
-from helpers import pull_ce_coboundary, rand_lie_candidate, rand_skew_map
+from helpers import LinearForm, pull_ce_coboundary, rand_lie_candidate, rand_skew_map
 
 
 def test_validate_abelian_and_aff1():

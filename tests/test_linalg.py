@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 
 from mpla import (DimensionMismatch, InputError, Matrix, NotAComplex,
                   cohomology_dim, invert, kernel_basis, kernel_dim, rank, solve)
-from mpla.linalg import cohomology_dims, operator_matrix
-from mpla.scalars import DualNumber, LinearForm
+from mpla.linalg import cohomology_dims
+from mpla.scalars import DualNumber
 
-from helpers import (bareiss_rank, dense_invert, dense_kernel_basis, dense_mul,
-                     dense_mul_vec, dense_rref, dense_solve, rand_fraction,
-                     rand_invertible)
+from helpers import (LinearForm, bareiss_rank, dense_invert, dense_kernel_basis,
+                     dense_mul, dense_mul_vec, dense_rref, dense_solve,
+                     operator_matrix, rand_fraction, rand_invertible)
 
 
 def naive_rank(m: Matrix) -> int:

@@ -11,9 +11,8 @@ from mpla import multimap
 from mpla.bigraded import StructureElement
 from mpla.catalog import mp_semidirect_double
 from mpla.multimap import insertion, shuffles, sort_sign
-from mpla.scalars import LinearForm
 
-from helpers import (pull_insertion, rand_lie_candidate, rand_skew_map,
+from helpers import (LinearForm, pull_insertion, rand_lie_candidate, rand_skew_map,
                      shuffle_insertion)
 
 

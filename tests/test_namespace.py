@@ -1,6 +1,7 @@
 """The lazy package namespace, and what one `mpla` command loads."""
 
 import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -99,6 +100,27 @@ def test_submodule_resolves_without_an_explicit_import():
     proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1\n"
+
+
+def test_every_traced_name_resolves():
+    """Every "module:name" or "module:Class.method" the benchmark's tracer
+    wraps (``bench/spans.py``, read as it is) names an object of mpla, so
+    no layer drops out of a traced run when a hot path stops calling it."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    names = [name for names in spans.LAYERS.values() for name in names]
+    assert "multimap:nr_bracket" in names and "lie:ce_coboundary" in names
+    for name in names:
+        module_name, qualname = name.split(":")
+        owner = importlib.import_module("mpla." + module_name)
+        if "." in qualname:
+            cls_name, qualname = qualname.split(".")
+            owner = getattr(owner, cls_name).__dict__
+            assert qualname in owner, name
+        else:
+            assert callable(getattr(owner, qualname)), name
 
 
 def write(tmp_path, name, payload):

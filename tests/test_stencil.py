@@ -162,8 +162,10 @@ def test_builders_raise_as_before_at_every_degree():
         assert _outcome(delta_matrix, mp, adj, d) == expected
         assert _outcome(delta_matrix, mp, adj, d, "adjoint") == expected
         assert _outcome(delta_matrix, mp, adj, d, "bracket") == unknown
-        assert _outcome(delta_matrix, mp, co, d, "adjoint") == adjoint_only
-        assert _outcome(delta_matrix, mp, other, d, "adjoint") == adjoint_only
+        # both routes read the degree before the coefficients
+        assert _outcome(delta_matrix, mp, co, d, "adjoint") == negative.get(d, adjoint_only)
+        assert _outcome(delta_matrix, mp, other, d, "adjoint") == negative.get(d, adjoint_only)
+        assert _outcome(delta_matrix, mp, co, d) == negative.get(d, shapes.get(d))
         assert _outcome(delta_matrix, mp, other, d) == negative.get(d, not_over)
         assert _outcome(ce_matrix, aff1().adjoint(), d) == \
             negative.get(d, {0: (4, 2), 1: (2, 4), 2: (0, 2)}.get(d))
