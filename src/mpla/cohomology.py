@@ -48,30 +48,37 @@ C^0 -> C^1, making H^0 = dim(V + W); all higher differentials are the
 genuine ones and square to zero exactly.
 
 Matrices.  The explicit route of ``delta_matrix`` and ``liebi_matrix``
-is assembled from the integer stencil of the ``stencil`` module: the
-parts of delta^{mu x rho} are Chevalley-Eilenberg stencils of g with
-coefficients in L^l h* (x) V and in L^(l+1) h* (x) W, delta^{psi x nu} is
-the same on the flipped pair conjugated by the signed flip permutation,
-and the bialgebra complex is the stencil of g on L^q g plus that of the
-dual algebra on L^p g*, re-indexed by the transposition.  The
-graded-bracket route (``route="adjoint"``) is -[pi, e] on each basis map
-e, from the integer insertion kernel of the ``bracket`` module and
-tables of pi kept on the pair; it reads nothing of the stencil, so the
-two routes are two independent implementations.  Each matrix keeps one
-common denominator D of its constants and its integer columns (the
-integer form of ``linalg``), so ``mpl_cohomology_dims`` checks and ranks
-every delta without building a Fraction; the {column: Fraction} rows are
-built on their first read.
+is assembled from the integer stencil of the ``stencil`` module.  The
+degree-d cochains are the part of Hom(L^d (g + h), V + W) whose V-values
+take a g-slot and whose W-values an h-slot (the value at (gi, hj) sits at
+the key gi + hj), and on them delta is the Chevalley-Eilenberg
+differential of g |x| h on V + W (``reps.induced_bicross_rep``): the
+explicit route is the CE stencil of g |x| h on V + W read at those
+coordinates (``stencil.coeff_columns``).  The bialgebra complex is the
+stencil of g on L^q g plus that of the dual algebra on L^p g*,
+re-indexed by the transposition.  The graded-bracket route
+(``route="adjoint"``) is -[pi, e] on each basis map e, from the integer
+insertion kernel of the ``bracket`` module and tables of pi kept on the
+pair; it reads nothing of the stencil, so the two routes are two
+independent implementations, and ``delta_mpl_coeff`` stays the
+stencil's oracle.  Each matrix keeps one common denominator D of its
+constants and its integer columns (the integer form of ``linalg``), so
+``mpl_cohomology_dims`` checks and ranks every delta without building a
+Fraction; the {column: Fraction} rows are built on their first read.
 
 Exact decisions.  ``delta_matrix`` and ``liebi_matrix`` read their inputs
-as given: the stencil and the kernel scale the constants to ints.  The
-chain law ``phi_chain_check`` is linear in the cochain, so in degree >= 1
-it is decided on the cochain times the least common denominator of its
-values, in ints (``bracket.phi_holds``): phi(delta F) by the insertion
-kernel and delta_CE(phi F) by the CE stencil of g |x| h, at the stored
-keys of F.  ``psi_compare`` runs on its inputs.  In degree 0, on DualNumber
-values, and where a law fails, the ring-generic difference is computed
-from the inputs, whose scalar types its witnesses show.
+as given: the stencil and the kernel scale the constants to ints, and
+constants that are not ints or Fractions raise TypeError.  The chain law
+``phi_chain_check`` is linear in the cochain, so in degree >= 1 it is
+decided on the cochain times the least common denominator of its values,
+in ints (``bracket.phi_holds``): phi(delta F) by the insertion kernel and
+delta_CE(phi F) by the CE stencil of g |x| h, at the stored keys of F.
+Closedness (``stencil._is_closed``, for deformations, extensions and the
+skeletal correspondence) is decided the same way: the columns of the
+explicit route at the stored keys of F, times F's scaled coordinates.
+``psi_compare`` runs on its inputs.  In degree 0, on DualNumber values,
+and where a law fails, the ring-generic difference is computed from the
+inputs, whose scalar types its witnesses show.
 """
 
 from __future__ import annotations

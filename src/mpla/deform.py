@@ -13,8 +13,8 @@ coefficients in (V, W) classify them up to the block-triangular
 isomorphisms implemented in ``extension_isomorphism_check``.
 
 Closedness, in the cocycle route and in ``cocycle_to_extension``, is
-decided in ints: the integer stencil of delta times the cochain's
-coordinates (``_is_closed``).
+decided in ints by ``stencil._is_closed``: the stencil columns of delta at
+the stored keys of the cochain, times its coordinates scaled to ints.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cohomology import MPCochain, cochain_to_coords, delta_matrix, delta_mpl_coeff
+from .cohomology import MPCochain, delta_mpl_coeff
 from .errors import (DimensionMismatch, InvalidInput, MalformedTensor,
                      NotACocycle, NotASection, ShapeMismatch)
 from .lie import LieAlgebra, dense_tensor
@@ -31,6 +31,7 @@ from .matched import MatchedPair, MPMorphism, check_morphism, validate_matched_p
 from .report import ValidationReport
 from .reps import MPRepresentation, adjoint_representation, semidirect_tensors
 from .scalars import DualNumber, vaccum, vbasis, vis_zero, vneg, vzero
+from .stencil import _is_closed
 
 
 class DeformationCandidate:
@@ -166,16 +167,6 @@ class DeformReport:
                 out.append(f"  ring route fails {c.name} "
                            f"({len(c.witnesses)} witnesses)")
         return out
-
-
-def _is_closed(mp: MatchedPair, rep: MPRepresentation, F: MPCochain) -> bool:
-    """Whether delta F = 0, decided in ints: the integer stencil of delta
-    (``delta_matrix``) times F's coordinates, through the integer product
-    kernel of ``Matrix.mul``."""
-    if (F.dim_g, F.dim_h) != (mp.dim_g, mp.dim_h):
-        raise DimensionMismatch("cochain does not live over this matched pair")
-    coords = Matrix.from_columns([cochain_to_coords(F)])
-    return delta_matrix(mp, rep, F.degree).mul(coords).is_zero()
 
 
 def deformation_check(mp: MatchedPair, d: DeformationCandidate) -> DeformReport:

@@ -15,8 +15,9 @@ Tensors are stored with the acting index first:
   alpha[u][a] : vector in W,   beta[w][i] : vector in V.
 The pairings are also kept by column, _alpha_cols[a][u] = alpha[u][a] and
 _beta_cols[i][w] = beta[w][i], for ``pair_alpha`` and ``pair_beta``, and
-the coboundary stencil keeps its action tables on the representation
-(``stencil.mu_rho_tables``) once it has built them.
+the coboundary stencil keeps its integer tables of g |x| h acting on V + W
+(the action of ``induced_bicross_rep``) on the representation
+(``stencil.bicross_tables``) once it has built them.
 """
 
 from __future__ import annotations

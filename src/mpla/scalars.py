@@ -122,15 +122,19 @@ class DualNumber:
 
 def common_denominator(*tensors) -> int:
     """The least common denominator of every scalar of nested lists of
-    ints and Fractions (1 when all are ints)."""
+    ints and Fractions (1 when all are ints); any other scalar, such as a
+    DualNumber, raises TypeError."""
     out = 1
     stack = list(tensors)
     while stack:
         t = stack.pop()
         if type(t) is list:
             stack.extend(t)
-        elif type(t) is not int:
+        elif type(t) is Fraction:
             out = lcm(out, t.denominator)
+        elif type(t) is not int:
+            raise TypeError(f"scaling to ints needs int or Fraction scalars, "
+                            f"not {type(t).__name__}")
     return out
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .cohomology import MPCochain, delta_mpl_coeff
+from .cohomology import MPCochain
 from .errors import (InvalidInput, MalformedTensor, NonzeroMiddleComponent,
                      NotACocycle, ShapeMismatch)
 from .lie import LieAlgebra, dense_tensor
@@ -29,6 +29,7 @@ from .matched import MatchedPair
 from .report import ValidationReport
 from .reps import MPRepresentation
 from .scalars import vaccum, vbasis, vcombine, vis_zero, vneg, vzero
+from .stencil import _is_closed
 
 
 class TwoTermLInfinity:
@@ -661,8 +662,7 @@ def skeletal_to_triple(s: SkeletalMatchedPair) -> SkeletalTriple:
     if not validation.ok:
         raise InvalidInput("skeletal matched pair fails validation")
     triple = assemble_triple(s)
-    image = delta_mpl_coeff(triple.mp, triple.rep, triple.cocycle)
-    if not image.is_zero():
+    if not _is_closed(triple.mp, triple.rep, triple.cocycle):
         raise NotACocycle("assembled degree-3 cochain is not closed")
     return triple
 
@@ -675,8 +675,7 @@ def triple_to_skeletal(t: SkeletalTriple) -> SkeletalMatchedPair:
         raise ShapeMismatch("the cochain must have degree 3")
     if not t.cocycle.component(2).is_zero():
         raise NonzeroMiddleComponent("the middle component must vanish")
-    image = delta_mpl_coeff(t.mp, t.rep, t.cocycle)
-    if not image.is_zero():
+    if not _is_closed(t.mp, t.rep, t.cocycle):
         raise NotACocycle("the degree-3 cochain is not closed")
     out = assemble_skeletal(t)
     validation = validate_skeletal_matched_pair(out)

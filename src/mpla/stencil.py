@@ -15,36 +15,40 @@ denominator D of the constants.
 Every explicit coboundary matrix is built from it:
 
   * ``lie.ce_matrix`` is the stencil itself (``ce_tables``);
-  * on C^{k|l} the V-part of delta^{mu x rho} is the stencil of g in
-    degree k + 1 with coefficients in L^l h* (x) V, on which g acts by
-    rho_V (x) 1 plus the rho-derivation on the h-slots; the W-part is the
-    stencil of g in degree k with coefficients in L^(l+1) h* (x) W, and an
-    alpha block runs from the V-part to the W-part (``MuRhoTables``).
-    Module coordinates are ordered (h-key, index), so each block's keys
-    are those of ``cohomology.cochain_basis`` and the block lands at an
-    offset (``block_starts``).  delta^{psi x nu} is the same on
-    ``rep.flipped()``, conjugated by the signed flip permutation
-    (``flip_map``); ``coeff_columns`` adds the two;
+  * the bigraded complex with coefficients (V, W) is a subcomplex of the
+    CE complex of g |x| h on V + W, the module of
+    ``reps.induced_bicross_rep``: the degree-d cochains are the part of
+    Hom(L^d (g + h), V + W) whose V-values take at least one g-slot and
+    whose W-values at least one h-slot (g-slots first, C^{k|l} at k + 1
+    or k g-slots), and delta (d >= 1) is the CE differential there; this
+    is an identity of the formulas, which holds on any pair and
+    representation, valid or not.  ``coeff_columns``
+    reads ``ce_key_columns`` of these tables (``bicross_tables``) at
+    those coordinates;
   * ``cohomology.liebi_matrix`` is the stencil of g with coefficients in
     L^q g plus that of the dual algebra with coefficients in L^p g*,
     re-indexed by the transposition.
 
-The chain law ``cohomology.phi_chain_check`` reads only the columns of
-the CE stencil of g |x| h at the stored keys of the tested cochain
-(``ce_key_columns``).
+The chain law ``phi_chain_check`` and the closedness decision
+``_is_closed`` read only the columns of a CE stencil of
+g |x| h at the stored keys of the tested cochain (``ce_key_columns``).
 
 Callers keep D and the columns as the integer form of a ``linalg.Matrix``.
 Tables are built once per structure (and per D) and kept on it: on a
 ``LieRep`` by ``ce_tables``, on an ``MPRepresentation`` by
-``mu_rho_tables``.
+``bicross_tables``.  The explicit sums of the paper, with
+delta^{psi x nu} as the flip-conjugate of delta^{mu x rho}, stay in
+``cohomology.delta_mpl_coeff``: they give the witnesses, and the test
+suite holds the stencil against them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import combinations
-from math import comb
 
+from .errors import DimensionMismatch, ShapeMismatch
+from .matched import _bicrossed
 from .scalars import common_denominator, scaled_int
 
 
@@ -145,188 +149,110 @@ def ce_tables(r, scale: int | None = None):
     return tables
 
 
-class MuRhoTables:
-    """The integer tables of delta^{mu x rho} over a pair and a representation,
-    every constant scaled by one common denominator.
+def bicross_tables(rep):
+    """(bracket, action, scale): the tables of g |x| h acting on V + W
+    (``reps.induced_bicross_rep``) for an ``MPRepresentation`` rep, scaled
+    by the least common denominator of the ten constant tensors of rep and
+    its base pair; built once and kept on rep.
 
-    On C^{k|l} the V-part of delta^{mu x rho} is the Chevalley-Eilenberg
-    stencil of g (``ce_stencil``) in degree k + 1 with coefficients in
-    M = L^l h* (x) V: g acts on M by rho_V (x) 1 plus the rho-derivation
-    on the h-slots (``module``).  The W-part is the same stencil in degree
-    k with M = L^(l+1) h* (x) W, and the alpha-term maps the V-part into
-    the W-part (``alpha_table``).  Module coordinates are ordered (h-key,
-    index), so each block's keys are those of ``cohomology.cochain_basis``.
-    Module tables are built on first use and kept.
+    The bracket is read from the table of g |x| h that the pair keeps
+    (``matched._bicrossed``).  The action is built here in ints, V first:
+    x_i acts by rho_V on V and by -beta + rho_W on W, h_a by psi_V - alpha
+    on V and by psi_W on W.
     """
-
-    def __init__(self, mp, rep, scale: int):
-        m, nh = mp.dim_g, mp.dim_h
-        self.dims, self.rep_dims, self.scale = (m, nh), rep.dims, scale
-        self.bracket = bracket_table(mp.g.c, scale)
-        # rho_i(h_a) = sum of c h_b, by (i, b)
-        self.rho_by_input = [[[] for _ in range(nh)] for _ in range(m)]
-        for i in range(m):
-            for a in range(nh):
-                for b, c in enumerate(mp.rho[i][a]):
-                    if c:
-                        self.rho_by_input[i][b].append((a, scaled_int(c, scale)))
-        self.acts = (rep.rho_v, rep.rho_w)
-        self.alpha = rep.alpha
-        self._tables = {}
-
-    def module(self, part: int, l: int):
-        """The action table of g on L^l h* (x) V (part 0) or L^l h* (x) W
-        (part 1), coordinate (t, u) at index t * dim + u."""
-        key = (part, l)
-        if key not in self._tables:
-            m, nh = self.dims
-            dim, act, scale = self.rep_dims[part], self.acts[part], self.scale
-            h_keys = list(combinations(range(nh), l))
-            position = {t: j for j, t in enumerate(h_keys)}
-            table = []
-            for i in range(m):
-                rows = []
-                for tj, t in enumerate(h_keys):
-                    # each b in t replaced by each a with an h_b-coefficient
-                    # in rho_i(h_a), as in ``_delta_mu_rho``
-                    derivation = {}
-                    for tb, b in enumerate(t):
-                        rest = t[:tb] + t[tb + 1:]
-                        for a, c in self.rho_by_input[i][b]:
-                            if a not in rest:
-                                ja = bisect_left(rest, a)
-                                y = position[rest[:ja] + (a,) + rest[ja:]]
-                                derivation[y] = derivation.get(y, 0) + (c if (ja + tb) % 2 else -c)
-                    for u in range(dim):
-                        entries = {tj * dim + v: scaled_int(x, scale)
-                                   for v, x in enumerate(act[i][u]) if x}
-                        for y, c in derivation.items():
-                            y = y * dim + u
-                            entries[y] = entries.get(y, 0) + c
-                        rows.append([(y, c) for y, c in entries.items() if c])
-                table.append(rows)
-            self._tables[key] = table
-        return self._tables[key]
-
-    def alpha_table(self, l: int):
-        """Entry (t, u) of L^l h* (x) V lists the (t + {b}, w) coordinates of
-        L^(l+1) h* (x) W it meets through alpha, with the sign
-        (-1)^(position of b)."""
-        key = ("alpha", l)
-        if key not in self._tables:
-            nh = self.dims[1]
-            p, q = self.rep_dims
-            position = {t: j for j, t in enumerate(combinations(range(nh), l + 1))}
-            table = []
-            for t in combinations(range(nh), l):
-                for u in range(p):
-                    entries = []
-                    for b in range(nh):
-                        if b not in t:
-                            jb = bisect_left(t, b)
-                            base = position[t[:jb] + (b,) + t[jb:]] * q
-                            for w, x in enumerate(self.alpha[u][b]):
-                                if x:
-                                    c = scaled_int(x, self.scale)
-                                    entries.append((base + w, -c if jb % 2 else c))
-                    table.append(entries)
-            self._tables[key] = table
-        return self._tables[key]
-
-    def slot(self, n: int, r: int, rows_v: int, rows_w: int) -> list[dict]:
-        """The columns of slot r of C^n under delta^{mu x rho}, V-block then
-        W-block; rows_v and rows_w are the rows where the V- and W-blocks of
-        slot r of C^(n+1) start."""
-        (m, nh), (p, q) = self.dims, self.rep_dims
-        k, l = n - r, r - 1
-        size_v, size_w = comb(nh, l) * p, comb(nh, l + 1) * q
-        part_v = ce_stencil(m, self.bracket, self.module(0, l), size_v, k + 1, rows_v)
-        alpha = self.alpha_table(l)
-        odd = k % 2
-        for gi in range(comb(m, k + 1)):
-            base = rows_w + gi * size_w
-            for x, entries in enumerate(alpha):
-                column = part_v[gi * size_v + x]
-                for y, c in entries:
-                    y += base
-                    column[y] = column.get(y, 0) + (-c if odd else c)
-        return part_v + ce_stencil(m, self.bracket, self.module(1, l + 1), size_w, k, rows_w)
-
-
-def mu_rho_tables(rep):
-    """The tables of rep and of its flip, over rep's base pair, scaled by the
-    least common denominator of every constant of the two; built once and
-    kept on rep."""
     if rep._stencil is None:
         mp = rep.base
         scale = common_denominator(mp.g.c, mp.h.c, mp.rho, mp.psi, rep.rho_v, rep.psi_v,
                                    rep.rho_w, rep.psi_w, rep.alpha, rep.beta)
-        flipped = rep.flipped()
-        rep._stencil = (MuRhoTables(mp, rep, scale),
-                        MuRhoTables(flipped.base, flipped, scale))
+        p, q = rep.dims
+
+        def entries(vec, shift=0, sign=1):
+            return [(shift + v, sign * scaled_int(x, scale)) for v, x in enumerate(vec) if x]
+
+        action = [[entries(rep.rho_v[i][u]) for u in range(p)]
+                  + [entries(rep.beta[w][i], 0, -1) + entries(rep.rho_w[i][w], p)
+                     for w in range(q)]
+                  for i in range(mp.dim_g)]
+        action += [[entries(rep.psi_v[a][u]) + entries(rep.alpha[u][a], p, -1)
+                    for u in range(p)]
+                   + [entries(rep.psi_w[a][w], p) for w in range(q)]
+                   for a in range(mp.dim_h)]
+        rep._stencil = (bracket_table(_bicrossed(mp).c, scale), action, scale)
     return rep._stencil
 
 
-def block_starts(mp_dims, rep_dims, degree: int) -> list[tuple[int, int]]:
-    """Where the V- and W-blocks of each slot r = 1..degree start in
-    ``cohomology.cochain_basis(mp_dims, rep_dims, degree)``."""
-    m, n = mp_dims
-    p, q = rep_dims
-    out, start = [], 0
-    for r in range(1, degree + 1):
-        v = start
-        start += p * comb(m, degree - r + 1) * comb(n, r - 1)
-        out.append((v, start))
-        start += q * comb(m, degree - r) * comb(n, r)
-    return out
-
-
-def flip_map(mp_dims, rep_dims, degree: int) -> tuple[list, list]:
-    """(index, sign): coordinate j of C^degree is coordinate index[j] of
-    the flipped pair's C^degree times sign[j], as ``BidegreeMap.flipped``
-    maps cochains (a key (gi, hj) of slot r goes to (hj, gi) of slot
-    degree - r + 1 with the sign (-1)^{|gi| |hj|})."""
-    m, n = mp_dims
-    p, q = rep_dims
-    theirs = block_starts((n, m), (q, p), degree)
-    index, sign = [], []
-    for r in range(1, degree + 1):
-        v_start, w_start = theirs[degree - r]
-        # the V-block goes to the flipped W-block, the W-block to the V-block
-        for size_g, size_h, dim, start in ((degree - r + 1, r - 1, p, w_start),
-                                           (degree - r, r, q, v_start)):
-            count_g, count_h = comb(m, size_g), comb(n, size_h)
-            for gi in range(count_g):
-                for hj in range(count_h):
-                    first = start + (hj * count_g + gi) * dim
-                    index.extend(range(first, first + dim))
-            sign.extend([-1 if size_g * size_h % 2 else 1] * (count_g * count_h * dim))
-    return index, sign
-
-
 def coeff_columns(rep, n: int) -> tuple[int, list]:
-    """(D, columns): delta_n of the explicit formulas over rep's base pair,
-    as the integer columns of D times its matrix (``cohomology.cochain_basis``
-    order): the columns of delta^{mu x rho}, plus those of delta^{mu x rho}
-    over the flipped pair and representation conjugated by the signed flip
-    permutations."""
-    tables, flipped = mu_rho_tables(rep)
-    mp_dims, rep_dims = tables.dims, tables.rep_dims
-    rows = block_starts(mp_dims, rep_dims, n + 1)
-    columns = []
-    for r in range(1, n + 1):
-        columns += tables.slot(n, r, *rows[r - 1])
-    flip_dims, flip_rep_dims = mp_dims[::-1], rep_dims[::-1]
-    flip_rows = block_starts(flip_dims, flip_rep_dims, n + 1)
-    # flipped coordinates back to ours: the flip of the flipped pair
-    col_index, col_sign = flip_map(flip_dims, flip_rep_dims, n)
-    row_index, row_sign = flip_map(flip_dims, flip_rep_dims, n + 1)
-    t = 0
-    for r in range(1, n + 1):
-        for mirror in flipped.slot(n, r, *flip_rows[r - 1]):
-            column, sign = columns[col_index[t]], col_sign[t]
-            t += 1
-            for y, c in mirror.items():
-                i = row_index[y]
-                column[i] = column.get(i, 0) + (c if row_sign[y] == sign else -c)
-    return tables.scale, drop_zeros(columns)
+    """(D, columns): delta_n (n >= 1) with coefficients in rep, as the
+    integer columns of D times its matrix in ``cohomology.cochain_basis``
+    order.
+
+    The degree-n cochains are the part of Hom(L^n (g + h), V + W) whose
+    V-values take a g-slot and whose W-values an h-slot: coordinate
+    (r, part, gi, hj, u) is coordinate u (V) or p + u (W) at the key
+    gi + hj of g + h, h shifted by dim g.  That part is a
+    subcomplex of the CE complex of g |x| h on V + W, whose differential
+    is delta there, so column (key, u) is ``ce_key_columns`` of
+    ``bicross_tables`` read at those coordinates: one call per key, with
+    the V-units if the key holds a g-index and the W-units if it holds an
+    h-index.
+    """
+    from .cohomology import cochain_basis
+
+    bracket, action, scale = bicross_tables(rep)
+    m, nh = rep.base.dim_g, rep.base.dim_h
+    p, q = rep.dims
+    dim, size = m + nh, p + q
+
+    def positions(d):
+        """The row of ``lie.ce_basis`` at which each d-key starts, and the
+        cochain_basis position of each row (None off the bigraded part)."""
+        start = {key: t * size for t, key in enumerate(combinations(range(dim), d))}
+        index = [None] * (len(start) * size)
+        for j, (_, part, gi, hj, u) in enumerate(cochain_basis((m, nh), rep.dims, d)):
+            index[start[gi + tuple(m + a for a in hj)] + (u if part == "V" else p + u)] = j
+        return start, index
+
+    target, rows = positions(n + 1)
+    starts, cols = positions(n)
+    columns = [None] * (len(cols) - cols.count(None))
+    for key, base in starts.items():
+        units = [*(range(p) if key[0] < m else ()), *(range(p, size) if key[-1] >= m else ())]
+        for u, column in zip(units, ce_key_columns(dim, bracket, action, key, target, units)):
+            columns[cols[base + u]] = {rows[y]: c for y, c in column.items() if c}
+    return scale, columns
+
+
+def _is_closed(mp, rep, F) -> bool:
+    """Whether the ``cohomology.MPCochain`` F is a cocycle of the complex of
+    ``cohomology.delta_matrix``, decided in ints on F times the least
+    common denominator of its values: the columns of ``coeff_columns`` at
+    the stored keys of F (``ce_key_columns`` once per key, in the rows of
+    the CE stencil of g |x| h on V + W), each times its coordinate, sum to
+    zero.  A cochain over other dimensions raises DimensionMismatch, other
+    coefficients or a ``rep`` over another pair ShapeMismatch."""
+    from .cohomology import _require_over, _scaled_cochain
+
+    if (F.dim_g, F.dim_h) != (mp.dim_g, mp.dim_h):
+        raise DimensionMismatch("cochain does not live over this matched pair")
+    if (F.dim_v, F.dim_w) != rep.dims:
+        raise ShapeMismatch("cochain coefficients do not match the representation")
+    _require_over(mp, rep)
+    if F.degree == 0:
+        return True
+    bracket, action, _ = bicross_tables(rep)
+    m, p = mp.dim_g, rep.dim_v
+    dim, size = m + mp.dim_h, p + rep.dim_w
+    values = {}
+    for part in _scaled_cochain(F).components:
+        for table, shift in ((part.part_v, 0), (part.part_w, p)):
+            for (gi, hj), vec in table.items():
+                values.setdefault(gi + tuple(m + a for a in hj), []).extend(
+                    (shift + u, x) for u, x in enumerate(vec) if x)
+    target = {key: t * size for t, key in enumerate(combinations(range(dim), F.degree + 1))}
+    image = {}
+    for key, entries in values.items():
+        columns = ce_key_columns(dim, bracket, action, key, target, [u for u, _ in entries])
+        for (_, x), column in zip(entries, columns):
+            for row, c in column.items():
+                image[row] = image.get(row, 0) + x * c
+    return not any(image.values())

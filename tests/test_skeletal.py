@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from mpla import (LieAlgebra, MPCochain, NonzeroMiddleComponent,
+from mpla import (LieAlgebra, MPCochain, NonzeroMiddleComponent, NotACocycle, ShapeMismatch,
                   SkeletalMatchedPair, SkeletalRep, SkeletalTriple,
                   TwoTermLInfinity, adjoint_representation, assemble_skeletal,
                   assemble_triple, basis_cochain, coadjoint_representation,
@@ -13,7 +13,7 @@ from mpla import (LieAlgebra, MPCochain, NonzeroMiddleComponent,
                   validate_skeletal_matched_pair, validate_skeletal_rep,
                   validate_two_term)
 from mpla.linalg import Matrix
-from mpla.catalog import aff1, heisenberg3, mp_a, mp_double, sl2
+from mpla.catalog import aff1, heisenberg3, mp_a, mp_direct, mp_double, sl2
 from mpla.scalars import vzero
 
 from helpers import rand_fraction
@@ -157,6 +157,36 @@ def test_correspondence_both_directions_on_kernel_fixtures():
                 assert again.rep.tensors_equal(rep)
                 fixture_count += 1
     assert fixture_count >= 10
+
+
+def test_triple_to_skeletal_refuses_exactly_the_open_cochains():
+    """The correspondence decides closedness in ints: a middle-zero cochain
+    is refused exactly when ``delta_mpl_coeff`` finds it open, with the same
+    message, and a representation over another pair is refused as before."""
+    rng = random.Random(73)
+    mp = mp_double()
+    dims = (mp.dim_g, mp.dim_h)
+    verdicts = set()
+    for rep in (adjoint_representation(mp), coadjoint_representation(mp)):
+        keys = cochain_basis(dims, rep.dims, 3)
+        halves = [cochain_from_coords(dims, rep.dims, 3,
+                                      [Fraction(rng.randint(-3, 3), 2) if key[0] != 2 else 0
+                                       for key in keys])
+                  for _ in range(3)]
+        for F in middle_zero_cocycles(mp, rep)[:3] + halves:
+            triple = SkeletalTriple(mp, rep, F)
+            closed = delta_mpl_coeff(mp, rep, F).is_zero()
+            verdicts.add(closed)
+            if closed:
+                assert skeletal_to_triple(triple_to_skeletal(triple)).cocycle == F
+            else:
+                with pytest.raises(NotACocycle, match="^the degree-3 cochain is not closed$"):
+                    triple_to_skeletal(triple)
+    assert verdicts == {True, False}
+    other = adjoint_representation(mp_direct(aff1(), aff1()))
+    F = middle_zero_cocycles(mp, adjoint_representation(mp))[0]
+    with pytest.raises(ShapeMismatch, match="not over this matched pair"):
+        triple_to_skeletal(SkeletalTriple(mp, other, F))
 
 
 def test_validity_transports_both_ways():

@@ -11,13 +11,16 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from mpla import (LieAlgebra, LieBialgebra, MatchedPair, MPRepresentation,
-                  adjoint_representation, bicrossed_product, coadjoint_representation,
-                  delta_matrix, liebi_matrix, mpl_cohomology_dims)
-from mpla.catalog import (aff1, bialgebra_aff1, mp_direct, mp_semidirect_double, sl2)
+from mpla import (DeformationCandidate, LieAlgebra, LieBialgebra, MatchedPair,
+                  MPRepresentation, adjoint_representation, bicrossed_product,
+                  coadjoint_representation, deformed_matched_pair, delta_matrix, liebi_matrix,
+                  mpl_cohomology_dims, validate_matched_pair)
+from mpla.catalog import (aff1, bialgebra_aff1, mp_direct, mp_double, mp_semidirect_double,
+                          sl2)
 from mpla.lie import ce_matrix
 from mpla.linalg import Matrix, cohomology_dims
 from mpla.scalars import common_denominator
@@ -177,6 +180,48 @@ def test_builders_raise_as_before_at_every_degree():
     assert _outcome(mpl_cohomology_dims, mp, adj, -1) == \
         ("InputError", "max_degree must be nonnegative, got -1 (field=max_degree)")
     assert _outcome(cohomology_dims, lambda d: Matrix.zero(2, 3), 1)[0] == "DimensionMismatch"
+
+
+def test_closedness_matches_the_explicit_coboundary_on_random_pairs():
+    """``_is_closed`` reads the coeff stencil at the stored keys of F; on
+    random, mostly invalid pairs and representations, some with halves, its
+    verdict is that of ``delta_mpl_coeff`` on kernel vectors of delta_d and
+    on random cochains with halves."""
+    from mpla import cochain_from_coords, delta_mpl_coeff, kernel_basis
+    from mpla.stencil import _is_closed
+
+    rng = random.Random(124)
+    verdicts = set()
+    for dims, rep_dims in (((1, 2), (2, 1)), ((2, 2), (1, 2)), ((2, 1), (2, 2)),
+                           ((3, 2), (1, 1))):
+        for proper in (False, True):
+            mp, rep = rand_pair_and_rep(rng, *dims, *rep_dims, proper)
+            for degree in (1, 2):
+                size = delta_matrix(mp, rep, degree).cols
+                vectors = kernel_basis(delta_matrix(mp, rep, degree))[:2] + [
+                    [Fraction(rng.randint(-3, 3), 2) for _ in range(size)]]
+                for vec in vectors:
+                    F = cochain_from_coords(dims, rep_dims, degree, vec)
+                    closed = delta_mpl_coeff(mp, rep, F).is_zero()
+                    assert _is_closed(mp, rep, F) == closed
+                    verdicts.add(closed)
+    assert verdicts == {True, False}
+
+
+def test_dual_number_constants_raise_a_type_error_that_names_the_cause():
+    """The integer stencil scales rational constants: on a valid pair with
+    DualNumber constants its entry points raise a TypeError that says so,
+    as the adjoint route does."""
+    base = mp_double()
+    mp = deformed_matched_pair(base, DeformationCandidate.zero(base))
+    assert validate_matched_pair(mp).ok
+    rep = adjoint_representation(mp)
+    for build in (lambda: delta_matrix(mp, rep, 1),
+                  lambda: delta_matrix(mp, rep, 1, route="adjoint"),
+                  lambda: mpl_cohomology_dims(mp, rep, 2),
+                  lambda: ce_matrix(bicrossed_product(mp).adjoint(), 1)):
+        with pytest.raises(TypeError, match="int or Fraction"):
+            build()
 
 
 def test_cohomology_dims_build_no_fraction():
