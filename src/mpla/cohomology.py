@@ -54,9 +54,12 @@ take a g-slot and whose W-values an h-slot (the value at (gi, hj) sits at
 the key gi + hj), and on them delta is the Chevalley-Eilenberg
 differential of g |x| h on V + W (``reps.induced_bicross_rep``): the
 explicit route is the CE stencil of g |x| h on V + W read at those
-coordinates (``stencil.coeff_columns``).  The bialgebra complex is the
-stencil of g on L^q g plus that of the dual algebra on L^p g*,
-re-indexed by the transposition.  The graded-bracket route
+coordinates (``stencil.coeff_columns``).  The bialgebra complex in
+degree n is, the same way, the CE stencil of the Drinfeld double
+g |x| g* on the trivial module in degree n + 1, read at the keys that
+hold both a g- and a g*-index (``liebi_matrix``), with no sign: an
+identity of the formulas, valid or not, so ``liebi_coboundary`` stays
+its ring-generic oracle.  The graded-bracket route
 (``route="adjoint"``) is -[pi, e] on each basis map e, from the integer
 insertion kernel of the ``bracket`` module and tables of pi kept on the
 pair; it reads nothing of the stencil, so the two routes are two
@@ -90,14 +93,14 @@ from math import comb
 
 from .bigraded import BidegreeMap, StructureElement, decompose, embed
 from .errors import (CoefficientMismatch, DimensionMismatch, ShapeMismatch)
-from .lie import ce_coboundary, wedge_basis
+from .lie import LieRep, ce_coboundary, wedge_basis
 from .linalg import Matrix, cohomology_dims, require_degree
-from .matched import LieBialgebra, MatchedPair, bialgebra_to_matched_pair
+from .matched import LieBialgebra, MatchedPair, _bicrossed, _double, bialgebra_to_matched_pair
 from .multimap import SkewMultiMap, nr_bracket
 from .report import ValidationReport
 from .reps import MPRepresentation, adjoint_representation
 from .scalars import common_denominator, scaled_int, vaccum, vaccum_at, vis_zero, vzero
-from .stencil import ce_stencil, ce_tables, coeff_columns, drop_zeros
+from .stencil import ce_tables, coeff_columns, subcomplex_columns
 
 
 def cochain_space_dim(mp_dims, rep_dims, degree: int) -> int:
@@ -199,28 +202,30 @@ class MPCochain:
         )
 
 
+def _cochain_blocks(mp_dims, degree: int):
+    """The blocks (r, part, g_tuple, h_tuple) of ``cochain_basis``, in order."""
+    m, n = mp_dims
+    for r in range(1, degree + 1):
+        k, l = degree - r, r - 1
+        for gi in combinations(range(m), k + 1):
+            for hj in combinations(range(n), l):
+                yield r, "V", gi, hj
+        for gi in combinations(range(m), k):
+            for hj in combinations(range(n), l + 1):
+                yield r, "W", gi, hj
+
+
 def cochain_basis(mp_dims, rep_dims, degree: int):
     """Ordered monomial basis keys.
 
     Degree 0: ("vec", index).  Degree >= 1: (r, part, g_tuple, h_tuple, idx)
     with part "V" before "W", tuples lexicographic, within each slot r.
     """
-    m, n = mp_dims
     p, q = rep_dims
     if degree == 0:
         return [("vec", i) for i in range(p + q)]
-    keys = []
-    for r in range(1, degree + 1):
-        k, l = degree - r, r - 1
-        for gi in combinations(range(m), k + 1):
-            for hj in combinations(range(n), l):
-                for u in range(p):
-                    keys.append((r, "V", gi, hj, u))
-        for gi in combinations(range(m), k):
-            for hj in combinations(range(n), l + 1):
-                for w in range(q):
-                    keys.append((r, "W", gi, hj, w))
-    return keys
+    return [(r, part, gi, hj, u) for r, part, gi, hj in _cochain_blocks(mp_dims, degree)
+            for u in range(p if part == "V" else q)]
 
 
 def _coords(F: MPCochain):
@@ -616,14 +621,11 @@ def _phi_difference(mp: MatchedPair, big_adjoint, F: MPCochain) -> SkewMultiMap:
 # no extra sign; contraction extracts the slot moved to the end.  The sign
 # exponents below are pinned by requiring delta_liebi^2 = 0 and the chain
 # law against the matched-pair complex on fixtures of dims 2 and 3 (the
-# test suite re-checks both); the dual-side differential carries the
-# Koszul twist (-1)^p that makes the two halves anticommute.
+# test suite re-checks both, and holds liebi_coboundary against the
+# double's stencil up to dimension 4); the dual-side differential carries
+# the Koszul twist (-1)^p that makes the two halves anticommute.
 def _DUAL_TWIST(p, q):
     return -1 if p % 2 else 1
-
-
-def _TILDE_SIGN(p, q):
-    return 1
 
 
 def _BAR_SIGN(p, q):
@@ -755,50 +757,26 @@ def liebi_coboundary(b: LieBialgebra, xi: LieBiCochain) -> LieBiCochain:
 
 
 def liebi_matrix(b: LieBialgebra, degree: int) -> Matrix:
-    """Matrix of the degree-n bialgebra coboundary from the stencil of b, in
-    integer form.
-
-    Block r of C^n (xi_r: L^p g -> L^q g, p = n - r + 1, q = r) is the
-    ``ce_basis`` of g in degree p with coefficients in L^q g, so delta_g is
-    the stencil (``stencil.ce_stencil``) of ``b.wedge_module(q)`` placed at
-    the block's offsets.
-    The dual side is the stencil of the dual algebra in degree q with
-    coefficients in L^p g* (``b.wedge_module(p, dual=True)``), re-indexed
-    by ``_transpose_hom`` on both sides and twisted by ``_DUAL_TWIST``.
-    """
+    """Matrix of the degree-n bialgebra coboundary, in integer form: the CE
+    stencil of the double g |x| g* (``matched._double``, not validated) on
+    the trivial module in degree n + 1 (module docstring), read
+    (``stencil.subcomplex_columns``) with basis cochain (r, gi, t) of
+    ``liebi_basis`` at the key gi + (dim + T), T the t-th r-key of
+    ``wedge_basis``."""
     require_degree(degree)
     dim = b.g.dim
-    scale = common_denominator(b.g.c, b.dual_algebra().c)
+    if b._trivial is None:  # the tables are kept on this module
+        b._trivial = LieRep.trivial(_bicrossed(_double(b)))
+    bracket, action, scale = ce_tables(b._trivial)
 
-    def starts(d):
-        out = [0]
-        for r in range(1, d + 1):
-            out.append(out[-1] + comb(dim, d - r + 1) * comb(dim, r))
-        return out
+    def coordinates(d):
+        return [(gi + tuple(dim + a for a in wedge_basis(dim, r)[t]), (0,))
+                for r, gi, t in liebi_basis(dim, d)]
 
-    cols, rows = starts(degree), starts(degree + 1)
-    columns = []
-    for r in range(1, degree + 1):
-        p, q = degree - r + 1, r
-        bracket, action, _ = ce_tables(b.wedge_module(q), scale)
-        columns += ce_stencil(dim, bracket, action, comb(dim, q), p, rows[r - 1])
-    for r in range(2, degree + 2):
-        p, q = degree - r + 2, r - 1
-        size_p, size_q, size_out = comb(dim, p), comb(dim, q), comb(dim, q + 1)
-        twist = _DUAL_TWIST(p, q)
-        bracket, action, _ = ce_tables(b.wedge_module(p, dual=True), scale)
-        dual = ce_stencil(dim, bracket, action, size_p, q)
-        # dual column (q-key t, p-coordinate s) is our column (p-key s, t);
-        # dual row (q+1-key t, p-coordinate s) is our row (p-key s, t)
-        for j, mirror in enumerate(dual):
-            t, s = divmod(j, size_p)
-            column = columns[cols[r - 2] + s * size_q + t]
-            for y, c in mirror.items():
-                t_out, s_out = divmod(y, size_p)
-                i = rows[r - 1] + s_out * size_out + t_out
-                column[i] = column.get(i, 0) + twist * c
+    columns = subcomplex_columns(2 * dim, bracket, action, 1, degree + 1,
+                                 coordinates(degree), coordinates(degree + 1))
     return Matrix.from_integer_columns(liebi_space_dim(dim, degree + 1), len(columns),
-                                       scale, drop_zeros(columns))
+                                       scale, columns)
 
 
 def _contract_last(dim: int, q: int, vec, fixed) -> list:
@@ -842,7 +820,6 @@ def psi_map(b: LieBialgebra, xi: LieBiCochain) -> MPCochain:
         p, q = n - r + 1, r
         part = out.component(r)
         comp = xi.components[r - 1]
-        sign_t = _TILDE_SIGN(p, q)
         for gi in combinations(range(dim), p):
             vec = comp.coeffs.get(gi)
             if vec is None:
@@ -850,7 +827,7 @@ def psi_map(b: LieBialgebra, xi: LieBiCochain) -> MPCochain:
             for hj in combinations(range(dim), q - 1):
                 val = _contract_last(dim, q, vec, hj)
                 if not vis_zero(val):
-                    part.part_v[(gi, hj)] = [sign_t * x for x in val]
+                    part.part_v[(gi, hj)] = val
         transposed = _transpose_hom(comp, dim, p, q)
         sign_b = _BAR_SIGN(p, q)
         for hj in combinations(range(dim), q):

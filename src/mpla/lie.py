@@ -14,7 +14,8 @@ All arithmetic is ring-generic: entries may be ints, Fractions or
 DualNumbers.
 
 Every structure law says that a bracket table is a Lie algebra: its
-own, g x| V (``LieRep``), g |x| h (``matched``) or g+V |x| h+W (``reps``).
+own, g x| V (``LieRep``), g |x| h (``matched``), g+V |x| h+W (``reps``)
+or the double g |x| g* of a bialgebra (``matched``).
 The integer Jacobiator kernel ``lie_table_holds`` decides it, and
 ``decided`` keeps a report on the structure (values are immutable after
 construction): the passing one, or else the ring-generic witnesses.

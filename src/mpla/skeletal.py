@@ -114,9 +114,6 @@ class TwoTermLInfinity:
     def mu1_vec(self, v1):
         return vcombine(v1, self.mu1, self.dim0)
 
-    def mu3_basis(self, i, j, k):
-        return self.mu3[i][j][k]
-
     def mu3_vec(self, u, v, w):
         out = vzero(self.dim1)
         for i, a in enumerate(u):

@@ -12,22 +12,22 @@ key by key (``ce_key_columns``), from integer tables of the bracket and
 of the action (``bracket_table``, ``action_table``) scaled by one common
 denominator D of the constants.
 
-Every explicit coboundary matrix is built from it:
+Every explicit coboundary matrix is built from it.  ``lie.ce_matrix`` is
+the stencil itself (``ce_tables``).  The other two are subcomplexes of a
+CE complex, read at their CE coordinates by one reader
+(``subcomplex_columns``); each is an identity of the formulas, which
+holds on any input, valid or not:
 
-  * ``lie.ce_matrix`` is the stencil itself (``ce_tables``);
-  * the bigraded complex with coefficients (V, W) is a subcomplex of the
-    CE complex of g |x| h on V + W, the module of
-    ``reps.induced_bicross_rep``: the degree-d cochains are the part of
-    Hom(L^d (g + h), V + W) whose V-values take at least one g-slot and
-    whose W-values at least one h-slot (g-slots first, C^{k|l} at k + 1
-    or k g-slots), and delta (d >= 1) is the CE differential there; this
-    is an identity of the formulas, which holds on any pair and
-    representation, valid or not.  ``coeff_columns``
-    reads ``ce_key_columns`` of these tables (``bicross_tables``) at
-    those coordinates;
-  * ``cohomology.liebi_matrix`` is the stencil of g with coefficients in
-    L^q g plus that of the dual algebra with coefficients in L^p g*,
-    re-indexed by the transposition.
+  * the bigraded complex with coefficients (V, W) is the part of the CE
+    complex of g |x| h on V + W (``reps.induced_bicross_rep``) whose
+    V-values take at least one g-slot and whose W-values at least one
+    h-slot (g-slots first, C^{k|l} at k + 1 or k g-slots), and delta
+    (d >= 1) is the CE differential there (``coeff_columns``, from the
+    tables of ``bicross_tables``);
+  * the bialgebra complex in degree n is the part of the CE complex of
+    the Drinfeld double g |x| g* on the trivial module, in degree n + 1,
+    whose keys hold both a g- and a g*-index, and delta_liebi is the CE
+    differential there, with no sign (``cohomology.liebi_matrix``).
 
 The chain law ``phi_chain_check`` and the closedness decision
 ``_is_closed`` read only the columns of a CE stencil of
@@ -35,10 +35,10 @@ g |x| h at the stored keys of the tested cochain (``ce_key_columns``).
 
 Callers keep D and the columns as the integer form of a ``linalg.Matrix``.
 Tables are built once per structure (and per D) and kept on it: on a
-``LieRep`` by ``ce_tables``, on an ``MPRepresentation`` by
-``bicross_tables``.  The explicit sums of the paper, with
-delta^{psi x nu} as the flip-conjugate of delta^{mu x rho}, stay in
-``cohomology.delta_mpl_coeff``: they give the witnesses, and the test
+``LieRep`` by ``ce_tables`` (for a bialgebra, on the trivial module of
+its double), on an ``MPRepresentation`` by ``bicross_tables``.  The
+explicit sums of the paper stay in ``cohomology.delta_mpl_coeff`` and
+``cohomology.liebi_coboundary``: they give the witnesses, and the test
 suite holds the stencil against them.
 """
 
@@ -112,19 +112,51 @@ def ce_key_columns(dim: int, bracket, action, key, target, units) -> list[dict]:
     return columns
 
 
-def ce_stencil(dim: int, bracket, action, space_dim: int, n: int,
-               row_offset: int = 0) -> list[dict]:
+def ce_stencil(dim: int, bracket, action, space_dim: int, n: int) -> list[dict]:
     """Columns of the coboundary Hom(L^n g, M) -> Hom(L^(n+1) g, M), in ints:
     ``ce_key_columns`` at each n-key, in ``lie.ce_basis`` order (M of
     dimension ``space_dim``).  Rows are numbered as
-    ``lie.ce_basis(dim, space_dim, n + 1)``, plus ``row_offset``.
+    ``lie.ce_basis(dim, space_dim, n + 1)``.
     """
     units = range(space_dim)
-    target = {key: row_offset + t * space_dim
-              for t, key in enumerate(combinations(range(dim), n + 1))}
+    target = {key: t * space_dim for t, key in enumerate(combinations(range(dim), n + 1))}
     columns = []
     for key in combinations(range(dim), n):
         columns += ce_key_columns(dim, bracket, action, key, target, units)
+    return columns
+
+
+def subcomplex_columns(dim: int, bracket, action, space_dim: int, n: int,
+                       sources, targets) -> list[dict]:
+    """The stencil of these tables in degree n, read at a subcomplex whose
+    basis in degrees n and n + 1 is ``sources`` and ``targets``: lists of
+    blocks (key, units), each the CE coordinates (key, u) for u in units.
+
+    Column j is the image of the j-th source as a {row: int} dict without
+    zeros, row i the i-th target, which must span the image of the sources.
+    ``ce_key_columns`` runs once per n-key, with the units of its sources.
+    """
+    def positions(d, basis):
+        """The ``lie.ce_basis`` row of each d-key's unit 0, the basis position
+        of each row (None off the subcomplex), and the basis size."""
+        start = {key: t * space_dim for t, key in enumerate(combinations(range(dim), d))}
+        index = [None] * (len(start) * space_dim)
+        j = 0
+        for key, units in basis:
+            base = start[key]
+            for u in units:
+                index[base + u] = j
+                j += 1
+        return start, index, j
+
+    target, rows, _ = positions(n + 1, targets)
+    starts, cols, size = positions(n, sources)
+    columns = [None] * size
+    for key, base in starts.items():
+        units = [u for u, j in enumerate(cols[base:base + space_dim]) if j is not None]
+        if units:
+            for u, column in zip(units, ce_key_columns(dim, bracket, action, key, target, units)):
+                columns[cols[base + u]] = {rows[y]: c for y, c in column.items() if c}
     return columns
 
 
@@ -189,37 +221,22 @@ def coeff_columns(rep, n: int) -> tuple[int, list]:
     The degree-n cochains are the part of Hom(L^n (g + h), V + W) whose
     V-values take a g-slot and whose W-values an h-slot: coordinate
     (r, part, gi, hj, u) is coordinate u (V) or p + u (W) at the key
-    gi + hj of g + h, h shifted by dim g.  That part is a
-    subcomplex of the CE complex of g |x| h on V + W, whose differential
-    is delta there, so column (key, u) is ``ce_key_columns`` of
-    ``bicross_tables`` read at those coordinates: one call per key, with
-    the V-units if the key holds a g-index and the W-units if it holds an
-    h-index.
+    gi + hj of g + h, h shifted by dim g.  That part is a subcomplex of the
+    CE complex of g |x| h on V + W, whose differential is delta there, so
+    delta_n is the stencil of ``bicross_tables`` read at those coordinates.
     """
-    from .cohomology import cochain_basis
+    from .cohomology import _cochain_blocks
 
     bracket, action, scale = bicross_tables(rep)
     m, nh = rep.base.dim_g, rep.base.dim_h
     p, q = rep.dims
-    dim, size = m + nh, p + q
 
-    def positions(d):
-        """The row of ``lie.ce_basis`` at which each d-key starts, and the
-        cochain_basis position of each row (None off the bigraded part)."""
-        start = {key: t * size for t, key in enumerate(combinations(range(dim), d))}
-        index = [None] * (len(start) * size)
-        for j, (_, part, gi, hj, u) in enumerate(cochain_basis((m, nh), rep.dims, d)):
-            index[start[gi + tuple(m + a for a in hj)] + (u if part == "V" else p + u)] = j
-        return start, index
+    def coordinates(d):
+        return [(gi + tuple(m + a for a in hj), range(p) if part == "V" else range(p, p + q))
+                for _, part, gi, hj in _cochain_blocks((m, nh), d)]
 
-    target, rows = positions(n + 1)
-    starts, cols = positions(n)
-    columns = [None] * (len(cols) - cols.count(None))
-    for key, base in starts.items():
-        units = [*(range(p) if key[0] < m else ()), *(range(p, size) if key[-1] >= m else ())]
-        for u, column in zip(units, ce_key_columns(dim, bracket, action, key, target, units)):
-            columns[cols[base + u]] = {rows[y]: c for y, c in column.items() if c}
-    return scale, columns
+    return scale, subcomplex_columns(m + nh, bracket, action, p + q, n,
+                                     coordinates(n), coordinates(n + 1))
 
 
 def _is_closed(mp, rep, F) -> bool:

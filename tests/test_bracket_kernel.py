@@ -111,7 +111,7 @@ def test_adjoint_route_does_not_use_the_stencil(monkeypatch):
         raise AssertionError("the stencil was called")
 
     for name in ("ce_key_columns", "ce_stencil", "ce_tables", "coeff_columns",
-                 "bicross_tables", "bracket_table", "action_table"):
+                 "subcomplex_columns", "bicross_tables", "bracket_table", "action_table"):
         for module in (stencil, cohomology, bracket):
             monkeypatch.setattr(module, name, refuse, raising=module is stencil)
     assert [delta_matrix(mp, rep, d, route="adjoint") for d in (1, 2)] == expected

@@ -299,8 +299,8 @@ def test_bialgebra_keeps_its_dual_algebra_and_wedge_modules(monkeypatch):
             liebi_matrix(b, degree)
     assert b.dual_algebra() is b.dual_algebra()
     assert b.wedge_module(2, dual=True) is b.wedge_module(2, dual=True)
-    # Lambda^1..3 of g and of its dual, once each: the cocycle check of the
-    # one validation of b uses the kept Lambda^2 g
+    # Lambda^1..3 of g and of its dual, once each, all for the ring-generic
+    # coboundary of psi_compare: liebi_matrix and the validation build none
     assert sorted(built) == [1, 1, 2, 2, 3, 3]
 
 

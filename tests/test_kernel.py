@@ -1,7 +1,8 @@
-"""The integer Jacobiator kernel behind the four structure validators.
+"""The integer Jacobiator kernel behind the five structure validators.
 
 Each validator asks ``lie.lie_table_holds`` whether one bracket table is a
-Lie algebra: the structure's own, g x| V, g |x| h or g+V |x| h+W.  The
+Lie algebra: the structure's own, g x| V, g |x| h, g+V |x| h+W or the
+double g |x| g* of a bialgebra.  The
 oracle is the ring-generic report, computed with the kernel switched off;
 the kernel must agree with its verdict, and every report must equal it.
 """
@@ -14,19 +15,21 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from mpla import (LieAlgebra, LieRep, MatchedPair, MPRepresentation,
-                  adjoint_representation, bicrossed_product, coadjoint_representation,
-                  cochain_to_candidate, deformed_matched_pair, delta_mpl_coeff, lie,
-                  validate_lie_algebra, validate_matched_pair, validate_mp_representation,
-                  validate_representation, wedge_rep)
-from mpla.catalog import (aff1, mp_a, mp_direct, mp_double, mp_semidirect_double, sl2,
-                          standard_fixtures)
+from mpla import (LieAlgebra, LieBialgebra, LieRep, MatchedPair, MPRepresentation,
+                  adjoint_representation, bialgebra_to_matched_pair, bicrossed_product,
+                  coadjoint_representation, cochain_to_candidate, deformed_matched_pair,
+                  delta_mpl_coeff, lie, validate_bialgebra, validate_lie_algebra,
+                  validate_matched_pair, validate_mp_representation, validate_representation,
+                  wedge_rep)
+from mpla.catalog import (aff1, heisenberg3, mp_a, mp_direct, mp_double, mp_semidirect_double,
+                          sl2, standard_fixtures)
+from mpla.matched import _double
 from mpla.lie import bicrossed_table, lie_table_holds
 from mpla.reps import semidirect_tensors
 from mpla.scalars import DualNumber, zero_tensor
 
-from helpers import (fraction_calls, rand_cochain, rand_deformation_candidate, rand_invertible,
-                     rand_mp_rep_candidate)
+from helpers import (fraction_calls, gl2, rand_cochain, rand_deformation_candidate,
+                     rand_invertible, rand_lie_candidate, rand_mp_rep_candidate)
 from test_cohomology import conjugate_pair
 
 
@@ -244,3 +247,46 @@ def test_bicrossed_product_of_a_validated_pair_asks_the_kernel_nothing(monkeypat
     # the ring-generic route keeps the product too, and its verdict holds
     assert on_ring_route(lambda: validate_matched_pair(other).ok)
     assert bicrossed_product(other).is_validated
+
+
+def rand_cobracket(rng, dim):
+    """A cobracket with each entry nonzero with one probability, drawn from
+    DELTAS: valid for a sparse draw, mostly invalid for a dense one."""
+    density = rng.choice([0.1, 0.3, 0.6])
+    return [{(i, j): rng.choice(DELTAS) for i in range(dim) for j in range(i + 1, dim)
+             if rng.random() < density} for _ in range(dim)]
+
+
+def test_bialgebra_validator_is_decided_by_its_double():
+    """(g, delta) is a Lie bialgebra exactly when g and g* are Lie algebras
+    and the double is a matched pair (Majid).  On seeded cobrackets, mostly
+    invalid, over the catalog algebras and random algebra candidates: the
+    report equals the ring-generic one, whose verdict is that of the
+    ring-generic validator of the double, and every group fails somewhere.
+    A valid bialgebra's double carries its verdict and asks the kernel
+    nothing more."""
+    rng = random.Random(1505)
+    algebras = [aff1(), heisenberg3(), sl2(), gl2()]
+    failed, verdicts = set(), set()
+    for _ in range(150):
+        g = rng.choice(algebras) if rng.random() < 0.8 else rand_lie_candidate(rng, 3, -1, 1)
+        cobracket = rand_cobracket(rng, g.dim)
+
+        def fresh():
+            return LieBialgebra(fresh_algebra(g), cobracket)
+
+        oracle = on_ring_route(lambda: validate_bialgebra(fresh()))
+        assert on_ring_route(lambda: validate_matched_pair(fresh_pair(_double(fresh()))).ok) \
+            == oracle.ok
+        b = fresh()
+        assert repr(validate_bialgebra(b)) == repr(oracle)
+        verdicts.add(oracle.ok)
+        failed.update(c.name for c in oracle.failed_checks())
+        if oracle.ok:
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(lie, "lie_table_holds", lambda c: pytest.fail("asked again"))
+                pair = bialgebra_to_matched_pair(b)
+                assert pair is _double(b) and validate_matched_pair(pair).ok
+    assert verdicts == {True, False}
+    assert failed == {"jacobi(g)", "jacobi(dual)", "cobracket 1-cocycle"}
+

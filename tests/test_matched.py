@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -236,6 +237,33 @@ def test_bialgebra_cocycle_failure_detected():
     report = validate_bialgebra(b)
     assert not report.ok
     assert [c.name for c in report.failed_checks()] == ["cobracket 1-cocycle"]
+
+
+def test_bialgebra_verb_validates_once(monkeypatch, tmp_path, capsys):
+    """``mpla bialgebra`` asks the kernel about g, its dual and the double,
+    once each, and on a valid bialgebra runs no ring-generic check: the pair
+    it writes carries the bialgebra's verdict.  An invalid one runs the
+    ring-generic groups once, for its witnesses."""
+    from mpla import jsonio, matched
+    from mpla.cli import main
+
+    expected = jsonio.matched_pair_to_json(mp_double())
+    asked, ring = [], []
+    holds, coboundary = lie.lie_table_holds, matched.ce_coboundary
+    monkeypatch.setattr(lie, "lie_table_holds", lambda c: asked.append(len(c)) or holds(c))
+    monkeypatch.setattr(matched, "ce_coboundary",
+                        lambda *args: ring.append(args) or coboundary(*args))
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(jsonio.bialgebra_to_json(bialgebra_aff1())), encoding="utf-8")
+    assert main(["bialgebra", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == expected
+    assert asked == [2, 2, 4] and ring == []
+    bad = LieBialgebra(heisenberg3(), [{}, {}, {(0, 1): Fraction(1)}])
+    path.write_text(json.dumps(jsonio.bialgebra_to_json(bad)), encoding="utf-8")
+    asked.clear()
+    assert main(["bialgebra", str(path)]) == 1
+    assert "cobracket 1-cocycle" in capsys.readouterr().out
+    assert asked == [3, 3, 6] and len(ring) == 1
 
 
 def test_double_is_valid_two_sided_pair():
