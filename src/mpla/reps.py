@@ -175,9 +175,14 @@ def _mp_representation_report(r: MPRepresentation, checks):
     for check, rep in zip(checks, (r.rho_v_rep(), r.psi_v_rep(), r.rho_w_rep(), r.psi_w_rep())):
         for c in validate_representation(rep).checks:
             check.witnesses.extend(c.witnesses)
+    _pairing_report(r, checks[4:])
+
+
+def _pairing_report(r: MPRepresentation, checks):
+    """Witnesses of pairing(1)..pairing(6) into the six checks."""
     flipped = r.flipped()
     for check, group, data in zip(
-            checks[4:], (_pairing_1, _pairing_1, _pairing_3, _pairing_4, _pairing_3, _pairing_4),
+            checks, (_pairing_1, _pairing_1, _pairing_3, _pairing_4, _pairing_3, _pairing_4),
             (r, flipped, r, r, flipped, flipped)):
         group(data, check)
 
@@ -213,15 +218,16 @@ def _pairing_3(r: MPRepresentation, check):
     mp = r.base
     m, n = mp.dim_g, mp.dim_h
     q = r.dim_w
+    psi_w, rho_w = r.psi_w_rep(), r.rho_w_rep()
     for i in range(m):
         for a in range(n):
             for w in range(q):
                 lhs = r.act_rho_w(i, r.psi_w[a][w])
                 rhs = vzero(q)
-                vaccum(rhs, 1, r.psi_w_rep().act_vec(mp.rho[i][a], vbasis(q, w)))
+                vaccum(rhs, 1, psi_w.act_vec(mp.rho[i][a], vbasis(q, w)))
                 vaccum(rhs, 1, r.act_psi_w(a, r.rho_w[i][w]))
                 vaccum(rhs, 1, r.pair_alpha(r.beta[w][i], a))
-                vaccum(rhs, -1, r.rho_w_rep().act_vec(mp.psi[a][i], vbasis(q, w)))
+                vaccum(rhs, -1, rho_w.act_vec(mp.psi[a][i], vbasis(q, w)))
                 res = [x - y for x, y in zip(lhs, rhs)]
                 if not vis_zero(res):
                     check.add((i, a, w), res)

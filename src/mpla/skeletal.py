@@ -14,6 +14,17 @@ plus two trilinear maps rho3, psi3; the whole tuple corresponds exactly
 to the degree-3 cochains of shape (F1, 0, F3) in the kernel of the
 coboundary, and the two directions of that correspondence are
 implemented by ``skeletal_to_triple`` and ``triple_to_skeletal``.
+
+The validator reads the degree-0/1 laws off that triple
+(``assemble_triple``): rep(2) and rep(3) of a skeletal representation are
+the action laws of g0 on V0 and on V1 (``lie.validate_representation``'s
+law, residuals negated), mixed(k) is pairing(k) of the assembled
+representation on (g1, h1) (``reps.validate_mp_representation``), and
+mixed(3) and mixed(5) also carry the witnesses of compat(11) and
+compat(22) of the degree-0 pair (g0, h0), the same identities with the
+h1 (g1) argument taken in h0 (g0).  A pair passes exactly when its
+triple is a matched pair, a representation of it and a closed cochain, so
+each direction of the correspondence decides once.
 """
 
 from __future__ import annotations
@@ -24,10 +35,10 @@ from itertools import combinations
 from .cohomology import MPCochain
 from .errors import (InvalidInput, MalformedTensor, NonzeroMiddleComponent,
                      NotACocycle, ShapeMismatch)
-from .lie import LieAlgebra, dense_tensor
-from .matched import MatchedPair
+from .lie import LieAlgebra, LieRep, _representation_report, dense_tensor
+from .matched import MatchedPair, _compat_11
 from .report import ValidationReport
-from .reps import MPRepresentation
+from .reps import MPRepresentation, _pairing_report
 from .scalars import vaccum, vbasis, vcombine, vis_zero, vneg, vzero
 from .stencil import _is_closed
 
@@ -271,13 +282,6 @@ class SkeletalRep:
             t.bracket00, t.bracket01, r10, t.mu3,
         )
 
-    def act00(self, i, v):
-        return vcombine(v, self.r00[i], self.dim_v0)
-
-    def act00_vec(self, x, v):
-        images = [self.act00(i, v) if c else None for i, c in enumerate(x)]
-        return vcombine(x, images, self.dim_v0)
-
     def act01(self, i, v):
         return vcombine(v, self.r01[i], self.dim_v1)
 
@@ -310,26 +314,14 @@ def validate_skeletal_rep(t: TwoTermLInfinity, r: SkeletalRep) -> ValidationRepo
                 if not vis_zero(res):
                     check.add((i, j, u), res)
 
-    check = report.new_check("rep(2): action law on V0")
-    for i in range(d0):
-        for j in range(i + 1, d0):
-            for u in range(r.dim_v0):
-                lhs = r.act00(i, r.r00[j][u])
-                vaccum(lhs, -1, r.act00(j, r.r00[i][u]))
-                vaccum(lhs, -1, r.act00_vec(t.bracket00[i][j], vbasis(r.dim_v0, u)))
-                if not vis_zero(lhs):
-                    check.add((i, j, u), lhs)
-
-    check = report.new_check("rep(3): action law on V1")
-    for i in range(d0):
-        for j in range(i + 1, d0):
-            for u in range(r.dim_v1):
-                lhs = r.act01(i, r.r01[j][u])
-                vaccum(lhs, -1, r.act01(j, r.r01[i][u]))
-                vaccum(lhs, -1, vcombine(t.bracket00[i][j], [row[u] for row in r.r01],
-                                         r.dim_v1))
-                if not vis_zero(lhs):
-                    check.add((i, j, u), lhs)
+    g0 = t.degree0_algebra()
+    for name, dim, action in (("rep(2): action law on V0", r.dim_v0, r.r00),
+                              ("rep(3): action law on V1", r.dim_v1, r.r01)):
+        # residual x_i.(x_j.u) - x_j.(x_i.u) - [x_i, x_j].u at (i, j, u)
+        check = report.new_check(name)
+        _representation_report(LieRep(g0, dim, action), [check])
+        for w in check.witnesses:
+            w.residual = vneg(w.residual)
 
     check = report.new_check("rep(4): trilinear coherence")
     for i, j, k in combinations(range(d0), 3):
@@ -510,7 +502,12 @@ def assemble_skeletal(t: SkeletalTriple) -> SkeletalMatchedPair:
 def validate_skeletal_matched_pair(s: SkeletalMatchedPair) -> ValidationReport:
     """Full per-identity report: both skeletal structures, both
     representations, the six mixed identities, and the four cubic
-    compatibilities."""
+    compatibilities.
+
+    Once G and H pass, the mixed groups are read off ``assemble_triple(s)``
+    (see the module docstring).  The groups of H, psi and compat(skel3),
+    compat(skel4) are those of G, rho and compat(skel1), compat(skel2) on
+    the flipped pair, witness keys included."""
     report = ValidationReport("skeletal matched pair")
     G, H = s.G, s.H
 
@@ -533,80 +530,18 @@ def validate_skeletal_matched_pair(s: SkeletalMatchedPair) -> ValidationReport:
         check = report.new_check(name)
         for c in validate_skeletal_rep(data.G, data.rho_rep()).checks:
             check.witnesses.extend(c.witnesses)
+    triple = assemble_triple(s)
+    mixed = [report.new_check(f"mixed({k})") for k in range(1, 7)]
+    _pairing_report(triple.rep, mixed)
+    _compat_11(triple.mp, mixed[2])
+    _compat_11(triple.mp.flipped(), mixed[4])
     for name, group, data in (
-        ("mixed(1)", _mixed_1, s), ("mixed(2)", _mixed_1, flipped),
-        ("mixed(3)", _mixed_3, s), ("mixed(4)", _mixed_4, s),
-        ("mixed(5)", _mixed_3, flipped), ("mixed(6)", _mixed_4, flipped),
         ("compat(skel1)", _compat_skel1, s), ("compat(skel2)", _compat_skel2, s),
         ("compat(skel3)", _compat_skel1, flipped),
         ("compat(skel4)", _compat_skel2, flipped),
     ):
         group(data, report.new_check(name))
     return report
-
-
-# The groups "psi representation of H", mixed(2), mixed(5), mixed(6),
-# compat(skel3) and compat(skel4) are "rho representation of G", mixed(1),
-# mixed(3), mixed(4), compat(skel1) and compat(skel2) of the flipped pair,
-# witness keys included:
-#   mixed(2): psi2([h, w], x) = psi2(h, psi2(w, x)) - psi2(w, psi2(h, x))
-#   mixed(5): psi2(h, [x, v]) = [psi2(h,x), v] + [x, psi2(h,v)]
-#             + psi2(rho2(v,h), x) - psi2(rho2(x,h), v)
-#   mixed(6): psi2(w, [x, y]) = [psi2(w,x), y] + [x, psi2(w,y)]
-#             + psi2(rho2(y,w), x) - psi2(rho2(x,w), y)
-
-
-def _mixed_1(s: SkeletalMatchedPair, check):
-    """rho2([x, v], h) = rho2(x, rho2(v, h)) - rho2(v, rho2(x, h))."""
-    m, n, p, q = s.G.dim0, s.H.dim0, s.G.dim1, s.H.dim1
-    for i in range(m):
-        for u in range(p):
-            for a in range(n):
-                # [x, v] in g1, rho2(v, h) in h1, rho2(x, h) in h0
-                lhs = vcombine(s.G.bracket01[i][u], [row[a] for row in s.rho2_10], q)
-                rhs = vcombine(s.rho2_10[u][a], s.rho2_01[i], q)
-                vaccum(rhs, -1, vcombine(s.rho2_00[i][a], s.rho2_10[u], q))
-                res = [x - y for x, y in zip(lhs, rhs)]
-                if not vis_zero(res):
-                    check.add((i, u, a), res)
-
-
-def _mixed_3(s: SkeletalMatchedPair, check):
-    """rho2(x, [h, w]) = [rho2(x,h), w] + [h, rho2(x,w)]
-    + rho2(psi2(w,x), h) - rho2(psi2(h,x), w)."""
-    H = s.H
-    m, n, q = s.G.dim0, H.dim0, H.dim1
-    for i in range(m):
-        for a in range(n):
-            for w in range(q):
-                lhs = vcombine(H.bracket01[a][w], s.rho2_01[i], q)
-                rhs = H.b01_vec(s.rho2_00[i][a], vbasis(q, w))
-                vaccum(rhs, 1, H.b01(a, s.rho2_01[i][w]))
-                # psi2(w, x) in g1, psi2(h, x) in g0
-                vaccum(rhs, 1, vcombine(s.psi2_10[w][i], [row[a] for row in s.rho2_10], q))
-                vaccum(rhs, -1, vcombine(s.psi2_00[a][i], [row[w] for row in s.rho2_01], q))
-                res = [x - y for x, y in zip(lhs, rhs)]
-                if not vis_zero(res):
-                    check.add((i, a, w), res)
-
-
-def _mixed_4(s: SkeletalMatchedPair, check):
-    """rho2(v, [h, k]) = [rho2(v,h), k] + [h, rho2(v,k)]
-    + rho2(psi2(k,v), h) - rho2(psi2(h,v), k)."""
-    H = s.H
-    n, p, q = H.dim0, s.G.dim1, H.dim1
-    for u in range(p):
-        for a in range(n):
-            for b in range(a + 1, n):
-                lhs = vcombine(H.bracket00[a][b], s.rho2_10[u], q)
-                rhs = vneg(H.b01(b, s.rho2_10[u][a]))
-                vaccum(rhs, 1, H.b01(a, s.rho2_10[u][b]))
-                # psi2(k, v) and psi2(h, v) in g1
-                vaccum(rhs, 1, vcombine(s.psi2_01[b][u], [row[a] for row in s.rho2_10], q))
-                vaccum(rhs, -1, vcombine(s.psi2_01[a][u], [row[b] for row in s.rho2_10], q))
-                res = [x - y for x, y in zip(lhs, rhs)]
-                if not vis_zero(res):
-                    check.add((u, a, b), res)
 
 
 def _compat_skel1(s: SkeletalMatchedPair, check):
@@ -654,18 +589,16 @@ def _compat_skel2(s: SkeletalMatchedPair, check):
 
 
 def skeletal_to_triple(s: SkeletalMatchedPair) -> SkeletalTriple:
-    """Validated direction of the correspondence; the cochain comes out closed."""
-    validation = validate_skeletal_matched_pair(s)
-    if not validation.ok:
+    """Validated direction of the correspondence; a passing pair is exactly
+    a valid triple with a closed cochain, so nothing is checked again."""
+    if not validate_skeletal_matched_pair(s).ok:
         raise InvalidInput("skeletal matched pair fails validation")
-    triple = assemble_triple(s)
-    if not _is_closed(triple.mp, triple.rep, triple.cocycle):
-        raise NotACocycle("assembled degree-3 cochain is not closed")
-    return triple
+    return assemble_triple(s)
 
 
 def triple_to_skeletal(t: SkeletalTriple) -> SkeletalMatchedPair:
-    """Validated reverse direction; the pair comes out coherent."""
+    """Validated reverse direction; a valid triple with a closed cochain
+    is exactly a passing pair, so the pair is not validated again."""
     t.mp.require_valid()
     t.rep.require_valid()
     if t.cocycle.degree != 3:
@@ -674,8 +607,4 @@ def triple_to_skeletal(t: SkeletalTriple) -> SkeletalMatchedPair:
         raise NonzeroMiddleComponent("the middle component must vanish")
     if not _is_closed(t.mp, t.rep, t.cocycle):
         raise NotACocycle("the degree-3 cochain is not closed")
-    out = assemble_skeletal(t)
-    validation = validate_skeletal_matched_pair(out)
-    if not validation.ok:
-        raise InvalidInput("reconstructed skeletal pair fails validation")
-    return out
+    return assemble_skeletal(t)

@@ -726,3 +726,97 @@ def rand_skeletal_candidate(rng, G, H, lo=-1, hi=1):
         G, H, block(m, n, n), block(m, q, q), block(p, n, q), trilinear(m, n, q),
         block(n, m, m), block(n, p, p), block(q, m, p), trilinear(n, m, p),
     )
+
+
+# -- explicit degree-0/1 laws of a skeletal matched pair (oracles) -------------
+
+
+def skeletal_mixed_oracle(s):
+    """{"mixed(k)": [(where, residual)]} by the explicit formulas on the
+    skeletal data; mixed(2), (5), (6) are mixed(1), (3), (4) of the flipped
+    pair, witness keys included."""
+    flipped = s.flipped()
+    groups = ((_mixed_1, s), (_mixed_1, flipped), (_mixed_3, s), (_mixed_4, s),
+              (_mixed_3, flipped), (_mixed_4, flipped))
+    return {f"mixed({k})": list(formula(data)) for k, (formula, data) in enumerate(groups, 1)}
+
+
+def _mixed_1(s):
+    """rho2([x, v], h) = rho2(x, rho2(v, h)) - rho2(v, rho2(x, h))."""
+    from mpla.scalars import vaccum, vcombine, vis_zero
+
+    m, n, p, q = s.G.dim0, s.H.dim0, s.G.dim1, s.H.dim1
+    for i in range(m):
+        for u in range(p):
+            for a in range(n):
+                # [x, v] in g1, rho2(v, h) in h1, rho2(x, h) in h0
+                lhs = vcombine(s.G.bracket01[i][u], [row[a] for row in s.rho2_10], q)
+                rhs = vcombine(s.rho2_10[u][a], s.rho2_01[i], q)
+                vaccum(rhs, -1, vcombine(s.rho2_00[i][a], s.rho2_10[u], q))
+                res = [x - y for x, y in zip(lhs, rhs)]
+                if not vis_zero(res):
+                    yield (i, u, a), res
+
+
+def _mixed_3(s):
+    """rho2(x, [h, w]) = [rho2(x,h), w] + [h, rho2(x,w)]
+    + rho2(psi2(w,x), h) - rho2(psi2(h,x), w)."""
+    from mpla.scalars import vaccum, vbasis, vcombine, vis_zero
+
+    H = s.H
+    m, n, q = s.G.dim0, H.dim0, H.dim1
+    for i in range(m):
+        for a in range(n):
+            for w in range(q):
+                lhs = vcombine(H.bracket01[a][w], s.rho2_01[i], q)
+                rhs = H.b01_vec(s.rho2_00[i][a], vbasis(q, w))
+                vaccum(rhs, 1, H.b01(a, s.rho2_01[i][w]))
+                # psi2(w, x) in g1, psi2(h, x) in g0
+                vaccum(rhs, 1, vcombine(s.psi2_10[w][i], [row[a] for row in s.rho2_10], q))
+                vaccum(rhs, -1, vcombine(s.psi2_00[a][i], [row[w] for row in s.rho2_01], q))
+                res = [x - y for x, y in zip(lhs, rhs)]
+                if not vis_zero(res):
+                    yield (i, a, w), res
+
+
+def _mixed_4(s):
+    """rho2(v, [h, k]) = [rho2(v,h), k] + [h, rho2(v,k)]
+    + rho2(psi2(k,v), h) - rho2(psi2(h,v), k)."""
+    from mpla.scalars import vaccum, vcombine, vis_zero, vneg
+
+    H = s.H
+    n, p, q = H.dim0, s.G.dim1, H.dim1
+    for u in range(p):
+        for a in range(n):
+            for b in range(a + 1, n):
+                lhs = vcombine(H.bracket00[a][b], s.rho2_10[u], q)
+                rhs = vneg(H.b01(b, s.rho2_10[u][a]))
+                vaccum(rhs, 1, H.b01(a, s.rho2_10[u][b]))
+                # psi2(k, v) and psi2(h, v) in g1
+                vaccum(rhs, 1, vcombine(s.psi2_01[b][u], [row[a] for row in s.rho2_10], q))
+                vaccum(rhs, -1, vcombine(s.psi2_01[a][u], [row[b] for row in s.rho2_10], q))
+                res = [x - y for x, y in zip(lhs, rhs)]
+                if not vis_zero(res):
+                    yield (u, a, b), res
+
+
+def skeletal_action_law_oracle(t, r):
+    """([(where, residual)] of rep(2), of rep(3)) for the skeletal
+    representation r of t: x_i.(x_j.u) - x_j.(x_i.u) - [x_i, x_j].u on V0
+    (through r.r00) and on V1 (through r.r01), at (i, j, u) with i < j."""
+    from mpla.scalars import vaccum, vcombine, vis_zero
+
+    def law(action, dim):
+        out = []
+        for i in range(t.dim0):
+            for j in range(i + 1, t.dim0):
+                for u in range(dim):
+                    lhs = vcombine(action[j][u], action[i], dim)
+                    vaccum(lhs, -1, vcombine(action[i][u], action[j], dim))
+                    vaccum(lhs, -1, vcombine(t.bracket00[i][j], [row[u] for row in action],
+                                             dim))
+                    if not vis_zero(lhs):
+                        out.append(((i, j, u), lhs))
+        return out
+
+    return law(r.r00, r.dim_v0), law(r.r01, r.dim_v1)

@@ -6,7 +6,10 @@ the code before the elimination kernel learned to clear pivots; any change
 to how ranks are computed must leave every printed byte as it was.  The
 witness files were written before the mirrored axiom groups were derived
 from their twins on the flipped structure: every group, witness key and
-residual must come out as it did.  The ``mc-check`` and ``deform-check``
+residual must come out as it did; ``validate_skeletal`` was captured
+again when mixed(3) and mixed(5) took on the compat(11) and compat(22)
+witnesses of the degree-0 pair, which changed those two groups only.  The
+``mc-check`` and ``deform-check``
 files were written while the graded bracket and delta^{mu x rho} still
 evaluated their input at every output key; their residuals come straight
 from those two formulas, so the printed values and scalar types (``0``

@@ -1,22 +1,28 @@
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from mpla import (LieAlgebra, MPCochain, NonzeroMiddleComponent, NotACocycle, ShapeMismatch,
+from mpla import (InvalidInput, LieAlgebra, MatchedPair, MPCochain, MPRepresentation,
+                  NonzeroMiddleComponent, NotACocycle, ShapeMismatch,
                   SkeletalMatchedPair, SkeletalRep, SkeletalTriple,
                   TwoTermLInfinity, adjoint_representation, assemble_skeletal,
                   assemble_triple, basis_cochain, coadjoint_representation,
                   cochain_basis, cochain_from_coords, cochain_space_dim,
-                  cochain_to_coords, delta_mpl_coeff, kernel_basis,
-                  skeletal_to_triple, triple_to_skeletal,
-                  validate_skeletal_matched_pair, validate_skeletal_rep,
-                  validate_two_term)
+                  cochain_to_coords, delta_mpl_coeff, jsonio, kernel_basis,
+                  skeletal_to_triple, triple_to_skeletal, validate_matched_pair,
+                  validate_mp_representation, validate_skeletal_matched_pair,
+                  validate_skeletal_rep, validate_two_term)
+from mpla.cli import main
 from mpla.linalg import Matrix
-from mpla.catalog import aff1, heisenberg3, mp_a, mp_direct, mp_double, sl2
+from mpla.catalog import (aff1, heisenberg3, mp_a, mp_direct, mp_double, sl2,
+                          standard_fixtures)
 from mpla.scalars import vzero
+from mpla.stencil import _is_closed
 
-from helpers import rand_fraction
+from helpers import (rand_fraction, rand_mp_candidate, rand_mp_rep_candidate,
+                     skeletal_action_law_oracle, skeletal_mixed_oracle)
 
 
 def zero_cross_pair(mp, p, q) -> SkeletalMatchedPair:
@@ -59,6 +65,15 @@ def middle_zero_cocycles(mp, rep):
             coords[keys.index(key)] = value
         out.append(cochain_from_coords(dims, rep.dims, 3, coords))
     return out
+
+
+def kernel_fixture_triples():
+    """Every standard fixture with adjoint and with coadjoint coefficients,
+    and each middle-zero cocycle of the pair."""
+    for _, mp in standard_fixtures():
+        for rep in (adjoint_representation(mp), coadjoint_representation(mp)):
+            for F in middle_zero_cocycles(mp, rep):
+                yield SkeletalTriple(mp, rep, F)
 
 
 def test_lie_algebras_are_two_term_structures():
@@ -143,20 +158,22 @@ def test_zero_cross_pairs_valid_and_round_trip():
 
 
 def test_correspondence_both_directions_on_kernel_fixtures():
+    # each direction decides once; the verdict the other direction would
+    # reach is asserted here: the pair out of a closed triple validates,
+    # and the cochain out of a passing pair is closed
     fixture_count = 0
-    for mp in (mp_a(), mp_double()):
-        for rep in (adjoint_representation(mp), coadjoint_representation(mp)):
-            for F in middle_zero_cocycles(mp, rep):
-                triple = SkeletalTriple(mp, rep, F)
-                s = triple_to_skeletal(triple)
-                assert validate_skeletal_matched_pair(s).ok
-                again = skeletal_to_triple(s)
-                assert again.cocycle == F
-                assert again.mp.g == mp.g and again.mp.h == mp.h
-                assert again.mp.rho == mp.rho and again.mp.psi == mp.psi
-                assert again.rep.tensors_equal(rep)
-                fixture_count += 1
-    assert fixture_count >= 10
+    for triple in kernel_fixture_triples():
+        mp, rep, F = triple.mp, triple.rep, triple.cocycle
+        s = triple_to_skeletal(triple)
+        assert validate_skeletal_matched_pair(s).ok
+        again = skeletal_to_triple(s)
+        assert _is_closed(again.mp, again.rep, again.cocycle)
+        assert again.cocycle == F
+        assert again.mp.g == mp.g and again.mp.h == mp.h
+        assert again.mp.rho == mp.rho and again.mp.psi == mp.psi
+        assert again.rep.tensors_equal(rep)
+        fixture_count += 1
+    assert fixture_count == 75
 
 
 def test_triple_to_skeletal_refuses_exactly_the_open_cochains():
@@ -231,26 +248,99 @@ def test_middle_component_contract():
 def test_zero_cubic_pairs_match_representation_validity():
     # with every trilinear map zero, the skeletal axioms collapse to
     # "the degree-0 pair is matched and acts on (g1, h1) as a
-    # representation"; random two-slot data must agree with that verdict
-    from mpla import validate_matched_pair, validate_mp_representation
-    from mpla.catalog import standard_fixtures
-    from helpers import rand_mp_rep_candidate
-
+    # representation"; random two-slot data, over valid fixtures and over
+    # random degree-0 pairs, must agree with that verdict
     rng = random.Random(74)
     fixtures = [mp for _, mp in standard_fixtures() if mp.dim_g + mp.dim_h <= 4]
-    agreements = invalid_seen = 0
-    for trial in range(30):
-        mp = fixtures[trial % len(fixtures)]
-        rep = rand_mp_rep_candidate(rng, mp, (1, 1))
+    agreements = invalid_seen = compat_only = 0
+    for trial in range(60):
+        if trial % 2:
+            mp = fixtures[trial // 2 % len(fixtures)]
+        else:
+            mp = rand_mp_candidate(rng, *rng.choice(((1, 2), (2, 1), (2, 2))), -1, 1)
+        if trial % 3:
+            rep = rand_mp_rep_candidate(rng, mp, (1, 1))
+        else:
+            rep = MPRepresentation.zero(mp, (1, 1))
         triple = SkeletalTriple(
             mp, rep, MPCochain.zero(3, (mp.dim_g, mp.dim_h), rep.dims))
         raw = assemble_skeletal(triple)
-        expected = validate_matched_pair(mp).ok and \
-            validate_mp_representation(rep).ok
+        pair = validate_matched_pair(mp)
+        rep_ok = validate_mp_representation(rep).ok
+        expected = pair.ok and rep_ok
         assert validate_skeletal_matched_pair(raw).ok == expected
         agreements += 1
         invalid_seen += not expected
-    assert agreements == 30 and invalid_seen
+        # a pair failing only compat(11)/(22) under a valid representation
+        compat_only += rep_ok and not pair.ok and {
+            c.name for c in pair.failed_checks()} <= {"compat(11)", "compat(22)"}
+    assert agreements == 60 and invalid_seen and compat_only
+
+
+def test_degree0_pair_must_be_matched(tmp_path):
+    # g = k, h = k^2, rho_x = id and psi_h x = x for the first basis vector
+    # of h: both actions are representations, but compat(11) fails at
+    # (0, 0, 1); with zero cross blocks nothing else can fail
+    g, h = LieAlgebra.abelian(1), LieAlgebra.abelian(2)
+    mp = MatchedPair.from_sparse(g, h, rho={(0, 0): [1, 0], (0, 1): [0, 1]},
+                                 psi={(0, 0): [1]})
+    pair = validate_matched_pair(mp)
+    assert [c.name for c in pair.failed_checks()] == ["compat(11)"]
+    s = zero_cross_pair(mp, 1, 1)
+    report = validate_skeletal_matched_pair(s)
+    assert [c.name for c in report.failed_checks()] == ["mixed(3)"]
+    assert report.failed_checks()[0].witnesses == pair.failed_checks()[0].witnesses
+    with pytest.raises(InvalidInput, match="fails validation"):
+        skeletal_to_triple(s)
+    path = tmp_path / "skeletal.json"
+    path.write_text(json.dumps(jsonio.skeletal_pair_to_json(s)), encoding="utf-8")
+    assert main(["skeletal-validate", str(path)]) == 1
+    assert main(["skeletal-correspond", str(path)]) == 1
+
+
+PERTURBED_BLOCKS = ("rho2_00", "rho2_01", "rho2_10", "psi2_00", "psi2_01", "psi2_10")
+
+
+def test_mixed_and_action_groups_match_the_explicit_formulas():
+    # single-entry perturbations of the two-slot blocks of valid pairs:
+    # mixed(k) is pairing(k) of the assembled representation plus, for
+    # mixed(3) and mixed(5), compat(11) and compat(22) of the assembled
+    # pair, and rep(2)/rep(3) are the action laws read through the Lie
+    # representation validator; both must give the witnesses of the
+    # explicit skeletal formulas, key for key and residual for residual
+    def seen(witnesses):
+        return [(w.where, repr(w.residual)) for w in witnesses]
+
+    def listed(pairs):
+        return [(where, repr(res)) for where, res in pairs]
+
+    rng = random.Random(75)
+    triples = list(kernel_fixture_triples())
+    failing = set()
+    for _ in range(320):
+        s = assemble_skeletal(rng.choice(triples))
+        vec = rng.choice(rng.choice(getattr(s, rng.choice(PERTURBED_BLOCKS))))
+        vec[rng.randrange(len(vec))] += rng.choice((-2, -1, 1, 2))
+        report = validate_skeletal_matched_pair(s)
+        by_name = {c.name: c.witnesses for c in report.checks}
+        pair = {c.name: c.witnesses for c in validate_matched_pair(assemble_triple(s).mp).checks}
+        expected = {name: listed(pairs) for name, pairs in skeletal_mixed_oracle(s).items()}
+        expected["mixed(3)"] += seen(pair["compat(11)"])
+        expected["mixed(5)"] += seen(pair["compat(22)"])
+        failing.update(name for name in ("compat(11)", "compat(22)") if pair[name])
+        for name, witnesses in expected.items():
+            assert seen(by_name[name]) == witnesses, name
+            if witnesses:
+                failing.add(name)
+        for side, data in (("rho", s), ("psi", s.flipped())):
+            checks = validate_skeletal_rep(data.G, data.rho_rep()).checks
+            for check, oracle in zip(checks[1:3], skeletal_action_law_oracle(data.G,
+                                                                             data.rho_rep())):
+                assert seen(check.witnesses) == listed(oracle), (side, check.name)
+                if oracle:
+                    failing.add((side, check.name[:6]))
+    assert failing == {f"mixed({k})" for k in range(1, 7)} | {"compat(11)", "compat(22)"} | {
+        (side, name) for side in ("rho", "psi") for name in ("rep(2)", "rep(3)")}
 
 
 def test_five_conditions_match_three_assembled_checks():
