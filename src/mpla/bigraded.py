@@ -16,11 +16,11 @@ when the three brackets [mu x rho, mu x rho], [mu x rho, psi x nu] and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb
 
 from .errors import ArityMismatch, DimensionMismatch
 from .multimap import SkewMultiMap, nr_bracket
+from .report import Record
 from .scalars import vis_zero, vzero
 
 
@@ -145,8 +145,7 @@ def embed(b: BidegreeMap) -> SkewMultiMap:
     return SkewMultiMap.from_canonical(arity, m + n, m + n, coeffs)
 
 
-@dataclass
-class Decomposition:
+class Decomposition(Record):
     """Bidegree components of a skew map on g + h.
 
     components[(k, l)] collects the bidegree-k|l part; k or l may be -1
@@ -154,10 +153,13 @@ class Decomposition:
     no -1 components appear.
     """
 
-    dim_g: int
-    dim_h: int
-    arity: int
-    components: dict = field(default_factory=dict)
+    __slots__ = ("dim_g", "dim_h", "arity", "components")
+
+    def __init__(self, dim_g: int, dim_h: int, arity: int, components: dict | None = None):
+        self.dim_g = dim_g
+        self.dim_h = dim_h
+        self.arity = arity
+        self.components = {} if components is None else components
 
     def component(self, k: int, l: int) -> BidegreeMap:
         got = self.components.get((k, l))
@@ -258,16 +260,20 @@ class StructureElement:
         return embed(self.mu_rho) + embed(self.psi_nu)
 
 
-@dataclass
-class MCBracket:
-    name: str
-    vanishes: bool
-    witnesses: list
+class MCBracket(Record):
+    __slots__ = ("name", "vanishes", "witnesses")
+
+    def __init__(self, name: str, vanishes: bool, witnesses: list):
+        self.name = name
+        self.vanishes = vanishes
+        self.witnesses = witnesses
 
 
-@dataclass
-class MCReport:
-    brackets: list[MCBracket]
+class MCReport(Record):
+    __slots__ = ("brackets",)
+
+    def __init__(self, brackets: list[MCBracket]):
+        self.brackets = brackets
 
     @property
     def is_mc(self) -> bool:

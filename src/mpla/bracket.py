@@ -187,7 +187,7 @@ def phi_holds(mp, big_adjoint, F) -> bool:
                 key = _mixed_key(gi, hj, m)
                 units = [shift + u for u, x in enumerate(vec) if x]
                 for v, lhs, rhs in zip(units, minus_bracket(tables, key, units, target),
-                                       ce_key_columns(dim, bracket, action, key, target, units)):
+                                       ce_key_columns(bracket, action, key, target, units)):
                     x = vec[v - shift]
                     for row, c in lhs.items():
                         diff[row] = diff.get(row, 0) + x * c

@@ -19,7 +19,6 @@ the stored keys of the cochain, times its coordinates scaled to ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cohomology import MPCochain, delta_mpl_coeff
@@ -28,7 +27,7 @@ from .errors import (DimensionMismatch, InvalidInput, MalformedTensor,
 from .lie import LieAlgebra, dense_tensor
 from .linalg import Matrix
 from .matched import MatchedPair, MPMorphism, check_morphism, validate_matched_pair
-from .report import ValidationReport
+from .report import Record, ValidationReport
 from .reps import MPRepresentation, adjoint_representation, semidirect_tensors
 from .scalars import DualNumber, vaccum, vbasis, vis_zero, vneg, vzero
 from .stencil import _is_closed
@@ -141,10 +140,12 @@ def deformed_matched_pair(mp: MatchedPair, d: DeformationCandidate) -> MatchedPa
     return MatchedPair(g_t, h_t, rho_t, psi_t)
 
 
-@dataclass
-class DeformReport:
-    cocycle_route: ValidationReport
-    ring_route: ValidationReport
+class DeformReport(Record):
+    __slots__ = ("cocycle_route", "ring_route")
+
+    def __init__(self, cocycle_route: ValidationReport, ring_route: ValidationReport):
+        self.cocycle_route = cocycle_route
+        self.ring_route = ring_route
 
     @property
     def agree(self) -> bool:
@@ -285,14 +286,17 @@ def deformation_equiv_check(mp: MatchedPair, d: DeformationCandidate,
 # -- abelian extensions ------------------------------------------------------
 
 
-@dataclass
-class AbelianExtension:
+class AbelianExtension(Record):
     """A matched pair on (g + V, h + W) in block coordinates."""
 
-    total: MatchedPair
-    base: MatchedPair
-    rep: MPRepresentation
-    split: tuple  # (m, p, n, q)
+    __slots__ = ("total", "base", "rep", "split")
+
+    def __init__(self, total: MatchedPair, base: MatchedPair, rep: MPRepresentation,
+                 split: tuple):
+        self.total = total
+        self.base = base
+        self.rep = rep
+        self.split = split  # (m, p, n, q)
 
     @property
     def dims(self):

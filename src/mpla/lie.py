@@ -193,11 +193,12 @@ class LieRep:
             raise InvalidInput("representation fails validation")
 
 
-def jacobiator(t, f):
+def jacobiator(t, f, first=False):
     """The Jacobiator {(i, j, k): {l: int}} over i < j < k of a sparse
     bracket table t read through f, None when t is not skew: t[i][j] lists
     (k, x) over the nonzero coordinates x of [e_i, e_j], f maps x to an
-    int, and only stored nonzeros are summed."""
+    int, and only stored nonzeros are summed.  With ``first`` it ends at
+    the first nonzero value, which is all a yes-or-no decision needs."""
     t = [[[(k, y) for k, x in e if (y := f(x))] for e in row] for row in t]
     dim = len(t)
     for i in range(dim):
@@ -212,6 +213,8 @@ def jacobiator(t, f):
                     acc[s] = acc.get(s, 0) + x * y
         if any(acc.values()):
             out[(i, j, k)] = {s: y for s, y in acc.items() if y}
+            if first:
+                break
     return out
 
 
@@ -262,12 +265,12 @@ def lie_table_holds(c) -> bool:
     values = [x for row in t for e in row for _, x in e]
     if all(type(x) is not DualNumber for x in values):
         scale = common_denominator(values)
-        return jacobiator(t, lambda x: scaled_int(x, scale)) == {}
+        return jacobiator(t, lambda x: scaled_int(x, scale), True) == {}
     values = [DualNumber.promote(x) for x in values]
     scale = common_denominator([x.a for x in values], [x.b for x in values])
     a = lambda x: scaled_int(DualNumber.promote(x).a, scale)  # noqa: E731
     b = lambda x: scaled_int(DualNumber.promote(x).b, scale)  # noqa: E731
-    qb = jacobiator(t, b) if jacobiator(t, a) == {} else None
+    qb = jacobiator(t, b) if jacobiator(t, a, True) == {} else None
     return qb is not None and jacobiator(t, lambda x: a(x) + b(x)) == qb
 
 

@@ -152,14 +152,17 @@ def _matched_pair_report(mp: MatchedPair, checks):
 def _compat_11(mp: MatchedPair, check):
     """Witnesses (i, a, b) of compat(11); on the flipped pair these are the
     witnesses (a, i, j) of compat(22)."""
-    m, n = mp.dim_g, mp.dim_h
+    m, n, hc = mp.dim_g, mp.dim_h, mp.h.c
+    # [u, h_b] and rho(u) h_a of a vector u, columns b and a read once
+    brackets = [[hc[c][b] for c in range(n)] for b in range(n)]
+    actions = [[mp.rho[k][a] for k in range(m)] for a in range(n)]
     for i in range(m):
         for a, b in combinations(range(n), 2):
-            lhs = mp.rho_act(i, mp.h.c[a][b])
-            rhs = mp.h.bracket_vec(mp.rho[i][a], vbasis(n, b))
-            vaccum(rhs, 1, mp.h.bracket_vec(vbasis(n, a), mp.rho[i][b]))
-            vaccum(rhs, 1, mp.rho_vec(mp.psi[b][i], vbasis(n, a)))
-            vaccum(rhs, -1, mp.rho_vec(mp.psi[a][i], vbasis(n, b)))
+            lhs = mp.rho_act(i, hc[a][b])
+            rhs = vcombine(mp.rho[i][a], brackets[b], n)
+            vaccum(rhs, 1, vcombine(mp.rho[i][b], hc[a], n))
+            vaccum(rhs, 1, vcombine(mp.psi[b][i], actions[a], n))
+            vaccum(rhs, -1, vcombine(mp.psi[a][i], actions[b], n))
             residual = [x - y for x, y in zip(lhs, rhs)]
             if not vis_zero(residual):
                 check.add((i, a, b), residual)

@@ -13,22 +13,43 @@ integer Jacobiator kernel (``lie.lie_table_holds``) finds that a law fails
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+
+class Record:
+    """A plain record of the fields named by ``__slots__``: equal to a record
+    of the same class with equal fields, printed as Name(field=value, ...),
+    and unhashable."""
+
+    __slots__ = ()
+    __hash__ = None
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self.__slots__
+        return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
 
 
-@dataclass
-class Witness:
-    where: tuple
-    residual: object
+class Witness(Record):
+    __slots__ = ("where", "residual")
+
+    def __init__(self, where: tuple, residual):
+        self.where = where
+        self.residual = residual
 
     def describe(self) -> str:
         return f"at {self.where}: residual {self.residual}"
 
 
-@dataclass
-class Check:
-    name: str
-    witnesses: list[Witness] = field(default_factory=list)
+class Check(Record):
+    __slots__ = ("name", "witnesses")
+
+    def __init__(self, name: str, witnesses: list[Witness] | None = None):
+        self.name = name
+        self.witnesses = [] if witnesses is None else witnesses
 
     @property
     def ok(self) -> bool:
@@ -38,10 +59,12 @@ class Check:
         self.witnesses.append(Witness(tuple(where), residual))
 
 
-@dataclass
-class ValidationReport:
-    subject: str
-    checks: list[Check] = field(default_factory=list)
+class ValidationReport(Record):
+    __slots__ = ("subject", "checks")
+
+    def __init__(self, subject: str, checks: list[Check] | None = None):
+        self.subject = subject
+        self.checks = [] if checks is None else checks
 
     @classmethod
     def of(cls, subject: str, names) -> "ValidationReport":

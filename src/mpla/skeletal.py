@@ -21,24 +21,25 @@ the action laws of g0 on V0 and on V1 (``lie.validate_representation``'s
 law, residuals negated), mixed(k) is pairing(k) of the assembled
 representation on (g1, h1) (``reps.validate_mp_representation``), and
 mixed(3) and mixed(5) also carry the witnesses of compat(11) and
-compat(22) of the degree-0 pair (g0, h0), the same identities with the
-h1 (g1) argument taken in h0 (g0).  A pair passes exactly when its
+compat(22) of the degree-0 pair (g0, h0) (``matched.validate_matched_pair``),
+the same identities with the h1 (g1) argument taken in h0 (g0).  All three
+validators ask the kernel first, so a valid pair runs none of the
+ring-generic formulas for these groups.  A pair passes exactly when its
 triple is a matched pair, a representation of it and a closed cochain, so
 each direction of the correspondence decides once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .cohomology import MPCochain
 from .errors import (InvalidInput, MalformedTensor, NonzeroMiddleComponent,
                      NotACocycle, ShapeMismatch)
-from .lie import LieAlgebra, LieRep, _representation_report, dense_tensor
-from .matched import MatchedPair, _compat_11
-from .report import ValidationReport
-from .reps import MPRepresentation, _pairing_report
+from .lie import LieAlgebra, LieRep, dense_tensor, validate_representation
+from .matched import MatchedPair, validate_matched_pair
+from .report import Record, ValidationReport
+from .reps import MPRepresentation, validate_mp_representation
 from .scalars import vaccum, vbasis, vcombine, vis_zero, vneg, vzero
 from .stencil import _is_closed
 
@@ -285,22 +286,13 @@ class SkeletalRep:
     def act01(self, i, v):
         return vcombine(v, self.r01[i], self.dim_v1)
 
-    def r3_vec(self, x, y, v):
-        out = vzero(self.dim_v1)
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in enumerate(y):
-                if not b:
-                    continue
-                for u, c in enumerate(v):
-                    if c:
-                        vaccum(out, a * b * c, self.r3[i][j][u])
-        return out
 
+def validate_skeletal_rep(t: TwoTermLInfinity, r: SkeletalRep, laws=None) -> ValidationReport:
+    """The four representation identities for a skeletal structure.
 
-def validate_skeletal_rep(t: TwoTermLInfinity, r: SkeletalRep) -> ValidationReport:
-    """The four representation identities for a skeletal structure."""
+    ``laws``, when given, holds the checks of the Lie representation
+    reports on V0 and on V1 that rep(2) and rep(3) read, as decided
+    elsewhere; by default they are decided here."""
     if not t.is_skeletal:
         raise InvalidInput("representation identities assume a skeletal structure")
     report = ValidationReport("skeletal representation")
@@ -314,30 +306,31 @@ def validate_skeletal_rep(t: TwoTermLInfinity, r: SkeletalRep) -> ValidationRepo
                 if not vis_zero(res):
                     check.add((i, j, u), res)
 
-    g0 = t.degree0_algebra()
-    for name, dim, action in (("rep(2): action law on V0", r.dim_v0, r.r00),
-                              ("rep(3): action law on V1", r.dim_v1, r.r01)):
+    if laws is None:
+        g0 = t.degree0_algebra()
+        laws = [validate_representation(LieRep(g0, dim, action)).checks[0]
+                for dim, action in ((r.dim_v0, r.r00), (r.dim_v1, r.r01))]
+    for name, law in zip(("rep(2): action law on V0", "rep(3): action law on V1"), laws):
         # residual x_i.(x_j.u) - x_j.(x_i.u) - [x_i, x_j].u at (i, j, u)
         check = report.new_check(name)
-        _representation_report(LieRep(g0, dim, action), [check])
-        for w in check.witnesses:
-            w.residual = vneg(w.residual)
+        for w in law.witnesses:
+            check.add(w.where, vneg(w.residual))
 
     check = report.new_check("rep(4): trilinear coherence")
+    # r3(w, x_k, v_u) = sum_c w_c r3(x_c, x_k, v_u), column (k, u) read once
+    r3 = [[[r.r3[c][k][u] for c in range(d0)] for u in range(r.dim_v0)] for k in range(d0)]
     for i, j, k in combinations(range(d0), 3):
-        x, y, z = (vbasis(d0, s) for s in (i, j, k))
         for u in range(r.dim_v0):
-            v = vbasis(r.dim_v0, u)
             lhs = r.act01(i, r.r3[j][k][u])
             vaccum(lhs, -1, r.act01(j, r.r3[i][k][u]))
             vaccum(lhs, 1, r.act01(k, r.r3[i][j][u]))
             vaccum(lhs, 1, vcombine(t.mu3[i][j][k], [row[u] for row in r.r10], r.dim_v1))
-            rhs = r.r3_vec(t.bracket00[i][j], z, v)
-            vaccum(rhs, -1, r.r3_vec(t.bracket00[i][k], y, v))
-            vaccum(rhs, 1, r.r3_vec(y, z, r.r00[i][u]))
-            vaccum(rhs, 1, r.r3_vec(t.bracket00[j][k], x, v))
-            vaccum(rhs, -1, r.r3_vec(x, z, r.r00[j][u]))
-            vaccum(rhs, 1, r.r3_vec(x, y, r.r00[k][u]))
+            rhs = vcombine(t.bracket00[i][j], r3[k][u], r.dim_v1)
+            vaccum(rhs, -1, vcombine(t.bracket00[i][k], r3[j][u], r.dim_v1))
+            vaccum(rhs, 1, vcombine(r.r00[i][u], r.r3[j][k], r.dim_v1))
+            vaccum(rhs, 1, vcombine(t.bracket00[j][k], r3[i][u], r.dim_v1))
+            vaccum(rhs, -1, vcombine(r.r00[j][u], r.r3[i][k], r.dim_v1))
+            vaccum(rhs, 1, vcombine(r.r00[k][u], r.r3[i][j], r.dim_v1))
             res = [a - b for a, b in zip(lhs, rhs)]
             if not vis_zero(res):
                 check.add((i, j, k, u), res)
@@ -391,13 +384,15 @@ class SkeletalMatchedPair:
         )
 
 
-@dataclass
-class SkeletalTriple:
+class SkeletalTriple(Record):
     """A matched pair, a representation on (g1, h1), and a cocycle (F1, 0, F3)."""
 
-    mp: MatchedPair
-    rep: MPRepresentation
-    cocycle: MPCochain
+    __slots__ = ("mp", "rep", "cocycle")
+
+    def __init__(self, mp: MatchedPair, rep: MPRepresentation, cocycle: MPCochain):
+        self.mp = mp
+        self.rep = rep
+        self.cocycle = cocycle
 
 
 def assemble_triple(s: SkeletalMatchedPair) -> SkeletalTriple:
@@ -504,10 +499,12 @@ def validate_skeletal_matched_pair(s: SkeletalMatchedPair) -> ValidationReport:
     representations, the six mixed identities, and the four cubic
     compatibilities.
 
-    Once G and H pass, the mixed groups are read off ``assemble_triple(s)``
-    (see the module docstring).  The groups of H, psi and compat(skel3),
-    compat(skel4) are those of G, rho and compat(skel1), compat(skel2) on
-    the flipped pair, witness keys included."""
+    Once G and H pass, the action laws and the mixed groups are read off
+    the reports of ``assemble_triple(s)`` (see the module docstring): rep(2)
+    off representation(rho) and representation(psi) of its pair, rep(3) off
+    rep(rho_W) and rep(psi_V) of its representation.  The groups of H, psi
+    and compat(skel3), compat(skel4) are those of G, rho and compat(skel1),
+    compat(skel2) on the flipped pair, witness keys included."""
     report = ValidationReport("skeletal matched pair")
     G, H = s.G, s.H
 
@@ -525,16 +522,20 @@ def validate_skeletal_matched_pair(s: SkeletalMatchedPair) -> ValidationReport:
     if not report.ok:
         return report
 
-    flipped = s.flipped()
-    for name, data in (("rho representation of G", s), ("psi representation of H", flipped)):
-        check = report.new_check(name)
-        for c in validate_skeletal_rep(data.G, data.rho_rep()).checks:
-            check.witnesses.extend(c.witnesses)
     triple = assemble_triple(s)
-    mixed = [report.new_check(f"mixed({k})") for k in range(1, 7)]
-    _pairing_report(triple.rep, mixed)
-    _compat_11(triple.mp, mixed[2])
-    _compat_11(triple.mp.flipped(), mixed[4])
+    pair = validate_matched_pair(triple.mp).checks
+    rep = validate_mp_representation(triple.rep).checks
+    flipped = s.flipped()
+    for name, data, laws in (("rho representation of G", s, (pair[2], rep[2])),
+                             ("psi representation of H", flipped, (pair[3], rep[1]))):
+        check = report.new_check(name)
+        for c in validate_skeletal_rep(data.G, data.rho_rep(), laws).checks:
+            check.witnesses.extend(c.witnesses)
+    compat = {3: pair[4], 5: pair[5]}
+    for k, pairing in enumerate(rep[4:], 1):
+        check = report.new_check(f"mixed({k})")
+        for w in pairing.witnesses + (compat[k].witnesses if k in compat else []):
+            check.add(w.where, w.residual)
     for name, group, data in (
         ("compat(skel1)", _compat_skel1, s), ("compat(skel2)", _compat_skel2, s),
         ("compat(skel3)", _compat_skel1, flipped),
@@ -550,7 +551,8 @@ def _compat_skel1(s: SkeletalMatchedPair, check):
     + psi3(rho2(y,h),k,x) - psi3(rho2(y,k),h,x) = 0."""
     G = s.G
     m, n, p = G.dim0, s.H.dim0, G.dim1
-    psi = s.flipped().rho_rep()
+    # psi3(u, k, y) = sum_c u_c psi3(h_c, k, y), column (k, y) read once
+    psi3 = [[[s.psi3[c][k][y] for c in range(n)] for y in range(m)] for k in range(n)]
     for i in range(m):
         for j in range(i + 1, m):
             for a in range(n):
@@ -558,10 +560,10 @@ def _compat_skel1(s: SkeletalMatchedPair, check):
                     res = G.b01(i, s.psi3[a][b][j])
                     vaccum(res, -1, G.b01(j, s.psi3[a][b][i]))
                     vaccum(res, -1, vcombine(G.bracket00[i][j], s.psi3[a][b], p))
-                    vaccum(res, -1, psi.r3_vec(s.rho2_00[i][a], vbasis(n, b), vbasis(m, j)))
-                    vaccum(res, 1, psi.r3_vec(s.rho2_00[i][b], vbasis(n, a), vbasis(m, j)))
-                    vaccum(res, 1, psi.r3_vec(s.rho2_00[j][a], vbasis(n, b), vbasis(m, i)))
-                    vaccum(res, -1, psi.r3_vec(s.rho2_00[j][b], vbasis(n, a), vbasis(m, i)))
+                    vaccum(res, -1, vcombine(s.rho2_00[i][a], psi3[b][j], p))
+                    vaccum(res, 1, vcombine(s.rho2_00[i][b], psi3[a][j], p))
+                    vaccum(res, 1, vcombine(s.rho2_00[j][a], psi3[b][i], p))
+                    vaccum(res, -1, vcombine(s.rho2_00[j][b], psi3[a][i], p))
                     if not vis_zero(res):
                         check.add((i, j, a, b), res)
 
@@ -572,6 +574,8 @@ def _compat_skel2(s: SkeletalMatchedPair, check):
     - nu3(rho2(x,h),k,k') + nu3(rho2(x,k),h,k') - nu3(rho2(x,k'),h,k) = 0."""
     H = s.H
     m, n, q = s.G.dim0, H.dim0, H.dim1
+    # nu3(u, k, k') = sum_d u_d nu3(h_d, k, k'), column (k, k') read once
+    nu3 = {(b, c): [H.mu3[d][b][c] for d in range(n)] for b, c in combinations(range(n), 2)}
     for i in range(m):
         for a, b, c3 in combinations(range(n), 3):
             res = vcombine(H.mu3[a][b][c3], s.rho2_01[i], q)
@@ -580,10 +584,9 @@ def _compat_skel2(s: SkeletalMatchedPair, check):
                                [row[other] for row in s.rho2_10], q)
                 sign = 1 if pair == (b, c3) or pair == (a, b) else -1
                 vaccum(res, sign, sub)
-            ha, hb, hc = (vbasis(n, s3) for s3 in (a, b, c3))
-            vaccum(res, -1, H.mu3_vec(s.rho2_00[i][a], hb, hc))
-            vaccum(res, 1, H.mu3_vec(s.rho2_00[i][b], ha, hc))
-            vaccum(res, -1, H.mu3_vec(s.rho2_00[i][c3], ha, hb))
+            vaccum(res, -1, vcombine(s.rho2_00[i][a], nu3[b, c3], q))
+            vaccum(res, 1, vcombine(s.rho2_00[i][b], nu3[a, c3], q))
+            vaccum(res, -1, vcombine(s.rho2_00[i][c3], nu3[a, b], q))
             if not vis_zero(res):
                 check.add((i, a, b, c3), res)
 

@@ -66,13 +66,19 @@ def bracket_table(c, scale: int = 1):
 
 
 def action_table(a, scale: int = 1):
-    """An action tensor as stencil input: entry [i][u] lists (v, scale * c)
-    over the nonzero coordinates c of e_i . m_u."""
-    return [[[(v, scaled_int(x, scale)) for v, x in enumerate(vec) if x] for vec in row]
-            for row in a]
+    """An action tensor as stencil input: the pairs (i, act) over the
+    indices i that act by a nonzero matrix (none on a trivial module),
+    act[u] listing (v, scale * c) over the nonzero coordinates c of
+    e_i . m_u."""
+    return _acting([[[(v, scaled_int(x, scale)) for v, x in enumerate(vec) if x]
+                     for vec in row] for row in a])
 
 
-def ce_key_columns(dim: int, bracket, action, key, target, units) -> list[dict]:
+def _acting(action):
+    return [(i, act) for i, act in enumerate(action) if any(act)]
+
+
+def ce_key_columns(bracket, action, key, target, units) -> list[dict]:
     """The stencil at one n-key: column (key, u) of the coboundary
     Hom(L^n g, M) -> Hom(L^(n+1) g, M) for each u in ``units``, in ints.
 
@@ -86,11 +92,11 @@ def ce_key_columns(dim: int, bracket, action, key, target, units) -> list[dict]:
     pb counting the indices of rest below a and below b.  An entry whose
     terms cancel is kept as a zero.
     """
-    acts = []
-    for i in range(dim):
+    terms = []
+    for i, act in action:
         if i not in key:
             pos = bisect_left(key, i)
-            acts.append((target[key[:pos] + (i,) + key[pos:]], pos % 2, action[i]))
+            terms.append((target[key[:pos] + (i,) + key[pos:]], pos % 2, act))
     brackets = {}
     for pk, k in enumerate(key):
         rest = key[:pk] + key[pk + 1:]
@@ -104,7 +110,7 @@ def ce_key_columns(dim: int, bracket, action, key, target, units) -> list[dict]:
     for u in units:
         # the action terms of distinct i land in distinct keys
         column = {base + v: -c if odd else c
-                  for base, odd, act in acts for v, c in act[u]}
+                  for base, odd, act in terms for v, c in act[u]}
         for row, c in brackets:
             row += u
             column[row] = column.get(row, 0) + c
@@ -122,7 +128,7 @@ def ce_stencil(dim: int, bracket, action, space_dim: int, n: int) -> list[dict]:
     target = {key: t * space_dim for t, key in enumerate(combinations(range(dim), n + 1))}
     columns = []
     for key in combinations(range(dim), n):
-        columns += ce_key_columns(dim, bracket, action, key, target, units)
+        columns += ce_key_columns(bracket, action, key, target, units)
     return columns
 
 
@@ -155,7 +161,7 @@ def subcomplex_columns(dim: int, bracket, action, space_dim: int, n: int,
     for key, base in starts.items():
         units = [u for u, j in enumerate(cols[base:base + space_dim]) if j is not None]
         if units:
-            for u, column in zip(units, ce_key_columns(dim, bracket, action, key, target, units)):
+            for u, column in zip(units, ce_key_columns(bracket, action, key, target, units)):
                 columns[cols[base + u]] = {rows[y]: c for y, c in column.items() if c}
     return columns
 
@@ -190,7 +196,7 @@ def bicross_tables(rep):
     The bracket is read from the table of g |x| h that the pair keeps
     (``matched._bicrossed``).  The action is built here in ints, V first:
     x_i acts by rho_V on V and by -beta + rho_W on W, h_a by psi_V - alpha
-    on V and by psi_W on W.
+    on V and by psi_W on W, listed as ``action_table`` lists an action.
     """
     if rep._stencil is None:
         mp = rep.base
@@ -209,7 +215,7 @@ def bicross_tables(rep):
                     for u in range(p)]
                    + [entries(rep.psi_w[a][w], p) for w in range(q)]
                    for a in range(mp.dim_h)]
-        rep._stencil = (bracket_table(_bicrossed(mp).c, scale), action, scale)
+        rep._stencil = (bracket_table(_bicrossed(mp).c, scale), _acting(action), scale)
     return rep._stencil
 
 
@@ -268,7 +274,7 @@ def _is_closed(mp, rep, F) -> bool:
     target = {key: t * size for t, key in enumerate(combinations(range(dim), F.degree + 1))}
     image = {}
     for key, entries in values.items():
-        columns = ce_key_columns(dim, bracket, action, key, target, [u for u, _ in entries])
+        columns = ce_key_columns(bracket, action, key, target, [u for u, _ in entries])
         for (_, x), column in zip(entries, columns):
             for row, c in column.items():
                 image[row] = image.get(row, 0) + x * c

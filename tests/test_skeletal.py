@@ -343,6 +343,59 @@ def test_mixed_and_action_groups_match_the_explicit_formulas():
         (side, name) for side in ("rho", "psi") for name in ("rep(2)", "rep(3)")}
 
 
+def test_pair_reads_the_representation_groups_off_its_triple():
+    # the pair validator takes the action laws rep(2) and rep(3) from the
+    # reports of its triple; they must be the groups that the standalone
+    # skeletal representation validator decides on its own
+    def seen(witnesses):
+        return [(w.where, repr(w.residual)) for w in witnesses]
+
+    rng = random.Random(76)
+    triples = list(kernel_fixture_triples())
+    failing = 0
+    for _ in range(120):
+        s = assemble_skeletal(rng.choice(triples))
+        vec = rng.choice(rng.choice(getattr(s, rng.choice(PERTURBED_BLOCKS))))
+        vec[rng.randrange(len(vec))] += rng.choice((-2, -1, 1, 2))
+        by_name = {c.name: c.witnesses for c in validate_skeletal_matched_pair(s).checks}
+        for name, data in (("rho representation of G", s), ("psi representation of H",
+                                                            s.flipped())):
+            alone = [w for c in validate_skeletal_rep(data.G, data.rho_rep()).checks
+                     for w in c.witnesses]
+            assert seen(by_name[name]) == seen(alone), name
+            failing += bool(alone)
+    assert failing > 20
+
+
+def test_valid_pairs_run_no_ring_generic_formula(monkeypatch):
+    # the kernel decides the triple's pair and representation, and with
+    # them the action laws and the mixed groups, so a valid pair runs none
+    # of the ring-generic formulas; a perturbed pair shows the counters work
+    import mpla.lie
+    import mpla.matched
+    import mpla.reps
+    import mpla.skeletal
+
+    calls = []
+    for module, name in ((mpla.reps, "_pairing_report"), (mpla.matched, "_compat_11"),
+                         (mpla.lie, "_representation_report")):
+        def counted(*args, _name=name, _formula=getattr(module, name)):
+            calls.append(_name)
+            return _formula(*args)
+
+        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(mpla.skeletal, name, counted, raising=False)
+    pairs = [assemble_skeletal(t) for t in kernel_fixture_triples()]
+    for s in pairs + [p.flipped() for p in pairs]:
+        assert validate_skeletal_matched_pair(s).ok
+    assert calls == []
+    s = zero_cross_pair(mp_double(), 1, 1)
+    assert validate_skeletal_matched_pair(s).ok and calls == []
+    s.rho2_00[0][0][0] += 1
+    assert not validate_skeletal_matched_pair(s).ok
+    assert set(calls) >= {"_pairing_report", "_compat_11", "_representation_report"}
+
+
 def test_five_conditions_match_three_assembled_checks():
     # for zero differential, the five-condition checker agrees with the
     # conjunction: bracket00 satisfies the Jacobi law, bracket01 is an

@@ -289,3 +289,35 @@ def test_fraction_arithmetic_is_bounded_by_stored_entries():
     # the stencils scale the constants to ints, so assembly does no
     # Fraction arithmetic
     assert assembly == 0
+
+
+def test_key_columns_skip_exactly_the_indices_that_act_by_zero():
+    # the action table lists only the indices whose matrix is nonzero; the
+    # action terms of the others add nothing, so the columns read with
+    # every index listed are the same dicts, entry order included, and a
+    # trivial module lists none
+    from mpla.lie import LieRep
+    from mpla.stencil import action_table, bicross_tables, bracket_table, ce_key_columns
+
+    r = mp_double().rho_rep()
+    r.a[0] = [[0] * r.space_dim for _ in range(r.space_dim)]
+    reps = [r, LieRep.trivial(sl2()), coadjoint_representation(mp_double()).rho_v_rep(),
+            adjoint_representation(mp_semidirect_double()).psi_w_rep()]
+    for rep in reps:
+        dim, space = rep.algebra.dim, rep.space_dim
+        bracket, action = bracket_table(rep.algebra.c), action_table(rep.a)
+        every = [(i, [[(v, x) for v, x in enumerate(vec) if x] for vec in row])
+                 for i, row in enumerate(rep.a)]
+        assert [i for i, _ in action] == [i for i, row in enumerate(rep.a)
+                                          if any(any(v) for v in row)]
+        assert action == [(i, act) for i, act in every if any(act)]
+        for n in range(dim + 1):
+            target = {key: t * space for t, key in enumerate(combinations(range(dim), n + 1))}
+            for key in combinations(range(dim), n):
+                got = ce_key_columns(bracket, action, key, target, range(space))
+                full = ce_key_columns(bracket, every, key, target, range(space))
+                assert [list(c.items()) for c in got] == [list(c.items()) for c in full]
+    assert action_table(LieRep.trivial(sl2()).a) == []
+    assert len(action_table(r.a)) == r.algebra.dim - 1
+    rep = adjoint_representation(mp_double())
+    assert len(bicross_tables(rep)[1]) == mp_double().dim_g + mp_double().dim_h
