@@ -28,8 +28,17 @@ One sparse elimination kernel serves ``rank``, ``kernel_basis``,
 ``solve`` and ``invert``.  Each nonzero row becomes a sparse integer
 row: denominators are cleared and the row is divided by its content.
 Elimination is fraction-free.  Pivot columns are taken in column
-order; among the rows that lead in a column, the shortest row with a
-unit pivot is preferred, which keeps entries and fill-in small.  When
+order; among the rows that lead in a column, the shortest is the
+pivot, which keeps fill-in small.  A row is divided by its content
+once, when it becomes a pivot (and, when vectors are needed, once more
+after its back-substitution), not after every elimination step: a step
+multiplies the row by at most one pivot entry, so its entries grow by
+at most that entry's bits per step.  The rows in between are positive
+multiples of the rows that dividing at every step would give, with the
+same lengths, so the same pivots are chosen.  Which pivot rows are
+chosen never moves the pivot columns: those of any echelon form are
+the pivot columns of the reduced row echelon form.  So ranks and the
+cleared sets below do not depend on the pivot rule either.  When
 vectors are needed, back-substitution yields the reduced row echelon
 form.  That form is unique, so kernel bases, solutions and inverses do
 not depend on the pivot rows chosen.
@@ -42,7 +51,10 @@ im delta_{d-1} projects isomorphically.  So every x in C^d is an element
 of im delta_{d-1} plus a vector that vanishes on J_{d-1}, and since
 delta_d * delta_{d-1} = 0, delta_d kills the first part: rank delta_d is
 the rank of its columns outside J_{d-1}.  Of those columns exactly
-dim H^d reduce to zero.  The coboundary matrices are sparse in the
+dim H^d reduce to zero.  The same columns serve the next check: the
+columns of delta_{d-1} outside J_{d-2} lie in im delta_{d-1} and have
+its rank, so they span it, and delta_d * delta_{d-1} = 0 exactly when
+delta_d kills them.  The coboundary matrices are sparse in the
 catalog bases, but not in a generic one: delta_2 of a random conjugate
 of the 4+4 pair has about 9300 of its 73216 entries nonzero; clearing
 keeps 147 of its 176 columns, and 7 of them reduce to zero instead of 36.
@@ -224,8 +236,13 @@ def _primitive(row: dict) -> dict:
 
 
 def _eliminate(row: dict, pivot_row: dict, c: int) -> dict:
-    """The primitive integer row a*row - b*pivot_row, with a, b chosen so
-    that column c cancels."""
+    """The integer row a*row - b*pivot_row, with a > 0 and b chosen so that
+    column c cancels; it is not divided by its content.
+
+    Each call multiplies row by at most |pivot_row[c]|, so with primitive
+    pivot rows an entry grows by at most the bits of one pivot entry per
+    step.
+    """
     a, b = pivot_row[c], row[c]
     g = gcd(a, b)
     a, b = a // g, b // g
@@ -241,16 +258,21 @@ def _eliminate(row: dict, pivot_row: dict, c: int) -> dict:
             out[j] = total
         else:
             del out[j]
-    return _primitive(out) if out else out
+    return out
 
 
 def _echelon(rows, reduce: bool = False) -> list[tuple[int, dict]]:
-    """(pivot column, integer row) pairs of a row echelon form, in column order.
+    """(pivot column, primitive integer row) pairs of a row echelon form,
+    in column order.
 
     ``rows`` are sparse integer rows ({column: int} dicts of nonzero
-    entries); they are read, not changed.  With ``reduce`` the rows
-    are back-substituted: each then holds its pivot and free columns only,
-    and dividing it by its pivot entry gives the reduced row echelon form.
+    entries); they are read, not changed.  Each is divided by its content
+    on entry.  Among the rows that lead in column c the shortest is the
+    pivot, and only then is it divided by its content (see the module
+    docstring).  With ``reduce`` the rows are back-substituted: each then
+    holds its pivot and free columns only, is divided by its content once
+    more, and dividing it by its pivot entry gives the reduced row echelon
+    form.
     """
     by_lead = {}
     for row in rows:
@@ -263,10 +285,11 @@ def _echelon(rows, reduce: bool = False) -> list[tuple[int, dict]]:
     while heap:
         c = heappop(heap)
         bucket = by_lead.pop(c)
-        pivot_row = min(bucket, key=lambda r: (abs(r[c]) != 1, len(r)))
+        shortest = min(bucket, key=len)
+        pivot_row = _primitive(shortest)
         pivots.append((c, pivot_row))
         for row in bucket:
-            if row is pivot_row:
+            if row is shortest:
                 continue
             row = _eliminate(row, pivot_row, c)
             if row:
@@ -279,8 +302,11 @@ def _echelon(rows, reduce: bool = False) -> list[tuple[int, dict]]:
     if reduce:
         reduced = {}
         for c, row in reversed(pivots):
-            for cj in [j for j in row if j in reduced]:
-                row = _eliminate(row, reduced[cj], cj)
+            above = [j for j in row if j in reduced]
+            if above:
+                for cj in above:
+                    row = _eliminate(row, reduced[cj], cj)
+                row = _primitive(row)
             reduced[c] = row
         pivots = [(c, reduced[c]) for c, _ in pivots]
     return pivots
@@ -385,30 +411,33 @@ def cohomology_dims(delta, max_degree: int) -> list[int]:
     rank delta(d - 1).  Each differential is ranked once, after
     delta(d) * delta(d - 1) = 0 has been checked, and its rank is taken
     with the pivot coordinates of delta(d - 1) cleared (see the module
-    docstring).  Both read the integer form of each matrix, so the
-    stencil-built coboundaries are ranked without building a Fraction.
-    Raises InputError on a negative degree, DimensionMismatch if the
-    shapes do not chain and NotAComplex if some
+    docstring).  The check multiplies delta(d) by the columns of
+    delta(d - 1) that were kept when it was ranked: they span
+    im delta(d - 1), so the check is exact.  Both read the integer form
+    of each matrix, so the stencil-built coboundaries are ranked without
+    building a Fraction.  Raises InputError on a negative degree,
+    DimensionMismatch if the shapes do not chain and NotAComplex if some
     delta(d) * delta(d - 1) != 0.
     """
     require_degree(max_degree, "max_degree")
     dims = []
-    prev_columns, prev_rows, prev_rank, prev_pivots = None, 0, 0, set()
+    prev_kept, prev_rows, prev_rank, prev_pivots = None, 0, 0, set()
     for d in range(max_degree + 1):
         m = delta(d)
         _, columns = _scaled_columns(m)
-        if prev_columns is not None:
+        if prev_kept is not None:
             if m.cols != prev_rows:
                 raise DimensionMismatch(
                     f"d_out has {m.cols} columns but d_in has {prev_rows} rows"
                 )
-            # the columns of delta(d) * delta(d - 1)
-            if not _product_is_zero(prev_columns, columns):
+            # delta(d) applied to the kept columns of delta(d - 1)
+            if not _product_is_zero(prev_kept, columns):
                 raise NotAComplex("d_out * d_in != 0")
         pivots = set()
         r = rank(m, prev_pivots, pivots)
         dims.append(m.cols - r - prev_rank)
-        prev_columns, prev_rows, prev_rank, prev_pivots = columns, m.rows, r, pivots
+        prev_kept = [col for j, col in enumerate(columns) if j not in prev_pivots]
+        prev_rows, prev_rank, prev_pivots = m.rows, r, pivots
     return dims
 
 

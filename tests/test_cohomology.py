@@ -423,7 +423,8 @@ def test_cleared_ranks_on_conjugated_complexes_to_the_top_degree():
     """Conjugates make every δ dense, so clearing the previous pivots
     leaves out a large share of the columns; the dims must not move."""
     from mpla import bicrossed_product
-    from mpla.catalog import sl2
+    from mpla.catalog import mp_semidirect_double, sl2
+    from mpla.linalg import rank
 
     from helpers import bareiss_rank
 
@@ -444,6 +445,17 @@ def test_cleared_ranks_on_conjugated_complexes_to_the_top_degree():
             oracle = [m.cols - r - (ranks[d - 1] if d else 0)
                       for d, (m, r) in enumerate(zip(matrices, ranks))]
             assert got == expected == oracle
+    # the 4+4 pair in a generic basis to degree 2, the costliest rank of the
+    # bench ladder: 147 of the 176 columns of δ_2 are kept, and they have
+    # the rank of all 176
+    mp = mp_semidirect_double()
+    conj = conjugate_pair(mp, rand_invertible(rng, mp.dim_g), rand_invertible(rng, mp.dim_h))
+    adj = adjoint_representation(conj)
+    assert mpl_cohomology_dims(conj, adj, 2) == [8, 3, 7]
+    d1, d2 = delta_matrix(conj, adj, 1), delta_matrix(conj, adj, 2)
+    cleared = set()
+    assert rank(d1, set(), cleared) == 29
+    assert rank(d2, cleared) == rank(d2) == 140 and d2.cols - len(cleared) == 147
 
 
 # -- the full complex of a 6+6 pair ------------------------------------------

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from mpla import (DimensionMismatch, InputError, Matrix, NotAComplex,
                   cohomology_dim, invert, kernel_basis, kernel_dim, rank, solve)
@@ -155,10 +156,11 @@ def matrices(draw, max_side=6, square=False):
 
 
 def sympy_rank(m: Matrix) -> int:
+    """Rank by sympy's dense elimination over QQ."""
     if m.rows == 0 or m.cols == 0:
         return 0
-    return sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
-                                         for row in m.entries for x in row]).rank()
+    return DomainMatrix([[QQ(x.numerator, x.denominator) for x in row] for row in m.entries],
+                        (m.rows, m.cols), QQ).rank()
 
 
 @settings(max_examples=150, deadline=None)
@@ -396,3 +398,183 @@ def test_matrix_mul_matches_dense_mul():
             assert all(type(x) is Fraction and x for x in stored)
             zero_products += product.is_zero()
     assert zero_products >= 20
+
+
+def test_square_check_reads_the_kept_columns_and_still_fires():
+    """δ_d δ_{d-1} = 0 is checked on the columns of δ_{d-1} outside the set
+    cleared when δ_{d-1} was ranked; a perturbed δ_d is still refused, and
+    before it is ranked."""
+    import mpla.linalg as linalg
+
+    rng = random.Random(29)
+    real_check, real_rank = linalg._product_is_zero, linalg.rank
+    refused = 0
+    for lone, pieces in (([1, 2, 1, 1], [2, 3, 2, 0]), ([0, 1, 3, 0, 2], [3, 1, 2, 3, 0])):
+        deltas = _known_complex(rng, lone, pieces)
+        top = len(lone) - 1
+        checked, ranked = [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_product_is_zero", lambda a, b: (
+                checked.append(len(a)) or real_check(a, b)))
+            mp.setattr(linalg, "rank", lambda m, *args: ranked.append(m) or real_rank(m, *args))
+            assert cohomology_dims(deltas.__getitem__, top) == lone
+            # J_{d-2} holds rank δ_{d-2} coordinates of C^{d-1}
+            assert checked == [deltas[d - 1].cols - (pieces[d - 2] if d >= 2 else 0)
+                               for d in range(1, top + 1)]
+            for d in range(1, top + 1):
+                if not (pieces[d - 1] and deltas[d].rows):
+                    continue
+                u = [rand_fraction(rng, 1, 3) for _ in range(deltas[d].rows)]
+                w = [rand_fraction(rng, -2, 2) for _ in range(deltas[d].cols)]
+                if not any(deltas[d - 1].transpose().mul_vec(w)):
+                    continue
+                bad = list(deltas)
+                bad[d] = Matrix(deltas[d].rows, deltas[d].cols, [
+                    [x + ui * wj for x, wj in zip(row, w)]
+                    for row, ui in zip(deltas[d].entries, u)])
+                ranked.clear()
+                with pytest.raises(NotAComplex):
+                    cohomology_dims(bad.__getitem__, top)
+                assert [id(m) for m in ranked] == [id(m) for m in bad[:d]]
+                refused += 1
+    assert refused >= 4
+
+
+# -- dense oracles: planted ranks at the density of a generic basis ----------
+
+
+def _planted(rng, rows, cols, r, density, fractions):
+    """A rows x cols matrix of rank r: L * R with L (rows x r) and R (r x cols)
+    random integer factors holding an identity block at random positions,
+    each other entry nonzero with probability ``density``; with
+    ``fractions`` a third of the rows are divided by small denominators."""
+    def factor(n, k, at):
+        out = [[rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(k)]
+               for _ in range(n)]
+        for t, i in enumerate(at):
+            out[i] = [int(t == s) for s in range(k)]
+        return out
+
+    left = factor(rows, r, rng.sample(range(rows), r))
+    right = [list(c) for c in zip(*factor(cols, r, rng.sample(range(cols), r)))]
+    entries = [[Fraction(sum(a * right[k][j] for k, a in enumerate(row)))
+                for j in range(cols)] for row in left]
+    if fractions:
+        for i in rng.sample(range(rows), rows // 3):
+            q = rng.choice((2, 3, 6, 7))
+            entries[i] = [x / q for x in entries[i]]
+    return Matrix(rows, cols, entries)
+
+
+DENSE_CASES = [  # rows, cols, planted rank, density, fraction rows
+    (40, 60, 25, 1.0, False), (40, 60, 25, 0.3, True), (60, 40, 33, 0.5, False),
+    (40, 60, 40, 0.2, True), (30, 30, 30, 1.0, True), (30, 30, 30, 0.15, False),
+    (30, 30, 22, 0.4, True), (12, 50, 7, 1.0, True), (50, 12, 12, 0.25, False),
+]
+
+
+@pytest.fixture(scope="module")
+def dense_matrices():
+    rng = random.Random(2025)
+    return [(_planted(rng, *case), case[2]) for case in DENSE_CASES]
+
+
+def _eager_echelon(rows):
+    """(pivot column, row) pairs by the same rule as ``_echelon`` with every
+    eliminated row divided by its content at once."""
+    from mpla.linalg import _eliminate, _primitive
+
+    by_lead = {}
+    for row in rows:
+        if row:
+            by_lead.setdefault(min(row), []).append(_primitive(row))
+    pivots = []
+    while by_lead:
+        c = min(by_lead)
+        bucket = by_lead.pop(c)
+        pivot_row = min(bucket, key=len)
+        pivots.append((c, pivot_row))
+        for row in bucket:
+            if row is not pivot_row:
+                row = _eliminate(row, pivot_row, c)
+                if row:
+                    by_lead.setdefault(min(row), []).append(_primitive(row))
+    return pivots
+
+
+def test_dense_ranks_match_bareiss_and_sympy(dense_matrices):
+    for m, r in dense_matrices:
+        assert rank(m) == rank(m.transpose()) == bareiss_rank(m) == sympy_rank(m) == r
+
+
+def test_dense_echelon_rows_are_primitive_with_rising_leads(dense_matrices):
+    from math import gcd
+
+    from mpla.linalg import _echelon, _scaled_columns, _scaled_rows
+
+    for m, r in dense_matrices:
+        for lines in (_scaled_rows(m)[1], _scaled_columns(m)[1]):
+            before = [dict(line) for line in lines]
+            echelon = _echelon(lines)
+            assert echelon == _eager_echelon(lines)
+            for reduce in (False, True):
+                echelon = _echelon(lines, reduce)
+                leads = [c for c, _ in echelon]
+                assert len(leads) == r and leads == sorted(set(leads))
+                for c, row in echelon:
+                    assert min(row) == c and gcd(*row.values()) == 1
+                    if reduce:
+                        assert not set(leads) & set(row) - {c}
+            assert lines == before        # read, not changed
+
+
+def test_dense_cleared_pivots_are_the_rref_pivot_columns(dense_matrices):
+    rng = random.Random(7)
+    for m, r in dense_matrices:
+        for share in (0.0, 0.3, 0.7):
+            clear = {j for j in range(m.cols) if rng.random() < share}
+            kept = [m.column(j) for j in range(m.cols) if j not in clear]
+            pivots = set()
+            got = rank(m, clear, pivots)
+            assert sorted(pivots) == dense_rref(kept, len(kept), m.rows)
+            assert got == len(pivots)
+            if not clear:
+                assert got == r
+
+
+def test_dense_kernel_solve_and_invert_match_gauss_jordan(dense_matrices):
+    rng = random.Random(11)
+    for m, r in dense_matrices:
+        assert kernel_basis(m) == dense_kernel_basis(m)
+        consistent = m.mul_vec([rand_fraction(rng) for _ in range(m.cols)])
+        for b in (consistent, [rand_fraction(rng) for _ in range(m.rows)]):
+            assert solve(m, b) == dense_solve(m, b)
+        if m.rows == m.cols:
+            expected = dense_invert(m)
+            assert (expected is None) == (r < m.rows)
+            if expected is None:
+                with pytest.raises(DimensionMismatch):
+                    invert(m)
+            else:
+                assert invert(m).entries == expected
+
+
+def test_content_is_cleared_once_per_input_row_and_per_pivot_row(dense_matrices):
+    import mpla.linalg as linalg
+
+    real = linalg._primitive
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "_primitive", lambda row: calls.append(1) or real(row))
+        for m, r in dense_matrices:
+            lines = linalg._scaled_rows(m)[1]
+            inputs = sum(1 for line in lines if line)
+            calls.clear()
+            echelon = linalg._echelon(lines)
+            assert len(calls) == inputs + r
+            # back-substitution clears each row it changes once more
+            leads = {c for c, _ in echelon}
+            changed = sum(1 for c, row in echelon if leads & set(row) - {c})
+            calls.clear()
+            linalg._echelon(lines, reduce=True)
+            assert len(calls) == inputs + r + changed
