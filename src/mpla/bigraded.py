@@ -16,8 +16,6 @@ when the three brackets [mu x rho, mu x rho], [mu x rho, psi x nu] and
 
 from __future__ import annotations
 
-from math import comb
-
 from .errors import ArityMismatch, DimensionMismatch
 from .multimap import SkewMultiMap, nr_bracket
 from .report import Record
@@ -120,13 +118,6 @@ class BidegreeMap:
                 odd = len(gi) * len(hj) % 2
                 table[(hj, gi)] = [-x for x in vec] if odd else list(vec)
         return out
-
-    def space_dim(self) -> int:
-        m, n = self.dim_g, self.dim_h
-        return (
-            self.dim_v * comb(m, self.k + 1) * comb(n, self.l)
-            + self.dim_w * comb(m, self.k) * comb(n, self.l + 1)
-        )
 
 
 def embed(b: BidegreeMap) -> SkewMultiMap:

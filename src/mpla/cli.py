@@ -34,34 +34,20 @@ def _degree(text: str) -> int:
     return value
 
 
-def _emit_report(report, args, extra_json=None):
-    if args.format == "json":
-        payload = report.to_json()
-        if extra_json:
-            payload.update(extra_json)
-        jsonio.dump_json(payload, args.output)
+def _emit(args, payload, lines=None, code=0):
+    """Write a verb's result to the -o file, or to stdout, and return its
+    exit code: the JSON of ``payload()`` with --format json or when the verb
+    has no text form (``lines`` None), else the text of ``lines()``.  Both
+    are functions, so only the form written is built."""
+    if args.format == "json" or lines is None:
+        jsonio.dump_json(payload(), args.output)
     else:
-        lines = report.lines()
-        text = "\n".join(lines) + "\n"
-        if args.output and args.output != "-":
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
-    return 0 if report.ok else 1
+        jsonio.write_text("\n".join(lines()) + "\n", args.output)
+    return code
 
 
-def _emit_payload(payload, args, text_lines=None):
-    if args.format == "json" or text_lines is None:
-        jsonio.dump_json(payload, args.output)
-    else:
-        text = "\n".join(text_lines) + "\n"
-        if args.output and args.output != "-":
-            with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
-    return 0
+def _emit_report(report, args):
+    return _emit(args, report.to_json, report.lines, 0 if report.ok else 1)
 
 
 def _detect_kind(data, path) -> str:
@@ -141,12 +127,10 @@ def cmd_bicross(args) -> int:
 
     mp = jsonio.matched_pair_from_json(jsonio.load_json(args.input), args.input)
     algebra = bicrossed_product(mp)
-    return _emit_payload(
-        jsonio.lie_algebra_to_json(algebra), args,
-        text_lines=[f"combined product: dimension {algebra.dim}, "
-                    f"{sum(1 for i in range(algebra.dim) for j in range(i + 1, algebra.dim) if any(algebra.c[i][j]))}"
-                    f" nonzero basis brackets"],
-    )
+    return _emit(args, lambda: jsonio.lie_algebra_to_json(algebra), lambda: [
+        f"combined product: dimension {algebra.dim}, "
+        f"{sum(1 for i in range(algebra.dim) for j in range(i + 1, algebra.dim) if any(algebra.c[i][j]))}"
+        f" nonzero basis brackets"])
 
 
 def _load_pair_and_rep(args):
@@ -167,7 +151,7 @@ def cmd_semidirect(args) -> int:
 
     mp, rep = _load_pair_and_rep(args)
     out = semidirect_product(rep)
-    return _emit_payload(jsonio.matched_pair_to_json(out), args)
+    return _emit(args, lambda: jsonio.matched_pair_to_json(out))
 
 
 def cmd_dual(args) -> int:
@@ -176,7 +160,7 @@ def cmd_dual(args) -> int:
     mp, rep = _load_pair_and_rep(args)
     rep.require_valid()
     out = dual_representation(rep)
-    return _emit_payload(jsonio.mp_representation_to_json(out), args)
+    return _emit(args, lambda: jsonio.mp_representation_to_json(out))
 
 
 def cmd_cohomology(args) -> int:
@@ -188,7 +172,7 @@ def cmd_cohomology(args) -> int:
     lines = ["degree  cochain_dim  h_dim"]
     for row in table:
         lines.append(f"{row['degree']:>6}  {row['cochain_dim']:>11}  {row['h_dim']:>5}")
-    return _emit_payload(table, args, text_lines=lines)
+    return _emit(args, lambda: table, lambda: lines)
 
 
 def cmd_mc_check(args) -> int:
@@ -196,19 +180,11 @@ def cmd_mc_check(args) -> int:
 
     mp = jsonio.matched_pair_from_json(jsonio.load_json(args.input), args.input)
     report = mc_check(StructureElement.from_matched_pair(mp))
-    if args.format == "json":
-        payload = {
-            "square_zero": report.is_mc,
-            "brackets": [
-                {"name": b.name, "vanishes": b.vanishes,
-                 "witnesses": len(b.witnesses)}
-                for b in report.brackets
-            ],
-        }
-        jsonio.dump_json(payload, args.output)
-    else:
-        sys.stdout.write("\n".join(report.lines()) + "\n")
-    return 0 if report.is_mc else 1
+    return _emit(args, lambda: {
+        "square_zero": report.is_mc,
+        "brackets": [{"name": b.name, "vanishes": b.vanishes, "witnesses": len(b.witnesses)}
+                     for b in report.brackets],
+    }, report.lines, 0 if report.is_mc else 1)
 
 
 def cmd_deform_check(args) -> int:
@@ -219,17 +195,12 @@ def cmd_deform_check(args) -> int:
     cand = jsonio.deformation_from_json(jsonio.load_json(args.candidate),
                                         mp, args.candidate)
     report = deformation_check(mp, cand)
-    if args.format == "json":
-        payload = {
-            "is_deformation": report.is_deformation,
-            "routes_agree": report.agree,
-            "cocycle_route": report.cocycle_route.to_json(),
-            "ring_route": report.ring_route.to_json(),
-        }
-        jsonio.dump_json(payload, args.output)
-    else:
-        sys.stdout.write("\n".join(report.lines()) + "\n")
-    return 0 if report.is_deformation else 1
+    return _emit(args, lambda: {
+        "is_deformation": report.is_deformation,
+        "routes_agree": report.agree,
+        "cocycle_route": report.cocycle_route.to_json(),
+        "ring_route": report.ring_route.to_json(),
+    }, report.lines, 0 if report.is_deformation else 1)
 
 
 def cmd_deform_equiv(args) -> int:
@@ -254,7 +225,7 @@ def cmd_extend(args) -> int:
     F = jsonio.cochain_from_json(jsonio.load_json(args.cocycle),
                                  (mp.dim_g, mp.dim_h), rep.dims, args.cocycle)
     ext = cocycle_to_extension(mp, rep, F)
-    return _emit_payload(jsonio.extension_to_json(ext), args)
+    return _emit(args, lambda: jsonio.extension_to_json(ext))
 
 
 def cmd_extract_cocycle(args) -> int:
@@ -268,7 +239,7 @@ def cmd_extract_cocycle(args) -> int:
     else:
         section = "canonical"
     F = extension_to_cocycle(ext, section)
-    return _emit_payload(jsonio.cochain_to_json(F), args)
+    return _emit(args, lambda: jsonio.cochain_to_json(F))
 
 
 def cmd_skeletal_validate(args) -> int:
@@ -295,14 +266,14 @@ def cmd_skeletal_correspond(args) -> int:
             "rep": jsonio.mp_representation_to_json(triple.rep),
             "cocycle": jsonio.cochain_to_json(triple.cocycle),
         }
-        return _emit_payload(payload, args)
+        return _emit(args, lambda: payload)
     if "mp" in data and "rep" in data and "cocycle" in data:
         mp = jsonio.matched_pair_from_json(data["mp"], args.input)
         rep = jsonio.mp_representation_from_json(data["rep"], mp, args.input)
         F = jsonio.cochain_from_json(data["cocycle"], (mp.dim_g, mp.dim_h),
                                      rep.dims, args.input)
         s = triple_to_skeletal(SkeletalTriple(mp, rep, F))
-        return _emit_payload(jsonio.skeletal_pair_to_json(s), args)
+        return _emit(args, lambda: jsonio.skeletal_pair_to_json(s))
     raise InputError("expected a skeletal pair or a {mp, rep, cocycle} triple",
                      path=args.input)
 
@@ -314,7 +285,7 @@ def cmd_rota_baxter(args) -> int:
     data = jsonio.load_json(args.operator)
     r_matrix = jsonio.matrix_from_json(data, "R", args.operator)
     mp = rota_baxter_matched_pair(algebra, r_matrix)
-    return _emit_payload(jsonio.matched_pair_to_json(mp), args)
+    return _emit(args, lambda: jsonio.matched_pair_to_json(mp))
 
 
 def cmd_bialgebra(args) -> int:
@@ -325,7 +296,7 @@ def cmd_bialgebra(args) -> int:
     if not report.ok:
         return _emit_report(report, args)
     mp = bialgebra_to_matched_pair(b)
-    return _emit_payload(jsonio.matched_pair_to_json(mp), args)
+    return _emit(args, lambda: jsonio.matched_pair_to_json(mp))
 
 
 def build_parser() -> argparse.ArgumentParser:

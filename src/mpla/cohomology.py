@@ -320,12 +320,12 @@ def _degree0_delta(mp, rep, vec) -> MPCochain:
     out = MPCochain(1, m, n, p, q)
     part = out.component(1)
     for i in range(m):
-        val = rep.rho_v_rep().act(i, v)
+        val = rep.act_rho_v(i, v)
         vaccum(val, -1, rep.pair_beta(w, i))
         if not vis_zero(val):
             part.part_v[((i,), ())] = val
     for a in range(n):
-        val = rep.psi_w_rep().act(a, w)
+        val = rep.act_psi_w(a, w)
         vaccum(val, -1, rep.pair_alpha(v, a))
         if not vis_zero(val):
             part.part_w[((), (a,))] = val

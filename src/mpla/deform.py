@@ -24,7 +24,7 @@ from fractions import Fraction
 from .cohomology import MPCochain, delta_mpl_coeff
 from .errors import (DimensionMismatch, InvalidInput, MalformedTensor,
                      NotACocycle, NotASection, ShapeMismatch)
-from .lie import LieAlgebra, dense_tensor
+from .lie import LieAlgebra, checked_tensor, dense_tensor
 from .linalg import Matrix
 from .matched import MatchedPair, MPMorphism, check_morphism, validate_matched_pair
 from .report import Record, ValidationReport
@@ -41,10 +41,10 @@ class DeformationCandidate:
     def __init__(self, dim_g, dim_h, mu1, nu1, rho1, psi1):
         self.dim_g = dim_g
         self.dim_h = dim_h
-        self.mu1 = [[list(v) for v in row] for row in mu1]
-        self.nu1 = [[list(v) for v in row] for row in nu1]
-        self.rho1 = [[list(v) for v in row] for row in rho1]
-        self.psi1 = [[list(v) for v in row] for row in psi1]
+        self.mu1 = checked_tensor(mu1, (dim_g, dim_g, dim_g), "mu1")
+        self.nu1 = checked_tensor(nu1, (dim_h, dim_h, dim_h), "nu1")
+        self.rho1 = checked_tensor(rho1, (dim_g, dim_h, dim_h), "rho1")
+        self.psi1 = checked_tensor(psi1, (dim_h, dim_g, dim_g), "psi1")
         for i in range(dim_g):
             for j in range(dim_g):
                 if not vis_zero([a + b for a, b in zip(self.mu1[i][j], self.mu1[j][i])]):

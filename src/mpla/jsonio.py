@@ -428,6 +428,12 @@ def extension_from_json(data, path=None) -> AbelianExtension:
     if len(split) != 4 or not all(type(x) is int and x >= 0 for x in split):
         _fail("split must be [m, p, n, q] with entries >= 0", path, "split")
     rep = mp_representation_from_json(_expect(data, "rep", dict, path), base, path)
+    m, p, n, q = split
+    if (m, p, n, q) != (base.dim_g, rep.dim_v, base.dim_h, rep.dim_w):
+        _fail("split must be [m, p, n, q] of the base pair and the representation",
+              path, "split")
+    if (total.dim_g, total.dim_h) != (m + p, n + q):
+        _fail("split must add up to the dimensions of the total pair", path, "split")
     return AbelianExtension(total, base, rep, tuple(split))
 
 
@@ -459,9 +465,14 @@ def load_json(path: str):
 
 
 def dump_json(data, path: str | None):
+    """Write data as indented JSON with sorted keys (``write_text``)."""
+    write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", path)
+
+
+def write_text(text: str, path: str | None):
+    """Write text to the file at path, or to standard output for None or '-'."""
     import sys
 
-    text = json.dumps(data, indent=2, sort_keys=True) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
     else:

@@ -11,7 +11,9 @@ Conventions:
                           + sum_{i<j} (-1)^{i+j} f([x_i,x_j], .. x_i^ .. x_j^ ..).
 
 All arithmetic is ring-generic: entries may be ints, Fractions or
-DualNumbers.
+DualNumbers.  Every structure copies its dense tensors through
+``checked_tensor``, which names the field of a misshapen one, and every
+action on a dual space is ``dual_action``, (x . q)(v) = -q(x . v).
 
 Every structure law says that a bracket table is a Lie algebra: its
 own, g x| V (``LieRep``), g |x| h (``matched``), g+V |x| h+W (``reps``)
@@ -19,6 +21,8 @@ or the double g |x| g* of a bialgebra (``matched``).
 The integer Jacobiator kernel ``lie_table_holds`` decides it, and
 ``decided`` keeps a report on the structure (values are immutable after
 construction): the passing one, or else the ring-generic witnesses.
+When the kernel says no, the reports of the enclosing structures read
+the action laws off ``_representation_report`` directly.
 ``homomorphism_holds`` decides a morphism of matched pairs the same way,
 as a homomorphism between g |x| h tables (``matched.check_morphism``).
 
@@ -77,6 +81,35 @@ def dense_tensor(shape, data, what: str, skew: int = 0):
     return t
 
 
+def checked_tensor(t, shape, what: str):
+    """A fresh copy of the dense tensor t of ``shape`` (nested lists whose
+    last level holds the value vectors), its entries kept; MalformedTensor
+    naming ``what`` when t has another shape.  Every structure copies its
+    tensors through here."""
+    if len(t) != shape[0]:
+        raise MalformedTensor(f"{what} tensor does not match the dimensions")
+    if len(shape) == 2:  # a list of value vectors
+        return checked_tensor([t], (1, *shape), what)[0]
+    if len(shape) > 3:
+        return [checked_tensor(x, shape[1:], what) for x in t]
+    _, cols, veclen = shape
+    out = [[list(v) for v in row] for row in t]
+    for row in out:
+        if len(row) != cols:
+            raise MalformedTensor(f"{what} tensor does not match the dimensions")
+        for v in row:
+            if len(v) != veclen:
+                raise MalformedTensor(f"{what} value has wrong length")
+    return out
+
+
+def dual_action(a):
+    """The action on the dual space of an action a (a[i][u] the image of
+    the u-th basis vector under e_i): (x . q)(v) = -q(x . v), the negated
+    transpose of each matrix."""
+    return [[[-x for x in column] for column in zip(*row)] for row in a]
+
+
 class LieAlgebra:
     """Finite-dimensional Lie algebra given by structure constants."""
 
@@ -84,13 +117,7 @@ class LieAlgebra:
 
     def __init__(self, dim: int, c):
         self.dim = dim
-        if len(c) != dim or any(len(row) != dim for row in c):
-            raise MalformedTensor("bracket tensor does not match the dimension")
-        self.c = [[list(v) for v in row] for row in c]
-        for row in self.c:
-            for v in row:
-                if len(v) != dim:
-                    raise MalformedTensor("bracket value has wrong length")
+        self.c = checked_tensor(c, (dim, dim, dim), "bracket")
         self._report = self._adjoint = None
 
     @classmethod
@@ -154,13 +181,7 @@ class LieRep:
     def __init__(self, algebra: LieAlgebra, space_dim: int, a):
         self.algebra = algebra
         self.space_dim = space_dim
-        if len(a) != algebra.dim or any(len(row) != space_dim for row in a):
-            raise MalformedTensor("action tensor does not match the dimensions")
-        self.a = [[list(v) for v in row] for row in a]
-        for row in self.a:
-            for v in row:
-                if len(v) != space_dim:
-                    raise MalformedTensor("action value has wrong length")
+        self.a = checked_tensor(a, (algebra.dim, space_dim, space_dim), "action")
         self._report = self._stencil = None
 
     @classmethod

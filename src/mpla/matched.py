@@ -16,21 +16,23 @@ ring-generic so they also run over k[t]/(t^2) for first-order
 perturbation tests.  ``check_morphism`` asks the integer kernel
 ``lie.homomorphism_holds`` whether the two maps, as one map on g + h, are
 a homomorphism between the two pairs' g |x| h tables.
+
+The pair of a weight-1 operator, its diagonal and graph in g + g, is
+written in closed form (``rota_baxter_matched_pair``).
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
-from .errors import (DimensionMismatch, InvalidInput, MalformedTensor,
-                     NotRotaBaxter)
-from .lie import (LIE_GROUPS, LieAlgebra, LieRep, bicrossed_table, ce_coboundary, decided,
-                  dense_tensor, homomorphism_holds, validate_lie_algebra,
-                  validate_representation, wedge_basis, wedge_rep)
-from .linalg import Matrix, invert, rank
+from .errors import DimensionMismatch, InvalidInput, MalformedTensor, NotRotaBaxter
+from .lie import (LIE_GROUPS, LieAlgebra, LieRep, _representation_report, bicrossed_table,
+                  ce_coboundary, checked_tensor, decided, dense_tensor, dual_action,
+                  homomorphism_holds, validate_lie_algebra, wedge_basis, wedge_rep)
+from .linalg import Matrix, rank
 from .multimap import SkewMultiMap
 from .report import ValidationReport
-from .scalars import vaccum, vbasis, vcombine, vis_zero, vneg, vzero
+from .scalars import vaccum, vbasis, vcombine, vis_zero, vzero
 
 
 class MatchedPair:
@@ -42,20 +44,8 @@ class MatchedPair:
     def __init__(self, g: LieAlgebra, h: LieAlgebra, rho, psi):
         self.g = g
         self.h = h
-        if len(rho) != g.dim or any(len(row) != h.dim for row in rho):
-            raise MalformedTensor("rho tensor does not match the dimensions")
-        if len(psi) != h.dim or any(len(row) != g.dim for row in psi):
-            raise MalformedTensor("psi tensor does not match the dimensions")
-        self.rho = [[list(v) for v in row] for row in rho]
-        self.psi = [[list(v) for v in row] for row in psi]
-        for row in self.rho:
-            for v in row:
-                if len(v) != h.dim:
-                    raise MalformedTensor("rho value has wrong length")
-        for row in self.psi:
-            for v in row:
-                if len(v) != g.dim:
-                    raise MalformedTensor("psi value has wrong length")
+        self.rho = checked_tensor(rho, (g.dim, h.dim, h.dim), "rho")
+        self.psi = checked_tensor(psi, (h.dim, g.dim, g.dim), "psi")
         self._report = self._bicrossed = self._adjoint = self._structure = None
         self._insertion = None
 
@@ -140,11 +130,13 @@ def _bicrossed(mp: MatchedPair) -> LieAlgebra:
 
 
 def _matched_pair_report(mp: MatchedPair, checks):
-    reports = (validate_lie_algebra(mp.g), validate_lie_algebra(mp.h),
-               validate_representation(mp.rho_rep()), validate_representation(mp.psi_rep()))
-    for check, report in zip(checks, reports):
-        for c in report.checks:
+    """The ring-generic witnesses: those of g and h (decided on them), of the
+    action-law formula for rho and psi, and of the two compatibilities."""
+    for check, algebra in zip(checks, (mp.g, mp.h)):
+        for c in validate_lie_algebra(algebra).checks:
             check.witnesses.extend(c.witnesses)
+    _representation_report(mp.rho_rep(), checks[2:3])
+    _representation_report(mp.psi_rep(), checks[3:4])
     _compat_11(mp, checks[4])
     _compat_11(mp.flipped(), checks[5])
 
@@ -264,75 +256,47 @@ def _morphism_report(src: MatchedPair, dst: MatchedPair, f, gm, blocks) -> Valid
 def rota_baxter_matched_pair(g: LieAlgebra, r_matrix: Matrix) -> MatchedPair:
     """Matched pair carried by the diagonal and the graph of a weight-1 operator.
 
-    R must satisfy [Rx, Ry] = R([Rx, y] + [x, Ry] + [x, y]); then inside the
-    direct product g + g the diagonal {(x, x)} and the graph
-    {(Rx, x + Rx)} are complementary subalgebras, and the mutual actions
-    are read off through the exact splitting.
+    R must satisfy [Rx, Ry] = R c_R(x, y), where c_R(x, y) = [Rx, y] + [x, Ry]
+    + [x, y]; then inside the direct product g + g the diagonal {(x, x)} and
+    the graph {(Rx, x + Rx)} are complementary subalgebras.  In their bases
+    (e_i, e_i) and (R e_a, e_a + R e_a) the pair has a closed form:
+
+      * the diagonal is g itself;
+      * [(Rx, x + Rx), (Ry, y + Ry)] = (Rz, z + Rz) with z = c_R(x, y), so
+        the graph carries the bracket c_R;
+      * (x, x) . (Ry, y + Ry) = (u, u) + (Rv, v + Rv) with v = [x, y] and
+        u = [x, Ry] - R[x, y], so rho_x y = [x, y] and
+        psi_y x = R[x, y] - [x, Ry].
+
+    The weight-1 identity is checked on basis pairs i < j, and the pair is
+    validated before it is returned.
     """
     g.require_valid()
     m = g.dim
     if r_matrix.rows != m or r_matrix.cols != m:
         raise DimensionMismatch("operator matrix must be square of the algebra dimension")
-    for i in range(m):
-        for j in range(i + 1, m):
-            ri = r_matrix.column(i)
-            rj = r_matrix.column(j)
-            lhs = g.bracket_vec(ri, rj)
-            inner = g.bracket_vec(ri, vbasis(m, j))
-            vaccum(inner, 1, g.bracket_vec(vbasis(m, i), rj))
-            vaccum(inner, 1, g.c[i][j])
-            rhs = r_matrix.mul_vec(inner)
-            residual = [x - y for x, y in zip(lhs, rhs)]
-            if not vis_zero(residual):
-                raise NotRotaBaxter(
-                    f"weight-1 identity fails at basis pair ({i}, {j})",
-                    witness=(i, j, residual),
-                )
-
-    # columns: diagonal copy (e_i, e_i), then graph copy (R e_a, e_a + R e_a)
-    columns = []
-    for i in range(m):
-        columns.append(vbasis(m, i) + vbasis(m, i))
-    for a in range(m):
-        ra = r_matrix.column(a)
-        columns.append(list(ra) + [x + y for x, y in zip(vbasis(m, a), ra)])
-    change = Matrix.from_columns(columns)
-    back = invert(change)
-
-    def product_bracket(u, v):
-        left = g.bracket_vec(u[:m], v[:m])
-        right = g.bracket_vec(u[m:], v[m:])
-        return list(left) + list(right)
-
-    def coords(vec):
-        return back.mul_vec(vec)
-
-    diag = lambda i: columns[i]
-    graph = lambda a: columns[m + a]
-
-    c_diag = [[vzero(m) for _ in range(m)] for _ in range(m)]
-    c_graph = [[vzero(m) for _ in range(m)] for _ in range(m)]
-    rho = [[vzero(m) for _ in range(m)] for _ in range(m)]
-    psi = [[vzero(m) for _ in range(m)] for _ in range(m)]
+    columns = [r_matrix.column(i) for i in range(m)]
+    c_r = [[None] * m for _ in range(m)]
     for i in range(m):
         for j in range(m):
-            co = coords(product_bracket(diag(i), diag(j)))
-            if not vis_zero(co[m:]):
-                raise MalformedTensor("diagonal copy failed to close under the bracket")
-            c_diag[i][j] = co[:m]
+            inner = g.bracket_vec(columns[i], vbasis(m, j))
+            vaccum(inner, 1, g.bracket_vec(vbasis(m, i), columns[j]))
+            vaccum(inner, 1, g.c[i][j])
+            c_r[i][j] = inner
+    for i, j in combinations(range(m), 2):
+        lhs = g.bracket_vec(columns[i], columns[j])
+        rhs = r_matrix.mul_vec(c_r[i][j])
+        residual = [x - y for x, y in zip(lhs, rhs)]
+        if not vis_zero(residual):
+            raise NotRotaBaxter(
+                f"weight-1 identity fails at basis pair ({i}, {j})",
+                witness=(i, j, residual),
+            )
+    psi = [[r_matrix.mul_vec(g.c[i][a]) for i in range(m)] for a in range(m)]
     for a in range(m):
-        for b in range(m):
-            co = coords(product_bracket(graph(a), graph(b)))
-            if not vis_zero(co[:m]):
-                raise MalformedTensor("graph copy failed to close under the bracket")
-            c_graph[a][b] = co[m:]
-    for i in range(m):
-        for a in range(m):
-            co = coords(product_bracket(diag(i), graph(a)))
-            rho[i][a] = co[m:]
-            psi[a][i] = vneg(co[:m])
-
-    pair = MatchedPair(LieAlgebra(m, c_diag), LieAlgebra(m, c_graph), rho, psi)
+        for i in range(m):
+            vaccum(psi[a][i], -1, g.bracket_vec(vbasis(m, i), columns[a]))
+    pair = MatchedPair(g, LieAlgebra(m, c_r), g.c, psi)
     pair.require_valid()
     return pair
 
@@ -440,16 +404,12 @@ def _double(b: LieBialgebra) -> MatchedPair:
     built once, unvalidated, and kept on b.
 
     The action of x on a covector q is (x . q)(y) = -q([x, y]); the action
-    of a covector on g is dual to the adjoint action of the dual algebra.
+    of a covector on g is dual to the adjoint action of the dual algebra
+    (``lie.dual_action`` of both bracket tables).
     """
     if b._double is None:
-        m = b.g.dim
         dual = b.dual_algebra()
-        # coefficient of t^b in x_i . t^a  is  -c[i][b][a]
-        rho = [[[-b.g.c[i][bb][a] for bb in range(m)] for a in range(m)] for i in range(m)]
-        # coefficient of e_j in t^a . e_i  is  -c*[a][j][i]
-        psi = [[[-dual.c[a][j][i] for j in range(m)] for i in range(m)] for a in range(m)]
-        b._double = MatchedPair(b.g, dual, rho, psi)
+        b._double = MatchedPair(b.g, dual, dual_action(b.g.c), dual_action(dual.c))
     return b._double
 
 

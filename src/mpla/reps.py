@@ -4,7 +4,8 @@ A representation of (g, h, rho, psi) on a pair of spaces (V, W) consists
 of four actions (rho_V, psi_V on V; rho_W, psi_W on W) and two pairing
 maps alpha: V x h -> W, beta: W x g -> V subject to six mixed identities
 (tags pairing(1)..pairing(6) below).  The canonical example is the
-adjoint one, (V, W) = (g, h) with alpha = rho and beta = psi.  Exchanging
+adjoint one, (V, W) = (g, h) with alpha = rho and beta = psi; the
+coadjoint one is its dual (``dual_representation``) on (h*, g*).  Exchanging
 g with h and V with W (``MPRepresentation.flipped``) maps each
 representation to one of the flipped pair, and pairing(2), (5), (6) to
 pairing(1), (3), (4).
@@ -22,10 +23,9 @@ the coboundary stencil keeps its integer tables of g |x| h acting on V + W
 
 from __future__ import annotations
 
-from .errors import (DimensionMismatch, InvalidInput, MalformedTensor,
-                     NotRestrictable)
-from .lie import (LieAlgebra, LieRep, bicrossed_table, decided, dense_tensor,
-                  validate_representation)
+from .errors import DimensionMismatch, InvalidInput, NotRestrictable
+from .lie import (LieAlgebra, LieRep, _representation_report, bicrossed_table, checked_tensor,
+                  decided, dense_tensor, dual_action)
 from .matched import MatchedPair, bicrossed_product, validate_matched_pair
 from .report import ValidationReport
 from .scalars import vaccum, vbasis, vcombine, vis_zero, vneg, vzero
@@ -43,23 +43,12 @@ class MPRepresentation:
         self.dim_v = dim_v
         self.dim_w = dim_w
         m, n = base.dim_g, base.dim_h
-
-        def dense(t, rows, cols, veclen, what):
-            if len(t) != rows or any(len(r) != cols for r in t):
-                raise MalformedTensor(f"{what} tensor does not match the dimensions")
-            out = [[list(v) for v in row] for row in t]
-            for row in out:
-                for v in row:
-                    if len(v) != veclen:
-                        raise MalformedTensor(f"{what} value has wrong length")
-            return out
-
-        self.rho_v = dense(rho_v, m, dim_v, dim_v, "rho_V")
-        self.psi_v = dense(psi_v, n, dim_v, dim_v, "psi_V")
-        self.rho_w = dense(rho_w, m, dim_w, dim_w, "rho_W")
-        self.psi_w = dense(psi_w, n, dim_w, dim_w, "psi_W")
-        self.alpha = dense(alpha, dim_v, n, dim_w, "alpha")
-        self.beta = dense(beta, dim_w, m, dim_v, "beta")
+        self.rho_v = checked_tensor(rho_v, (m, dim_v, dim_v), "rho_V")
+        self.psi_v = checked_tensor(psi_v, (n, dim_v, dim_v), "psi_V")
+        self.rho_w = checked_tensor(rho_w, (m, dim_w, dim_w), "rho_W")
+        self.psi_w = checked_tensor(psi_w, (n, dim_w, dim_w), "psi_W")
+        self.alpha = checked_tensor(alpha, (dim_v, n, dim_w), "alpha")
+        self.beta = checked_tensor(beta, (dim_w, m, dim_v), "beta")
         self._alpha_cols = [[row[a] for row in self.alpha] for a in range(n)]
         self._beta_cols = [[row[i] for row in self.beta] for i in range(m)]
         self._report = self._stencil = None
@@ -172,9 +161,10 @@ def validate_mp_representation(r: MPRepresentation) -> ValidationReport:
 
 
 def _mp_representation_report(r: MPRepresentation, checks):
-    for check, rep in zip(checks, (r.rho_v_rep(), r.psi_v_rep(), r.rho_w_rep(), r.psi_w_rep())):
-        for c in validate_representation(rep).checks:
-            check.witnesses.extend(c.witnesses)
+    """The ring-generic witnesses: the action-law formula on each of the
+    four actions, then the six pairings."""
+    for k, rep in enumerate((r.rho_v_rep(), r.psi_v_rep(), r.rho_w_rep(), r.psi_w_rep())):
+        _representation_report(rep, checks[k:k + 1])
     _pairing_report(r, checks[4:])
 
 
@@ -390,64 +380,22 @@ def extract_rep_from_bicross(base: MatchedPair, r: LieRep, split) -> MPRepresent
 
 
 def dual_representation(r: MPRepresentation) -> MPRepresentation:
-    """The representation on (W*, V*) by negated transposes,
+    """The representation on (W*, V*): each action by ``lie.dual_action``,
+    (x . q)(v) = -q(x . v), and the pairings by negated transposes,
 
     (alpha*_p h)(v) = -p(alpha_v h)  and  (beta*_q x)(w) = -q(beta_w x).
     """
-    mp = r.base
-    m, n = mp.dim_g, mp.dim_h
+    m, n = r.base.dim_g, r.base.dim_h
     p, q = r.dims
-
-    def neg_t(tensor, rows, size):
-        # action on the dual of a size-dim space: entry [i][u][u'] = -tensor[i][u'][u]
-        return [
-            [[-tensor[i][u2][u1] for u2 in range(size)] for u1 in range(size)]
-            for i in range(rows)
-        ]
-
-    rho_v2 = neg_t(r.rho_w, m, q)      # g acting on W*
-    psi_v2 = neg_t(r.psi_w, n, q)      # h acting on W*
-    rho_w2 = neg_t(r.rho_v, m, p)      # g acting on V*
-    psi_w2 = neg_t(r.psi_v, n, p)      # h acting on V*
-    alpha2 = [
-        [[-r.alpha[u][a][w] for u in range(p)] for a in range(n)]
-        for w in range(q)
-    ]
-    beta2 = [
-        [[-r.beta[w][i][u] for w in range(q)] for i in range(m)]
-        for u in range(p)
-    ]
-    return MPRepresentation(mp, q, p, rho_v2, psi_v2, rho_w2, psi_w2, alpha2, beta2)
+    alpha = [[[-r.alpha[u][a][w] for u in range(p)] for a in range(n)] for w in range(q)]
+    beta = [[[-r.beta[w][i][u] for w in range(q)] for i in range(m)] for u in range(p)]
+    return MPRepresentation(r.base, q, p, dual_action(r.rho_w), dual_action(r.psi_w),
+                            dual_action(r.rho_v), dual_action(r.psi_v), alpha, beta)
 
 
 def coadjoint_representation(mp: MatchedPair) -> MPRepresentation:
-    """The representation on (h*, g*) with
+    """The dual of the adjoint representation, on (h*, g*):
 
     (alpha_p h)(x) = -p(rho_x h)  and  (beta_q x)(h) = -q(psi_h x).
     """
-    m, n = mp.dim_g, mp.dim_h
-    rho_v = [
-        [[-mp.rho[i][b][a] for b in range(n)] for a in range(n)]
-        for i in range(m)
-    ]
-    psi_v = [
-        [[-mp.h.c[a][b2][b1] for b2 in range(n)] for b1 in range(n)]
-        for a in range(n)
-    ]
-    rho_w = [
-        [[-mp.g.c[i][j2][j1] for j2 in range(m)] for j1 in range(m)]
-        for i in range(m)
-    ]
-    psi_w = [
-        [[-mp.psi[a][j][i] for j in range(m)] for i in range(m)]
-        for a in range(n)
-    ]
-    alpha = [
-        [[-mp.rho[i][b][a] for i in range(m)] for b in range(n)]
-        for a in range(n)
-    ]
-    beta = [
-        [[-mp.psi[b][i][j] for b in range(n)] for i in range(m)]
-        for j in range(m)
-    ]
-    return MPRepresentation(mp, n, m, rho_v, psi_v, rho_w, psi_w, alpha, beta)
+    return dual_representation(adjoint_representation(mp))

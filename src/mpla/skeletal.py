@@ -34,9 +34,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from .cohomology import MPCochain
-from .errors import (InvalidInput, MalformedTensor, NonzeroMiddleComponent,
-                     NotACocycle, ShapeMismatch)
-from .lie import LieAlgebra, LieRep, dense_tensor, validate_representation
+from .errors import InvalidInput, NonzeroMiddleComponent, NotACocycle, ShapeMismatch
+from .lie import LieAlgebra, LieRep, checked_tensor, dense_tensor, validate_representation
 from .matched import MatchedPair, validate_matched_pair
 from .report import Record, ValidationReport
 from .reps import MPRepresentation, validate_mp_representation
@@ -53,33 +52,11 @@ class TwoTermLInfinity:
         self.dim0 = dim0
         self.dim1 = dim1
         # mu1[p] = image of the p-th g1 basis vector in g0
-        self.mu1 = [list(v) for v in mu1]
-        if len(self.mu1) != dim1 or any(len(v) != dim0 for v in self.mu1):
-            raise MalformedTensor("mu1 does not map g1 into g0")
-        self.bracket00 = [[list(v) for v in row] for row in bracket00]
-        if len(self.bracket00) != dim0 or any(
-            len(row) != dim0 or any(len(v) != dim0 for v in row)
-            for row in self.bracket00
-        ):
-            raise MalformedTensor("bracket00 has the wrong shape")
-        self.bracket01 = [[list(v) for v in row] for row in bracket01]
-        if len(self.bracket01) != dim0 or any(
-            len(row) != dim1 or any(len(v) != dim1 for v in row)
-            for row in self.bracket01
-        ):
-            raise MalformedTensor("bracket01 has the wrong shape")
+        self.mu1 = checked_tensor(mu1, (dim1, dim0), "mu1")
+        self.bracket00 = checked_tensor(bracket00, (dim0, dim0, dim0), "bracket00")
+        self.bracket01 = checked_tensor(bracket01, (dim0, dim1, dim1), "bracket01")
         # mu3 dense over (i, j, k) with values in g1
-        self.mu3 = [
-            [[list(v) for v in row] for row in plane] for plane in mu3
-        ]
-        if len(self.mu3) != dim0 or any(
-            len(plane) != dim0 or any(
-                len(row) != dim0 or any(len(v) != dim1 for v in row)
-                for row in plane
-            )
-            for plane in self.mu3
-        ):
-            raise MalformedTensor("mu3 has the wrong shape")
+        self.mu3 = checked_tensor(mu3, (dim0, dim0, dim0, dim1), "mu3")
 
     @classmethod
     def from_sparse(cls, dim0, dim1, mu1=None, bracket00=None, bracket01=None,
@@ -352,14 +329,15 @@ class SkeletalMatchedPair:
                  psi2_00, psi2_01, psi2_10, psi3):
         self.G = G
         self.H = H
-        self.rho2_00 = [[list(v) for v in row] for row in rho2_00]
-        self.rho2_01 = [[list(v) for v in row] for row in rho2_01]
-        self.rho2_10 = [[list(v) for v in row] for row in rho2_10]
-        self.rho3 = [[[list(v) for v in row] for row in plane] for plane in rho3]
-        self.psi2_00 = [[list(v) for v in row] for row in psi2_00]
-        self.psi2_01 = [[list(v) for v in row] for row in psi2_01]
-        self.psi2_10 = [[list(v) for v in row] for row in psi2_10]
-        self.psi3 = [[[list(v) for v in row] for row in plane] for plane in psi3]
+        m, p, n, q = G.dim0, G.dim1, H.dim0, H.dim1
+        self.rho2_00 = checked_tensor(rho2_00, (m, n, n), "rho2_00")
+        self.rho2_01 = checked_tensor(rho2_01, (m, q, q), "rho2_01")
+        self.rho2_10 = checked_tensor(rho2_10, (p, n, q), "rho2_10")
+        self.rho3 = checked_tensor(rho3, (m, m, n, q), "rho3")
+        self.psi2_00 = checked_tensor(psi2_00, (n, m, m), "psi2_00")
+        self.psi2_01 = checked_tensor(psi2_01, (n, p, p), "psi2_01")
+        self.psi2_10 = checked_tensor(psi2_10, (q, m, p), "psi2_10")
+        self.psi3 = checked_tensor(psi3, (n, n, m, p), "psi3")
 
     def flipped(self) -> "SkeletalMatchedPair":
         """The same pair with G and H exchanged, and with them the rho2/rho3

@@ -702,6 +702,77 @@ def gl2_rota_baxter_pair() -> MatchedPair:
 GL2_ROTA_BAXTER_H = [8, 3, 7, 9, 9, 4, 2, 4, 2]
 
 
+def rota_baxter_pair_oracle(g: LieAlgebra, r_matrix) -> MatchedPair:
+    """``rota_baxter_matched_pair`` by change of basis in g + g: the
+    weight-1 identity is checked for i < j, then the brackets of the
+    diagonal (e_i, e_i) and the graph (R e_a, e_a + R e_a) in the direct
+    product are read in the joint basis they form."""
+    from mpla import DimensionMismatch, Matrix, NotRotaBaxter, invert
+    from mpla.scalars import vaccum, vbasis, vis_zero, vneg, vzero
+
+    g.require_valid()
+    m = g.dim
+    if r_matrix.rows != m or r_matrix.cols != m:
+        raise DimensionMismatch("operator matrix must be square of the algebra dimension")
+    for i in range(m):
+        for j in range(i + 1, m):
+            ri = r_matrix.column(i)
+            rj = r_matrix.column(j)
+            lhs = g.bracket_vec(ri, rj)
+            inner = g.bracket_vec(ri, vbasis(m, j))
+            vaccum(inner, 1, g.bracket_vec(vbasis(m, i), rj))
+            vaccum(inner, 1, g.c[i][j])
+            rhs = r_matrix.mul_vec(inner)
+            residual = [x - y for x, y in zip(lhs, rhs)]
+            if not vis_zero(residual):
+                raise NotRotaBaxter(
+                    f"weight-1 identity fails at basis pair ({i}, {j})",
+                    witness=(i, j, residual),
+                )
+
+    columns = [vbasis(m, i) + vbasis(m, i) for i in range(m)]
+    for a in range(m):
+        ra = r_matrix.column(a)
+        columns.append(list(ra) + [x + y for x, y in zip(vbasis(m, a), ra)])
+    back = invert(Matrix.from_columns(columns))
+
+    def coords(u, v):
+        return back.mul_vec(list(g.bracket_vec(u[:m], v[:m])) + list(g.bracket_vec(u[m:], v[m:])))
+
+    c_diag = [[vzero(m) for _ in range(m)] for _ in range(m)]
+    c_graph = [[vzero(m) for _ in range(m)] for _ in range(m)]
+    rho = [[vzero(m) for _ in range(m)] for _ in range(m)]
+    psi = [[vzero(m) for _ in range(m)] for _ in range(m)]
+    for i in range(m):
+        for j in range(m):
+            co = coords(columns[i], columns[j])
+            assert vis_zero(co[m:]), "diagonal copy failed to close under the bracket"
+            c_diag[i][j] = co[:m]
+            co = coords(columns[m + i], columns[m + j])
+            assert vis_zero(co[:m]), "graph copy failed to close under the bracket"
+            c_graph[i][j] = co[m:]
+            co = coords(columns[i], columns[m + j])
+            rho[i][j] = co[m:]
+            psi[j][i] = vneg(co[:m])
+    pair = MatchedPair(LieAlgebra(m, c_diag), LieAlgebra(m, c_graph), rho, psi)
+    pair.require_valid()
+    return pair
+
+
+def coadjoint_oracle(mp: MatchedPair) -> MPRepresentation:
+    """The representation on (h*, g*) from its explicit formulas,
+
+    (alpha_p h)(x) = -p(rho_x h)  and  (beta_q x)(h) = -q(psi_h x)."""
+    m, n = mp.dim_g, mp.dim_h
+    rho_v = [[[-mp.rho[i][b][a] for b in range(n)] for a in range(n)] for i in range(m)]
+    psi_v = [[[-mp.h.c[a][b2][b1] for b2 in range(n)] for b1 in range(n)] for a in range(n)]
+    rho_w = [[[-mp.g.c[i][j2][j1] for j2 in range(m)] for j1 in range(m)] for i in range(m)]
+    psi_w = [[[-mp.psi[a][j][i] for j in range(m)] for i in range(m)] for a in range(n)]
+    alpha = [[[-mp.rho[i][b][a] for i in range(m)] for b in range(n)] for a in range(n)]
+    beta = [[[-mp.psi[b][i][j] for b in range(n)] for i in range(m)] for j in range(m)]
+    return MPRepresentation(mp, n, m, rho_v, psi_v, rho_w, psi_w, alpha, beta)
+
+
 def rand_skeletal_candidate(rng, G, H, lo=-1, hi=1):
     """Random two- and three-slot actions between two two-term structures."""
     from mpla.skeletal import SkeletalMatchedPair

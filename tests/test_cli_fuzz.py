@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mpla import jsonio
 from mpla.catalog import aff1, bialgebra_aff1, mp_double
-from mpla.cli import main
+from mpla.cli import build_parser, main
 from mpla.cohomology import MPCochain, cochain_from_coords, delta_matrix
 from mpla.linalg import kernel_basis
 from mpla.reps import adjoint_representation
@@ -124,3 +124,26 @@ def test_cli_never_crashes_on_mutated_input(valid_files, verb, rng, as_json):
     assert code in (0, 1, 2), err
     if code == 2:
         assert err.startswith("error: "), err
+
+
+def _run_capturing(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_output_file_receives_what_stdout_printed(valid_files, fmt):
+    """For every verb (each accepts -o) in both formats, -o FILE writes to
+    FILE exactly what the verb prints without it, prints nothing, and
+    exits with the same code."""
+    root, paths = valid_files
+    verbs = build_parser()._subparsers._group_actions[0].choices
+    assert {argv[0] for argv in VERBS.values()} == set(verbs)
+    for name, argv in VERBS.items():
+        argv = [arg.format(**paths) for arg in argv] + ["--format", fmt]
+        code, printed = _run_capturing(argv)
+        target = root / f"{name}.{fmt}.out"
+        assert _run_capturing(argv + ["-o", str(target)]) == (code, ""), name
+        assert target.read_text(encoding="utf-8") == printed, name

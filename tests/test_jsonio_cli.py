@@ -474,3 +474,24 @@ def test_cli_negative_split_exits_2_naming_path_and_field(tmp_path, capsys, cli_
     captured = capsys.readouterr()
     assert path in captured.err and "field=split)" in captured.err
     assert not captured.out
+
+
+@pytest.mark.parametrize("verb,change", [
+    ("validate", lambda d: d.update(split=[9, 9, 9, 9])),
+    ("validate", lambda d: d.update(split=[1, 1, 1, 1])),
+    ("extract-cocycle", lambda d: d.update(split=[0, 0, 0, 0])),
+    ("validate", lambda d: d.update(total=d["base"])),
+], ids=["9999", "1111", "0000", "total"])
+def test_cli_split_that_disagrees_with_its_parts_exits_2(tmp_path, capsys, cli_files,
+                                                          verb, change):
+    """split must be [m, p, n, q] of the base pair and the representation,
+    and the total pair must have dimensions (m + p, n + q)."""
+    with open(cli_files["extension.json"], encoding="utf-8") as handle:
+        data = json.load(handle)
+    assert data["split"] == [2, 2, 2, 2]
+    change(data)
+    path = write(tmp_path, "bad.json", data)
+    assert main([verb, path]) == 2
+    captured = capsys.readouterr()
+    assert path in captured.err and "field=split)" in captured.err
+    assert not captured.out

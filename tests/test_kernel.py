@@ -8,8 +8,10 @@ the kernel must agree with its verdict, and every report must equal it.
 """
 
 import copy
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
@@ -18,7 +20,7 @@ from hypothesis import strategies as st
 from mpla import (LieAlgebra, LieBialgebra, LieRep, MatchedPair, MPRepresentation,
                   adjoint_representation, bialgebra_to_matched_pair, bicrossed_product,
                   coadjoint_representation, cochain_to_candidate, deformed_matched_pair,
-                  delta_mpl_coeff, lie, validate_bialgebra, validate_lie_algebra,
+                  delta_mpl_coeff, jsonio, lie, validate_bialgebra, validate_lie_algebra,
                   validate_matched_pair, validate_mp_representation, validate_representation,
                   wedge_rep)
 from mpla.catalog import (aff1, heisenberg3, mp_a, mp_direct, mp_double, mp_semidirect_double,
@@ -26,6 +28,7 @@ from mpla.catalog import (aff1, heisenberg3, mp_a, mp_direct, mp_double, mp_semi
 from mpla.matched import _double
 from mpla.lie import bicrossed_table, lie_table_holds
 from mpla.reps import semidirect_tensors
+from mpla.skeletal import validate_skeletal_matched_pair
 from mpla.scalars import DualNumber, zero_tensor
 
 from helpers import (fraction_calls, gl2, rand_cochain, rand_deformation_candidate,
@@ -290,3 +293,20 @@ def test_bialgebra_validator_is_decided_by_its_double():
     assert verdicts == {True, False}
     assert failed == {"jacobi(g)", "jacobi(dual)", "cobracket 1-cocycle"}
 
+
+@pytest.mark.parametrize("name", ["witness_pair.json", "witness_skeletal.json"])
+def test_a_failing_pair_asks_the_kernel_once_per_table(monkeypatch, name):
+    """The ring-generic reports read the action laws off their formula, so a
+    failing pair asks the kernel about g, h and g |x| h and nothing more; a
+    skeletal pair whose degree-0 pair fails asks no more about its
+    representation (whose base fails)."""
+    data = json.loads((Path(__file__).resolve().parent / "data" / name).read_text())
+    if "G" in data:
+        structure, validate = jsonio.skeletal_pair_from_json(data), validate_skeletal_matched_pair
+    else:
+        structure, validate = jsonio.matched_pair_from_json(data), validate_matched_pair
+    asked = []
+    holds = lie.lie_table_holds
+    monkeypatch.setattr(lie, "lie_table_holds", lambda c: asked.append(len(c)) or holds(c))
+    assert not validate(structure).ok
+    assert len(asked) == 3

@@ -1,7 +1,9 @@
+import copy
 import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
@@ -9,7 +11,7 @@ from mpla import (LieAlgebra, LieRep, SkewMultiMap, ce_cohomology_dims,
                   ce_coboundary, ce_matrix, nr_bracket, validate_lie_algebra,
                   validate_representation, wedge_rep)
 from mpla.catalog import aff1, heisenberg3, sl2
-from mpla.scalars import DualNumber
+from mpla.scalars import DualNumber, zero_tensor
 
 from helpers import LinearForm, pull_ce_coboundary, rand_lie_candidate, rand_skew_map
 
@@ -174,3 +176,58 @@ def test_ce_coboundary_sums_each_bracket_argument_before_adding_it():
     assert got.coeffs == {(0, 1): [0, -1]}
     assert [type(x) for x in got.coeffs[(0, 1)]] == [int, Fraction]
     assert _plain(got) == _plain(pull_ce_coboundary(rep, f, 1))
+
+
+def _constructors():
+    """(name, build) for the seven structures that copy dense tensors;
+    build(tensors) makes the structure from {field: tensor}, and the
+    fields come with tensors of the right shape (every dimension >= 1)."""
+    from mpla import (DeformationCandidate, MatchedPair, MPRepresentation,
+                      SkeletalMatchedPair, TwoTermLInfinity)
+    from mpla.catalog import mp_double
+
+    g, base = aff1(), mp_double()
+    G, H = TwoTermLInfinity.from_sparse(2, 1), TwoTermLInfinity.from_sparse(1, 2)
+    m, p, n, q = 2, 1, 1, 2
+    table = [
+        ("LieAlgebra", lambda t: LieAlgebra(2, *t.values()), {"bracket": (2, 2, 2)}),
+        ("LieRep", lambda t: LieRep(g, 3, *t.values()), {"action": (2, 3, 3)}),
+        ("MatchedPair", lambda t: MatchedPair(g, heisenberg3(), *t.values()),
+         {"rho": (2, 3, 3), "psi": (3, 2, 2)}),
+        ("MPRepresentation", lambda t: MPRepresentation(base, 1, 3, *t.values()),
+         {"rho_V": (2, 1, 1), "psi_V": (2, 1, 1), "rho_W": (2, 3, 3), "psi_W": (2, 3, 3),
+          "alpha": (1, 2, 3), "beta": (3, 2, 1)}),
+        ("TwoTermLInfinity", lambda t: TwoTermLInfinity(2, 3, *t.values()),
+         {"mu1": (3, 2), "bracket00": (2, 2, 2), "bracket01": (2, 3, 3), "mu3": (2, 2, 2, 3)}),
+        ("SkeletalMatchedPair", lambda t: SkeletalMatchedPair(G, H, *t.values()),
+         {"rho2_00": (m, n, n), "rho2_01": (m, q, q), "rho2_10": (p, n, q),
+          "rho3": (m, m, n, q), "psi2_00": (n, m, m), "psi2_01": (n, p, p),
+          "psi2_10": (q, m, p), "psi3": (n, n, m, p)}),
+        ("DeformationCandidate", lambda t: DeformationCandidate(2, 3, *t.values()),
+         {"mu1": (2, 2, 2), "nu1": (3, 3, 3), "rho1": (2, 3, 3), "psi1": (3, 2, 2)}),
+    ]
+    return [(name, build, {field: zero_tensor(shape) for field, shape in shapes.items()})
+            for name, build, shapes in table]
+
+
+def _first_vector(tensor):
+    while isinstance(tensor[0][0], list):
+        tensor = tensor[0]
+    return tensor[0]
+
+
+def test_every_constructor_names_the_field_of_a_misshapen_tensor():
+    """Each constructor takes the well-shaped tensors and raises
+    MalformedTensor naming the field both when a tensor's outer list is one
+    short and when one of its value vectors is."""
+    from mpla import MalformedTensor
+
+    for name, build, tensors in _constructors():
+        build(tensors)
+        for field in tensors:
+            for short in (list.pop, lambda t: _first_vector(t).pop()):
+                bad = copy.deepcopy(tensors)
+                short(bad[field])
+                with pytest.raises(MalformedTensor) as info:
+                    build(bad)
+                assert str(info.value).startswith(field + " "), (name, field, str(info.value))

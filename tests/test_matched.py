@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -15,8 +16,9 @@ from mpla.catalog import (aff1, bialgebra_aff1, heisenberg3, mp_a,
                           mp_double, sl2, standard_fixtures)
 
 from mpla import lie
+from mpla.jsonio import matched_pair_to_json
 
-from helpers import rand_lie_candidate, rand_mp_candidate
+from helpers import gl2, rand_lie_candidate, rand_mp_candidate, rota_baxter_pair_oracle
 
 
 def test_lierep_pair_is_matched():
@@ -292,3 +294,37 @@ def test_morphism_criteria_agree_across_different_pairs():
     # the zero map is always a morphism
     zero = MPMorphism(Matrix.zero(2, 1), Matrix.zero(2, 1))
     assert check_morphism(src, dst, zero).ok
+
+
+def _rota_baxter_outcome(construct, g, r_matrix):
+    """The JSON of the pair, or the message and witness repr of NotRotaBaxter."""
+    try:
+        pair = construct(g, r_matrix)
+    except NotRotaBaxter as exc:
+        return None, (str(exc), repr(exc.witness))
+    return pair, json.dumps(matched_pair_to_json(pair), sort_keys=True)
+
+
+def test_rota_baxter_closed_form_matches_the_change_of_basis():
+    """The closed form equals the change of basis in g + g (the oracle) on
+    every 2x2 operator with entries in {-1, 0, 1, 2} on aff1, a seeded
+    sample of the 3x3 operators with entries in {-1, 0, 1} on sl2 and on
+    the Heisenberg algebra, and the gl_2 operator: the same pair and JSON,
+    or the same NotRotaBaxter message and witness."""
+    rng = random.Random(2606)
+    cases = [(aff1(), Matrix.from_rows([list(e[:2]), list(e[2:])]))
+             for e in itertools.product((-1, 0, 1, 2), repeat=4)]
+    for g in (sl2(), heisenberg3()):
+        cases += [(g, Matrix.from_rows([[rng.choice((-1, 0, 1)) for _ in range(3)]
+                                        for _ in range(3)])) for _ in range(1500)]
+    cases.append((gl2(), Matrix.from_rows([[-1, 0, 0, 0], [0, -1, 0, 0],
+                                           [0, 0, 0, 0], [0, 0, 0, -1]])))
+    built = 0
+    for g, r_matrix in cases:
+        pair, got = _rota_baxter_outcome(rota_baxter_matched_pair, g, r_matrix)
+        oracle, want = _rota_baxter_outcome(rota_baxter_pair_oracle, g, r_matrix)
+        assert got == want
+        if pair is not None:
+            assert pair == oracle and pair.is_validated
+            built += 1
+    assert 50 < built < len(cases)

@@ -11,7 +11,7 @@ from mpla import (LieRep, MPRepresentation, NotRestrictable,
 from mpla.reps import assemble_semidirect
 from mpla.catalog import mp_a, mp_double, standard_fixtures
 
-from helpers import rand_mp_rep_candidate
+from helpers import coadjoint_oracle, rand_mp_candidate, rand_mp_rep_candidate
 
 
 def test_adjoint_and_zero_reps_valid_on_all_fixtures():
@@ -119,3 +119,19 @@ def test_dual_constructions():
     zero = MPRepresentation.zero(mp_a(), (2, 2))
     assert dual_representation(zero).tensors_equal(
         MPRepresentation.zero(mp_a(), (2, 2)))
+
+
+def _tensor_reprs(r):
+    return [r.dims] + [repr(t) for t in (r.rho_v, r.psi_v, r.rho_w, r.psi_w, r.alpha, r.beta)]
+
+
+def test_coadjoint_is_the_dual_of_adjoint_entry_for_entry():
+    """The coadjoint representation equals its explicit formulas (the
+    oracle), with the scalar type of every entry, on the standard fixtures
+    and on seeded random candidates, whose tensors mix int zeros with
+    Fractions."""
+    rng = random.Random(2626)
+    pairs = [mp for _, mp in standard_fixtures()]
+    pairs += [rand_mp_candidate(rng, rng.randint(1, 3), rng.randint(1, 3)) for _ in range(300)]
+    for mp in pairs:
+        assert _tensor_reprs(coadjoint_representation(mp)) == _tensor_reprs(coadjoint_oracle(mp))

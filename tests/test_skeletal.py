@@ -383,8 +383,10 @@ def test_valid_pairs_run_no_ring_generic_formula(monkeypatch):
             calls.append(_name)
             return _formula(*args)
 
-        monkeypatch.setattr(module, name, counted)
-        monkeypatch.setattr(mpla.skeletal, name, counted, raising=False)
+        # patched wherever it is bound: the pair and representation reports
+        # call the action-law formula directly
+        for binder in (module, mpla.matched, mpla.reps, mpla.skeletal):
+            monkeypatch.setattr(binder, name, counted, raising=False)
     pairs = [assemble_skeletal(t) for t in kernel_fixture_triples()]
     for s in pairs + [p.flipped() for p in pairs]:
         assert validate_skeletal_matched_pair(s).ok

@@ -1,7 +1,8 @@
 """What a fresh ``mpla`` process loads: ``import mpla.cli`` and one verb of
 each family leave ``dataclasses`` and ``inspect`` unloaded (with them
 ``ast``, ``dis`` and ``tokenize``), and ``import mpla.cli`` loads exactly
-the ten modules of the package it needs before a verb is chosen."""
+the ten modules of the package it needs before a verb is chosen, with no
+more lines of source than a fixed budget."""
 
 import json
 import os
@@ -19,6 +20,10 @@ SRC = str(Path(mpla.__file__).resolve().parent.parent)
 HEAVY = ("dataclasses", "inspect")
 CLI_MODULES = ["mpla", "mpla.cli", "mpla.errors", "mpla.jsonio", "mpla.lie", "mpla.linalg",
                "mpla.matched", "mpla.multimap", "mpla.report", "mpla.scalars"]
+# lines of source in CLI_MODULES: a process without a bytecode cache
+# (PYTHONDONTWRITEBYTECODE=1) compiles them all at start-up, so growth
+# here is paid by every command; raise the budget only deliberately
+CLI_LINE_BUDGET = 3092
 
 # one verb of each family, with its exit code on these inputs
 VERBS = [
@@ -58,6 +63,13 @@ def test_import_loads_ten_modules_and_no_dataclasses():
     got = probe([])
     assert got["heavy"] == []
     assert got["mpla"] == CLI_MODULES
+
+
+def test_import_compiles_no_more_source_than_the_budget():
+    package = Path(SRC) / "mpla"
+    files = [package / ("__init__.py" if name == "mpla" else name[5:] + ".py")
+             for name in CLI_MODULES]
+    assert sum(f.read_text(encoding="utf-8").count("\n") for f in files) <= CLI_LINE_BUDGET
 
 
 @pytest.mark.parametrize("argv,code", VERBS, ids=[argv[0] for argv, _ in VERBS])
